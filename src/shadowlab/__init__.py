@@ -19,6 +19,7 @@ from .errors import (
     PullbackFailedError,
     ShadowlabError,
     SingularJacobianError,
+    TooManyPeriodicPointsError,
     VectorNotUnstableError,
 )
 from .hyperbolicity import (

@@ -1,7 +1,8 @@
 """Exact integer matrix utilities (Python ints, no overflow).
 
-Used by the periodic-point enumerator: Smith normal form with unimodular
-transforms, integer determinants and integer matrix powers.
+Used by the periodic-point enumerator and the toral automorphism check:
+Smith normal form with unimodular transforms, integer determinants and
+integer matrix powers.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ def identity(n: int) -> IntMatrix:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     n, k, m = len(a), len(b), len(b[0])
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(a: IntMatrix, v: list) -> list:
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
 def mat_power(a: IntMatrix, k: int) -> IntMatrix:

@@ -42,7 +42,8 @@ COMMAND_OPERATIONS = {
         shadow.closed_form_linear_shadow,
         shadow.theoretical_linear_lipschitz_bound,
         pseudo.perturb_orbit,
-        hyperbolicity.enumerate_periodic_points_toral,
+        shadow.toral_orbit_with_period,
+        hyperbolicity.enumerate_periodic_points_exact,
     ),
     "orbit": (
         hyperbolicity.analyze_periodic_orbit,
@@ -386,11 +387,17 @@ def _cmd_angles(ctx) -> tuple[int, str]:
     toral = _require_toral(kind, obj, "angles", section.path)
     max_period = section.take_int("max-period", required=True)
     horizon = section.take_int("horizon", default=8)
+    # largest period first, so a count over the enumeration cap fails before
+    # any orbit is analysed
+    point_sets = [
+        hyperbolicity.enumerate_periodic_points_toral(toral.matrix, m)
+        for m in range(max_period, 0, -1)
+    ][::-1]
     rows = [["period", "point", "beta_min"]]
     records = []
     betas = []
-    for m in range(1, max_period + 1):
-        for point in hyperbolicity.enumerate_periodic_points_toral(toral.matrix, m):
+    for m, points in enumerate(point_sets, start=1):
+        for point in points:
             record = hyperbolicity.analyze_periodic_orbit(sys_, point, m)
             records.append(record)
             angle = hyperbolicity.subspace_angle(record)

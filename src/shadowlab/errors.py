@@ -79,6 +79,12 @@ class DegenerateMatrixError(ShadowlabError):
     code = "degenerate"
 
 
+class TooManyPeriodicPointsError(ShadowlabError):
+    """|det(M^m - I)| periodic points are more than the enumerator will hold."""
+
+    code = "too-many-points"
+
+
 class InapplicableError(ShadowlabError):
     """The requested bound does not apply to this model configuration."""
 

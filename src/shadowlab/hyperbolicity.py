@@ -26,6 +26,7 @@ from .errors import (
     DegenerateMatrixError,
     NonhyperbolicOrbitError,
     NotPeriodicError,
+    TooManyPeriodicPointsError,
     VectorNotUnstableError,
 )
 from .systems import DiscreteSystem, orbit_segment
@@ -34,6 +35,9 @@ Array = np.ndarray
 
 UNIT_MODULUS_BAND = 1e-6
 PERIODICITY_TOL = 1e-8
+# largest |det(M^m - I)| the enumerator materialises (period 15 of the cat map
+# has 1860496 points, period 16 has 4870845)
+MAX_PERIODIC_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -305,46 +309,62 @@ def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
 # exact enumeration of periodic points of toral automorphisms
 
 
-def enumerate_periodic_points_exact(matrix, m: int) -> list[tuple[Fraction, ...]]:
-    """All x in [0,1)^n with M^m x = x (mod 1), as exact rationals.
+def _periodic_numerators(matrix, m: int) -> tuple[Array, int]:
+    """Integer numerators k of the points x = k / e with M^m x = x (mod 1).
 
-    Solved through the Smith normal form of M^m - I; the count equals
-    |det(M^m - I)| and the list is sorted lexicographically.
+    With S = U (M^m - I) V the Smith normal form, the solutions are
+    x = V y (mod 1) for y_i = c_i / s_i, 0 <= c_i < s_i.  Over the largest
+    invariant factor e every such x is k / e with k = V (c * e / s) mod e,
+    computed in int64 from V reduced mod e (each entry of the product stays
+    below n e^2).  Returns the (N, n) numerators in lexicographic order,
+    N = |det(M^m - I)|, and e.
     """
     a = _intmat.int_matrix(matrix)
     if m < 1:
         raise ValueError("period must be >= 1")
     n = len(a)
     d = _intmat.mat_sub(_intmat.mat_power(a, m), _intmat.identity(n))
-    if _intmat.det(d) == 0:
+    count = abs(_intmat.det(d))
+    if count == 0:
         raise DegenerateMatrixError("det(M^m - I) = 0: the periodic-point set is degenerate")
+    if count > MAX_PERIODIC_POINTS:
+        raise TooManyPeriodicPointsError(
+            f"period {m} has {count} periodic points, more than the "
+            f"{MAX_PERIODIC_POINTS} that are enumerated"
+        )
     _, s, v = _intmat.smith_normal_form(d)
     orders = [s[i][i] for i in range(n)]
-    points: list[tuple[Fraction, ...]] = []
-    counters = [0] * n
+    e = orders[-1]
+    if n * e * e >= 2**63:
+        raise TooManyPeriodicPointsError(
+            f"period {m} needs numerators over {e}, beyond int64 arithmetic"
+        )
+    axes = [np.arange(order, dtype=np.int64) * (e // order) for order in orders]
+    scaled = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    v_mod = np.array([[x % e for x in row] for row in v], dtype=np.int64)
+    k = (scaled @ v_mod.T) % e
+    return k[np.lexsort(k.T[::-1])], e
 
-    def emit():
-        y = [Fraction(counters[i], orders[i]) for i in range(n)]
-        x = [sum(Fraction(v[i][j]) * y[j] for j in range(n)) % 1 for i in range(n)]
-        points.append(tuple(x))
 
-    while True:
-        emit()
-        for i in range(n):
-            counters[i] += 1
-            if counters[i] < orders[i]:
-                break
-            counters[i] = 0
-        else:
-            break
-    points.sort()
-    return points
+def enumerate_periodic_points_exact(matrix, m: int) -> list[tuple[Fraction, ...]]:
+    """All x in [0,1)^n with M^m x = x (mod 1), as exact rationals.
+
+    Solved through the Smith normal form of M^m - I; the count equals
+    |det(M^m - I)| and the list is sorted lexicographically.  Raises
+    TooManyPeriodicPointsError above MAX_PERIODIC_POINTS points.
+    """
+    k, e = _periodic_numerators(matrix, m)
+    return [tuple(Fraction(c, e) for c in row) for row in k.tolist()]
 
 
 def enumerate_periodic_points_toral(matrix, m: int) -> Array:
-    """Float version of enumerate_periodic_points_exact (same ordering)."""
-    pts = enumerate_periodic_points_exact(matrix, m)
-    return np.array([[float(c) for c in p] for p in pts])
+    """Float version of enumerate_periodic_points_exact (same ordering).
+
+    k / e is the correctly rounded value of each exact coordinate, since
+    both operands are integers below 2^53.
+    """
+    k, e = _periodic_numerators(matrix, m)
+    return k / e
 
 
 # ---------------------------------------------------------------------------

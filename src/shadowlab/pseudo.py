@@ -117,11 +117,7 @@ def _require_real_unit_block(model: JordanModel, op: str) -> None:
         raise ValueError(f"{op} is implemented for eigenvalue +1 only")
 
 
-def _int_block_matrix(l: int) -> list[list[int]]:
-    return [[1 if i == j else (1 if j == i + 1 else 0) for j in range(l)] for i in range(l)]
-
-
-def _embed(coeffs: list[list[int]], scale: float, dim: int) -> Array:
+def _embed(coeffs: Array | list[list[int]], scale: float, dim: int) -> Array:
     """points[k] = scale * coeffs[k] on the block coordinates, zero tail."""
     pts = np.zeros((len(coeffs), dim))
     block = np.array(coeffs, dtype=float)
@@ -141,33 +137,47 @@ def _check_core_ball(model: JordanModel, pts: Array) -> None:
         )
 
 
-def _real_block_coefficients(l: int, k_steps: int) -> tuple[list[list[int]], list[int]]:
+def _real_block_coefficients(l: int, k_steps: int) -> tuple[Array, list[int]]:
     """Integer coefficient path of the general unit-block witness.
 
     Drive the top coordinate up then down for k_steps each, then retire
-    coordinates l-2 .. 0; returns one period of coefficient vectors and the
-    per-phase step counts.
+    coordinates l-2 .. 0; returns one period of coefficient vectors as an
+    int64 (Q, l) array and the per-phase step counts.
+
+    The block step is c_i += c_{i+1}.  In a phase driving axis a, the
+    coordinates above a are zero and c_a moves by the impulse sign each step,
+    so each coordinate below a is its start value plus the running sum of the
+    one above it: one cumsum per coordinate, from a down to 0.  Every
+    coefficient is nonnegative, so a sum that would pass int64 is caught
+    before it is taken.
     """
-    b = _int_block_matrix(l)
-    c = [0] * l
-    coeffs: list[list[int]] = []
+    c = np.zeros(l, dtype=np.int64)
+    phases: list[Array] = []
     lengths: list[int] = []
 
     def apply(axis: int, sign: int, count: int) -> None:
         nonlocal c
-        for _ in range(count):
-            coeffs.append(c[:])
-            c = [sum(b[i][j] * c[j] for j in range(l)) for i in range(l)]
-            c[axis] += sign
+        path = np.zeros((count + 1, l), dtype=np.int64)  # row count is the next start
+        path[:, axis] = c[axis] + sign * np.arange(count + 1)
+        for i in range(axis - 1, -1, -1):
+            above = path[:-1, i + 1]
+            if int(c[i]) + count * int(above.max(initial=0)) >= 2**63:
+                raise OverflowError(
+                    f"unit-block witness coefficients exceed int64 at K = {k_steps}"
+                )
+            path[0, i] = c[i]
+            path[1:, i] = c[i] + np.cumsum(above)
+        phases.append(path[:-1])
         lengths.append(count)
+        c = path[-1]
 
     apply(l - 1, +1, k_steps)
     apply(l - 1, -1, k_steps)
     for axis in range(l - 2, -1, -1):
-        apply(axis, -1, c[axis])
-    if any(c):
-        raise RuntimeError(f"witness failed to close: residual coefficients {c}")
-    return coeffs, lengths
+        apply(axis, -1, int(c[axis]))
+    if c.any():
+        raise RuntimeError(f"witness failed to close: residual coefficients {c.tolist()}")
+    return np.concatenate(phases), lengths
 
 
 def witness_eigenvalue_one(
@@ -237,11 +247,11 @@ def witness_jordan(
     if d <= 0 or k_steps < 1:
         raise ValueError("need d > 0 and K >= 1")
     coeffs, lengths = _real_block_coefficients(2, k_steps)
-    z1 = coeffs[k_steps][0]
+    z1 = int(coeffs[k_steps, 0])
     z2 = lengths[2]
     pts = _embed(coeffs, d, model.dim)
     _check_core_ball(model, pts)
-    peak = max(math.hypot(*c) for c in coeffs)
+    peak = float(np.max(np.hypot(coeffs[:, 0], coeffs[:, 1])))
     params = {
         "d": d,
         "K": k_steps,

@@ -23,7 +23,6 @@ of A^Q, so the resolvent form is used.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -31,14 +30,13 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import _intmat
 from .errors import (
     InapplicableError,
     NonhyperbolicMonodromyError,
     ShadowlabError,
     SingularJacobianError,
 )
-from .hyperbolicity import enumerate_periodic_points_exact
+from .hyperbolicity import _periodic_numerators, enumerate_periodic_points_exact
 from .pseudo import (
     PeriodicPseudotrajectory,
     make_pseudotrajectory,
@@ -508,28 +506,37 @@ def lipschitz_scan(
 def toral_orbit_with_period(toral: ToralAutomorphism, period: int) -> Array:
     """An exact orbit of minimal period ``period``, chosen deterministically
     (lexicographically smallest starting point among the enumerated periodic
-    points, verified in exact rational arithmetic)."""
-    pts = enumerate_periodic_points_exact(toral.matrix, period)
-    mat = _intmat.int_matrix(toral.matrix)
-    powers = {
-        div: _intmat.mat_power(mat, div)
-        for div in range(1, period)
-        if period % div == 0
+    points, decided in exact integer arithmetic).
+
+    A period-``period`` point has a smaller minimal period exactly when it is
+    periodic with period ``period / p`` for a prime p dividing ``period``;
+    those few points are excluded, so the answer lies within the first
+    (number excluded + 1) rows of the sorted numerators.
+    """
+    numerators, e = _periodic_numerators(toral.matrix, period)
+    excluded = {
+        tuple(c.numerator * (e // c.denominator) for c in point)
+        for p in _prime_divisors(period)
+        for point in enumerate_periodic_points_exact(toral.matrix, period // p)
     }
-    for candidate in pts:
-        minimal = True
-        for power in powers.values():
-            image = [
-                sum(Fraction(power[i][j]) * candidate[j] for j in range(len(candidate))) % 1
-                for i in range(len(candidate))
-            ]
-            if tuple(image) == candidate:
-                minimal = False
-                break
-        if minimal:
-            start = np.array([float(c) for c in candidate])
-            return orbit_segment(toral.system, start, 0, period - 1)
+    for row in numerators[: len(excluded) + 1]:
+        if tuple(row.tolist()) not in excluded:
+            return orbit_segment(toral.system, row / e, 0, period - 1)
     raise ValueError(f"no orbit of minimal period {period}")
+
+
+def _prime_divisors(q: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            primes.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    if q > 1:
+        primes.append(q)
+    return primes
 
 
 # ---------------------------------------------------------------------------

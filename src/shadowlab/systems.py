@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import qmc
 
+from . import _intmat
 from .errors import OrbitEscapeError
 
 Array = np.ndarray
@@ -208,18 +209,6 @@ def _integer_matrix(matrix) -> Array:
     return m_int
 
 
-def _integer_det(m: Array) -> int:
-    a = [[int(v) for v in row] for row in m]
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    det = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        det += (-1) ** j * a[0][j] * _integer_det(np.array(minor, dtype=object))
-    return det
-
-
 @dataclass(frozen=True)
 class ToralAutomorphism:
     """x -> M x (mod 1) for an integer matrix with |det M| = 1."""
@@ -246,7 +235,7 @@ class ToralAutomorphism:
 
 def toral_automorphism(matrix) -> ToralAutomorphism:
     m_int = _integer_matrix(matrix)
-    det = _integer_det(m_int)
+    det = _intmat.det(_intmat.int_matrix(m_int))
     if abs(det) != 1:
         raise ValueError(f"|det| must be 1, got {det}")
     inv = np.rint(np.linalg.inv(m_int.astype(float))).astype(np.int64)

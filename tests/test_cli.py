@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,26 @@ def test_enumerate_command(tmp_path, capsys):
     lines = (tmp_path / "periodic_points.csv").read_text().splitlines()
     assert lines[0] == "x0,x1"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize(
+    "command", ["name = enumerate\nperiod = 20", "name = enumerate\nperiod = 30",
+                "name = angles\nmax-period = 20"]
+)
+def test_periodic_point_cap_exits_1(tmp_path, capsys, command):
+    cfg = write(
+        tmp_path / "e.cfg",
+        CAT_SYSTEM + f"[command]\n{command}\n[output]\ndirectory = {tmp_path}\n",
+    )
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", cfg]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the lattice is never allocated
+    assert "error (too-many-points)" in capsys.readouterr().err
+    assert not (tmp_path / "periodic_points.csv").exists()
 
 
 def test_witness_and_shadow_commands(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 
 import shadowlab as sl
 from shadowlab import _intmat
-from shadowlab.errors import DegenerateMatrixError, NotPeriodicError
+from shadowlab import hyperbolicity
+from shadowlab.errors import DegenerateMatrixError, NotPeriodicError, TooManyPeriodicPointsError
 from shadowlab.hyperbolicity import (
+    MAX_PERIODIC_POINTS,
     ExpansionCertificate,
     expansion_coefficients,
     expansion_tau,
@@ -271,3 +275,109 @@ def test_enumeration_sorted_deterministic():
 def test_enumeration_degenerate():
     with pytest.raises(DegenerateMatrixError):
         sl.enumerate_periodic_points_toral([[0, 1], [-1, 0]], 4)  # rotation^4 = identity
+
+
+# ---------------------------------------------------------------------------
+# the enumerator against the rational algorithm it replaced
+
+
+def fraction_enumeration_oracle(matrix, m):
+    """Periodic points as first enumerated: each Smith-form counter vector
+    y_i = c_i / s_i mapped through V in exact rationals, then sorted."""
+    a = _intmat.int_matrix(matrix)
+    n = len(a)
+    d = _intmat.mat_sub(_intmat.mat_power(a, m), _intmat.identity(n))
+    _, s, v = _intmat.smith_normal_form(d)
+    orders = [s[i][i] for i in range(n)]
+    points = []
+    for counters in itertools.product(*(range(order) for order in orders)):
+        y = [Fraction(c, order) for c, order in zip(counters, orders)]
+        points.append(tuple(sum(Fraction(v[i][j]) * y[j] for j in range(n)) % 1 for i in range(n)))
+    return sorted(points)
+
+
+def minimal_period_start_oracle(matrix, m, points):
+    """Lexicographically first point not fixed by M^div for a proper divisor div."""
+    a = _intmat.int_matrix(matrix)
+    powers = [_intmat.mat_power(a, div) for div in range(1, m) if m % div == 0]
+    for candidate in points:
+        images = (
+            tuple(sum(Fraction(p[i][j]) * candidate[j] for j in range(len(a))) % 1
+                  for i in range(len(a)))
+            for p in powers
+        )
+        if all(image != candidate for image in images):
+            return candidate
+    return None
+
+
+# 3x3 unimodular and hyperbolic; the first invariant factor of M^m - I is 2
+# at m = 2, 4, 6 (for m = 2 the Smith diagonal is 2, 2, 8)
+UNIMODULAR_3 = [[-1, -1, -1], [2, 0, -1], [2, 1, 0]]
+ENUMERATION_CASES = [
+    pytest.param(matrix, m, id=f"{name}-m{m}")
+    for name, matrix, periods in (
+        ("cat", [[2, 1], [1, 1]], range(1, 10)),
+        ("3121", [[3, 1], [2, 1]], range(1, 7)),
+        ("unimodular3", UNIMODULAR_3, range(1, 6)),
+    )
+    for m in periods
+]
+
+
+@pytest.mark.parametrize("matrix,m", ENUMERATION_CASES)
+def test_enumeration_matches_fraction_oracle(matrix, m):
+    oracle = fraction_enumeration_oracle(matrix, m)
+    assert sl.enumerate_periodic_points_exact(matrix, m) == oracle
+    floats = np.array([[float(c) for c in p] for p in oracle])
+    toral = sl.enumerate_periodic_points_toral(matrix, m)
+    assert toral.dtype == floats.dtype and toral.tobytes() == floats.tobytes()
+    start = minimal_period_start_oracle(matrix, m, oracle)
+    orbit = sl.toral_orbit_with_period(sl.toral_automorphism(matrix), m)
+    assert orbit[0].tobytes() == np.array([float(c) for c in start]).tobytes()
+
+
+def test_unimodular_3_smith_factor():
+    d = _intmat.mat_sub(_intmat.mat_power(UNIMODULAR_3, 2), _intmat.identity(3))
+    _, s, _ = _intmat.smith_normal_form(d)
+    assert [s[i][i] for i in range(3)] == [2, 2, 8]
+
+
+# ---------------------------------------------------------------------------
+# count cap
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyPeriodicPointsError) as err:
+            call()
+        return tracemalloc.get_traced_memory()[1], err.value
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [20, 30])
+@pytest.mark.parametrize(
+    "enumerate_points",
+    [sl.enumerate_periodic_points_exact, sl.enumerate_periodic_points_toral],
+)
+def test_enumeration_count_cap(m, enumerate_points):
+    # 228,826,125 points at period 20, 3,461,452,808,000 at period 30
+    peak, err = _peak_bytes(lambda: enumerate_points(sl.cat_map().matrix, m))
+    assert peak < 1 << 20  # far below one int64 row per point: nothing allocated
+    assert err.code == "too-many-points" and f"period {m} has" in str(err)
+
+
+def test_enumeration_cap_admits_period_15():
+    mat = _intmat.int_matrix(sl.cat_map().matrix)
+    d = _intmat.mat_sub(_intmat.mat_power(mat, 15), _intmat.identity(2))
+    assert abs(_intmat.det(d)) == 1860496 <= MAX_PERIODIC_POINTS
+
+
+def test_enumeration_int64_guard(monkeypatch):
+    # period 50: e = 62,931,345,125 and 2 e^2 passes 2^63
+    monkeypatch.setattr(hyperbolicity, "MAX_PERIODIC_POINTS", 2**200)
+    peak, err = _peak_bytes(lambda: sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 50))
+    assert peak < 1 << 20
+    assert "int64" in str(err)

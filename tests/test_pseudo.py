@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import shadowlab as sl
 from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError
+from shadowlab.pseudo import _real_block_coefficients
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -38,6 +39,28 @@ def block_witness_oracle(l, K):
             c = step(c, axis, -1)
     assert c == [0] * l
     return path
+
+
+def list_loop_block_coefficients(l, K):
+    """The unit-block coefficient path as first implemented: the block applied
+    as a list matrix product at every step; returns (path, phase lengths)."""
+    b = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(l)] for i in range(l)]
+    c = [0] * l
+    coeffs, lengths = [], []
+
+    def apply(axis, sign, count):
+        nonlocal c
+        for _ in range(count):
+            coeffs.append(c[:])
+            c = [sum(b[i][j] * c[j] for j in range(l)) for i in range(l)]
+            c[axis] += sign
+        lengths.append(count)
+
+    apply(l - 1, +1, K)
+    apply(l - 1, -1, K)
+    for axis in range(l - 2, -1, -1):
+        apply(axis, -1, c[axis])
+    return coeffs, lengths
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +137,20 @@ def test_jordan_witness_structure_constants(linear_jordan2, K):
     assert xi.points[K][1] == K * d  # exact product of int and float
     oracle = d * np.array(block_witness_oracle(2, K), dtype=float)
     assert np.array_equal(xi.points, oracle)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_block_coefficients_match_list_loop(l):
+    for K in range(1, 13):
+        coeffs, lengths = _real_block_coefficients(l, K)
+        oracle, oracle_lengths = list_loop_block_coefficients(l, K)
+        assert coeffs.dtype == np.int64
+        assert coeffs.tolist() == oracle
+        assert lengths == oracle_lengths
+        if l == 2:
+            model = sl.jordan_model(block="real", size=2, c=0.0)
+            _, meta = sl.witness_jordan(model, 1e-6, K)
+            assert meta.params["Y"] == max(math.hypot(*c) for c in oracle)
 
 
 def test_jordan_witness_defect_linear(linear_jordan2):
