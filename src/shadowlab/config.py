@@ -8,9 +8,9 @@ Grammar (one statement per line):
     kind = toral
     matrix = 2 1; 1 1
 
-Values are raw strings; typed access goes through ConfigSection.take_* which
+Values are raw strings; typed access goes through ConfigSection.take, which
 records consumption so unknown keys can be rejected with their exact path and
-line number.
+line number.  The (converter, description) pairs below name the value types.
 """
 
 from __future__ import annotations
@@ -20,6 +20,22 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 KNOWN_SECTIONS = ("system", "command", "output")
+
+
+def _square_matrix(text: str) -> list[list[float]]:
+    rows = [r.strip() for r in text.split(";") if r.strip()]
+    mat = [[float(v) for v in r.split()] for r in rows]
+    if not mat or any(len(r) != len(mat) for r in mat):
+        raise ValueError(text)
+    return mat
+
+
+TEXT = (str, "text")
+INT = (int, "an integer")
+FLOAT = (float, "a number")
+FLOATS = (lambda s: [float(v) for v in s.split()], "numbers")
+INTS = (lambda s: [int(v) for v in s.split()], "integers")
+MATRIX = (_square_matrix, "a square matrix like '2 1; 1 1'")
 
 
 @dataclass
@@ -44,18 +60,16 @@ class ConfigSection:
     def _keypath(self, key: str) -> str:
         return f"{self.name}.{key}" if self.name else key
 
-    def take_str(self, key: str, default: str | None = None, required: bool = False) -> str | None:
+    def take(self, key: str, conv, what: str, default=None, required: bool = False):
+        """The value of ``key`` converted by ``conv``; ``default`` when absent.
+
+        A value ``conv`` rejects is reported as not being ``what``.
+        """
         entry = self._entry(key)
         if entry is None:
             if required:
                 raise ConfigError(f"missing required key '{self._keypath(key)}'", self.path)
             return default
-        return entry.value
-
-    def _convert(self, key: str, conv, what: str):
-        entry = self._entry(key)
-        if entry is None:
-            return None
         try:
             return conv(entry.value)
         except ValueError as exc:
@@ -64,51 +78,6 @@ class ConfigSection:
                 self.path,
                 entry.line,
             ) from exc
-
-    def take_int(self, key: str, default: int | None = None, required: bool = False):
-        value = self._convert(key, int, "an integer")
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required key '{self._keypath(key)}'", self.path)
-            return default
-        return value
-
-    def take_float(self, key: str, default: float | None = None, required: bool = False):
-        value = self._convert(key, float, "a number")
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required key '{self._keypath(key)}'", self.path)
-            return default
-        return value
-
-    def take_floats(self, key: str, default=None, required: bool = False):
-        value = self._convert(key, lambda s: [float(v) for v in s.split()], "numbers")
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required key '{self._keypath(key)}'", self.path)
-            return default
-        return value
-
-    def take_ints(self, key: str, default=None, required: bool = False):
-        value = self._convert(key, lambda s: [int(v) for v in s.split()], "integers")
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required key '{self._keypath(key)}'", self.path)
-            return default
-        return value
-
-    def take_matrix(self, key: str, required: bool = False):
-        def conv(text: str):
-            rows = [r.strip() for r in text.split(";") if r.strip()]
-            mat = [[float(v) for v in r.split()] for r in rows]
-            if not mat or any(len(r) != len(mat) for r in mat):
-                raise ValueError(text)
-            return mat
-
-        value = self._convert(key, conv, "a square matrix like '2 1; 1 1'")
-        if value is None and required:
-            raise ConfigError(f"missing required key '{self._keypath(key)}'", self.path)
-        return value
 
     def reject_unused(self) -> None:
         for key, entry in self.entries.items():

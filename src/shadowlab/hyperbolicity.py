@@ -116,10 +116,6 @@ def _split_basis(monodromy: Array, where: str, band: float) -> Array:
     return z[:, :sdim]
 
 
-def _orbit_jacobians(sys: DiscreteSystem, points: Array) -> Array:
-    return np.stack([sys.jacobian(p) for p in points])
-
-
 def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:
     """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
 
@@ -135,7 +131,7 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
             f"f^{m}(p) is {sys.space.dist(pts[m], p):.3e} away from p (tolerance {PERIODICITY_TOL})"
         )
     pts = pts[:m]
-    jacs = _orbit_jacobians(sys, pts)
+    jacs = sys.jacobian(pts)
     monodromy = np.eye(sys.dim)
     for a in jacs:
         monodromy = a @ monodromy
@@ -251,6 +247,7 @@ def extract_uniform_constants(
         raise ValueError("all records must be hyperbolic")
     g = np.zeros(horizon + 1)
     g[0] = 1.0
+    steps = np.arange(horizon)
     for record in records:
         m = record.period
         for basis, backward in ((record.stable_basis, False), (record.unstable_basis, True)):
@@ -259,11 +256,9 @@ def extract_uniform_constants(
                 continue
             vecs = (basis @ _unit_sphere_sample(k, samples).T).T  # rows: unit vectors
             if backward:
-                jac_seq = [
-                    sys.jacobian_inverse(record.points[(m - 1 - j) % m]) for j in range(horizon)
-                ]
+                jac_seq = sys.jacobian_inverse(record.points)[(m - 1 - steps) % m]
             else:
-                jac_seq = [record.jacobians[j % m] for j in range(horizon)]
+                jac_seq = record.jacobians[steps % m]
             current = vecs.copy()
             for j in range(1, horizon + 1):
                 current = current @ jac_seq[j - 1].T
@@ -371,7 +366,10 @@ def enumerate_periodic_points_toral(matrix, m: int) -> Array:
 # reports
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    """Shortest round-trip text of a float; empty for None."""
+    if x is None:
+        return ""
     return repr(float(x))
 
 

@@ -44,17 +44,11 @@ from .hyperbolicity import (
     analyze_periodic_orbit,
     expansion_certificate,
 )
-from .systems import DiscreteSystem, JordanModel, ToralAutomorphism
+from .systems import DiscreteSystem, JordanModel, ToralAutomorphism, _frozen
 
 Array = np.ndarray
 
 SEGMENT_GAP_TOL = 1e-8
-
-
-def _frozen(a: Array) -> Array:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -84,17 +78,17 @@ class WitnessMeta:
     params: dict
 
 
+def cyclic_gaps(sys: DiscreteSystem, pts: Array) -> Array:
+    """Rows x_{(i+1) mod Q} - f(x_i) of a (Q, n) sequence, as chart displacements."""
+    return sys.space.diff(np.roll(pts, -1, axis=0), sys.space.wrap(sys.forward(pts)))
+
+
 def defect(sys: DiscreteSystem, points: Array) -> float:
     """Largest cyclic gap max_i dist(f(x_i), x_{(i+1) mod Q}); 0 iff an exact orbit."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    if sys.linear_matrix is not None:
-        images = sys.space.wrap(pts @ sys.linear_matrix.T)
-    else:
-        images = np.stack([sys.space.wrap(sys.forward(p)) for p in pts])
-    gaps = sys.space.diff(np.roll(pts, -1, axis=0), images)
-    return float(np.max(np.linalg.norm(gaps, axis=1)))
+    return float(np.max(np.linalg.norm(cyclic_gaps(sys, pts), axis=1)))
 
 
 def make_pseudotrajectory(
@@ -330,7 +324,7 @@ def witness_rotation(
         "d": d,
         "K": k_steps,
         "theta": theta,
-        "w0": f"{w0[0]!r} {w0[1]!r}",
+        "w0": " ".join(repr(float(c)) for c in w0),
         "phase_lengths": " ".join(str(v) for v in lengths),
     }
     xi = make_pseudotrajectory(model.system, pts_arr, kind="rotation", params=params)
@@ -400,9 +394,7 @@ def witness_orbit_pullback(
     for idx in range(m, q - 1):
         w_seq[idx + 1] = record.jacobians[(idx % m)] @ w_seq[idx]
 
-    pts = np.empty((q, sys.dim))
-    for i in range(q):
-        pts[i] = sys.space.wrap(record.points[i % m] + d * w_seq[i])
+    pts = sys.space.wrap(np.tile(record.points, (n + 1, 1)) + d * w_seq)
     params = {"d": d, "m": m, "n_pullback": n, "Q": q, "tau": cert.tau}
     xi = make_pseudotrajectory(sys, pts, kind="pullback", params=params)
     meta = WitnessMeta(kind="pullback", period=q, params=params)
@@ -425,13 +417,14 @@ def splice_cycle(sys: DiscreteSystem, segments: Sequence[Array]) -> PeriodicPseu
     cleaned = []
     for k, seg in enumerate(segments):
         seg = np.atleast_2d(np.asarray(seg, dtype=float))
-        for i in range(seg.shape[0] - 1):
-            gap = sys.space.dist(sys.space.wrap(sys.forward(seg[i])), seg[i + 1])
-            if gap > SEGMENT_GAP_TOL:
-                raise NotAnOrbitError(
-                    f"segment {k} has interior gap {gap:.3e} at index {i} "
-                    f"(tolerance {SEGMENT_GAP_TOL})"
-                )
+        gaps = np.linalg.norm(cyclic_gaps(sys, seg)[:-1], axis=1)  # the last row closes the cycle
+        bad = np.flatnonzero(gaps > SEGMENT_GAP_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise NotAnOrbitError(
+                f"segment {k} has interior gap {gaps[i]:.3e} at index {i} "
+                f"(tolerance {SEGMENT_GAP_TOL})"
+            )
         cleaned.append(seg)
     points = np.vstack(cleaned)
     params = {"segment_lengths": " ".join(str(s.shape[0]) for s in cleaned)}

@@ -36,9 +36,10 @@ from .errors import (
     ShadowlabError,
     SingularJacobianError,
 )
-from .hyperbolicity import _periodic_numerators, enumerate_periodic_points_exact
+from .hyperbolicity import _fmt, _periodic_numerators, enumerate_periodic_points_exact
 from .pseudo import (
     PeriodicPseudotrajectory,
+    cyclic_gaps,
     make_pseudotrajectory,
     perturb_orbit,
     witness_jordan,
@@ -82,14 +83,6 @@ class ShadowSolution:
     minimal_period: int
 
 
-def _cyclic_residual(sys: DiscreteSystem, z: Array) -> Array:
-    q = z.shape[0]
-    r = np.empty_like(z)
-    for i in range(q):
-        r[i] = sys.space.diff(z[(i + 1) % q], sys.space.wrap(sys.forward(z[i])))
-    return r
-
-
 RCOND_FLOOR = 1e-13
 
 
@@ -121,6 +114,25 @@ def _estimate_rcond(matvec, solve, solve_t, size: int, sweeps: int = 6) -> float
     return sigma_min / sigma_max
 
 
+def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
+    """The cyclic matrix M with (M delta)_i = delta_{i+1 mod Q} - A_i delta_i.
+
+    Assembled from COO triples ordered by block i, row a, column b, identity
+    entry before -A_i entry; the explicit zeros of the identity blocks are
+    kept, and at Q = 1 the two blocks share positions and are summed.
+    """
+    q, n, _ = jacobians.shape
+    shape = (q, n, n, 2)  # block i, row a, column b, (identity, -A_i)
+    i = np.arange(q)[:, None, None, None]
+    a = np.arange(n)[None, :, None, None]
+    b = np.arange(n)[None, None, :, None]
+    col_block = np.where(np.arange(2) == 0, (i + 1) % q, i)
+    rows = np.broadcast_to(i * n + a, shape).ravel()
+    cols = np.broadcast_to(col_block * n + b, shape).ravel()
+    vals = np.stack([np.broadcast_to(np.eye(n), jacobians.shape), -jacobians], axis=-1).ravel()
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(q * n, q * n))
+
+
 def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     """Solve delta_{i+1 mod Q} - A_i delta_i = rhs_i for all i.
 
@@ -130,42 +142,23 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     """
     q, n = rhs.shape
     size = q * n
+    m = _cyclic_matrix(jacobians)
     if size <= DENSE_SOLVE_LIMIT:
-        m = np.zeros((size, size))
-        for i in range(q):
-            row = slice(i * n, (i + 1) * n)
-            nxt = slice(((i + 1) % q) * n, ((i + 1) % q + 1) * n)
-            m[row, nxt] += np.eye(n)
-            m[row, i * n : (i + 1) * n] -= jacobians[i]
+        m = m.toarray()
         try:
             factor = scipy.linalg.lu_factor(m)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularJacobianError(str(exc)) from exc
-        matvec = lambda v: m @ v  # noqa: E731
         solve = lambda v: scipy.linalg.lu_solve(factor, v)  # noqa: E731
         solve_t = lambda v: scipy.linalg.lu_solve(factor, v, trans=1)  # noqa: E731
     else:
-        rows, cols, vals = [], [], []
-        eye = np.eye(n)
-        for i in range(q):
-            r0 = i * n
-            c_next = ((i + 1) % q) * n
-            for a in range(n):
-                for b in range(n):
-                    rows.append(r0 + a)
-                    cols.append(c_next + b)
-                    vals.append(eye[a, b])
-                    rows.append(r0 + a)
-                    cols.append(i * n + b)
-                    vals.append(-jacobians[i][a, b])
-        m = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
         try:
             lu = scipy.sparse.linalg.splu(m)
         except RuntimeError as exc:  # exactly singular factor
             raise SingularJacobianError(str(exc)) from exc
-        matvec = lambda v: m @ v  # noqa: E731
         solve = lambda v: lu.solve(v)  # noqa: E731
         solve_t = lambda v: lu.solve(v, trans="T")  # noqa: E731
+    matvec = lambda v: m @ v  # noqa: E731
     with np.errstate(all="ignore"):
         rcond = _estimate_rcond(matvec, solve, solve_t, size)
         delta = solve(rhs.ravel())
@@ -188,7 +181,8 @@ def _minimal_period(sys: DiscreteSystem, orbit: Array, tol: float = 1e-8) -> int
     for cand in range(1, q + 1):
         if q % cand:
             continue
-        if all(sys.space.dist(orbit[(i + cand) % q], orbit[i]) <= tol for i in range(q)):
+        shifts = np.linalg.norm(sys.space.diff(np.roll(orbit, -cand, axis=0), orbit), axis=1)
+        if np.all(shifts <= tol):
             return cand
     return q
 
@@ -207,20 +201,20 @@ def find_periodic_shadow(
     """
     z = np.array(xi.points)
     best = z.copy()
-    residual = float(np.max(np.linalg.norm(_cyclic_residual(sys, z), axis=1)))
+    gaps = cyclic_gaps(sys, z)
+    residual = float(np.max(np.linalg.norm(gaps, axis=1)))
     best_residual = residual
     iterations = 0
     while residual > options.tolerance and iterations < options.max_iterations:
-        jacobians = np.stack([sys.jacobian(p) for p in z])
-        rhs = -_cyclic_residual(sys, z)
-        delta = _solve_cyclic(jacobians, rhs)
+        delta = _solve_cyclic(sys.jacobian(z), -gaps)
         step = 1.0
         improved = False
         while step > 2.0**-30:
-            trial = np.stack([sys.space.wrap(p) for p in z + step * delta])
-            trial_res = float(np.max(np.linalg.norm(_cyclic_residual(sys, trial), axis=1)))
+            trial = sys.space.wrap(z + step * delta)
+            trial_gaps = cyclic_gaps(sys, trial)
+            trial_res = float(np.max(np.linalg.norm(trial_gaps, axis=1)))
             if trial_res < residual:
-                z, residual = trial, trial_res
+                z, gaps, residual = trial, trial_gaps, trial_res
                 improved = True
                 break
             step *= options.step_damping
@@ -543,10 +537,10 @@ def _prime_divisors(q: int) -> list[int]:
 # scan output
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+def _table_text(rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its longest cell."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
 
 
 def scan_csv_text(scan: LipschitzScan) -> str:
@@ -584,12 +578,8 @@ def format_scan_table(scan: LipschitzScan) -> str:
         ]
         for r in scan.rows
     ]
-    widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    lines.append("")
-    lines.append(f"estimated_constant  {_fmt(scan.estimated_constant)}")
-    lines.append(f"diverging           {'true' if scan.diverging else 'false'}")
-    return "\n".join(lines) + "\n"
+    return (
+        _table_text([headers] + body)
+        + f"\nestimated_constant  {_fmt(scan.estimated_constant)}\n"
+        + f"diverging           {'true' if scan.diverging else 'false'}\n"
+    )

@@ -10,6 +10,12 @@ torus [0,1)^n (wrap-around metric) or a Euclidean box.  Built-in families:
 * smoothly perturbed toral automorphisms,
 * arbitrary linear maps on a box (mostly used as test oracles).
 
+Every map is batch-native: ``forward``, ``inverse``, ``jacobian`` and
+``jacobian_inverse`` take one point of shape (n,) or a batch of shape
+(..., n) and return (..., n) for points and (..., n, n) for Jacobians, row by
+row.  Linear parts are evaluated as ``x @ A.T``; a constant Jacobian is a
+read-only broadcast view of its matrix.
+
 All systems are immutable after construction and evaluation is pure, so they
 are safe to share across threads.
 """
@@ -100,10 +106,11 @@ class PhaseSpace:
 class DiscreteSystem:
     """Invertible map with Jacobians on a flat phase space.
 
-    ``norm_bound`` is an upper bound for the operator norm of the Jacobian
-    over the phase space (exact for linear maps, sampled otherwise).  When the
-    map is globally linear in chart coordinates, ``linear_matrix`` holds the
-    matrix; solvers may use it but never require it.
+    The four maps act on a point (n,) or a batch (..., n) of points (see the
+    module docstring).  ``norm_bound`` is an upper bound for the operator norm
+    of the Jacobian over the phase space (exact for linear maps, sampled
+    otherwise).  When the map is globally linear in chart coordinates,
+    ``linear_matrix`` holds the matrix; solvers never require it.
     """
 
     space: PhaseSpace
@@ -120,7 +127,8 @@ class DiscreteSystem:
 
 
 def evaluate(sys: DiscreteSystem, x: Array, k: int) -> Array:
-    """Return the k-th iterate of x (negative k uses the inverse map)."""
+    """Return the k-th iterate of x, a point or a batch of points (negative k
+    uses the inverse map)."""
     if abs(k) > MAX_ITERATE_STEPS:
         raise ValueError(f"|k| must be <= {MAX_ITERATE_STEPS}")
     x = sys.space.wrap(np.asarray(x, dtype=float))
@@ -166,11 +174,25 @@ def estimate_norm_bound(sys: DiscreteSystem, samples: int = 10_000) -> float:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if sys.linear_matrix is not None:
-        return float(np.linalg.norm(sys.linear_matrix, 2))
-    pts = low_discrepancy_sample(sys.space, samples)
-    jacs = np.stack([sys.jacobian(p) for p in pts])
+    jacs = sys.jacobian(low_discrepancy_sample(sys.space, samples))
     return float(np.linalg.svd(jacs, compute_uv=False)[:, 0].max())
+
+
+def _constant_jacobian(a: Array) -> Callable[[Array], Array]:
+    return lambda x: np.broadcast_to(a, np.shape(x)[:-1] + a.shape)
+
+
+def _newton_inverse(space: PhaseSpace, forward, jacobian, y: Array, x: Array, tol) -> Array:
+    """Solve forward(x) = y by Newton from x, row by row: a row stops moving
+    once its residual is within tol, and the iteration ends when all have."""
+    for _ in range(100):
+        r = space.diff(forward(x), y)
+        todo = np.linalg.norm(r, axis=-1) > tol
+        if not todo.any():
+            return x
+        step = np.linalg.solve(jacobian(x), r[..., None])[..., 0]
+        x = np.where(todo[..., None], space.wrap(x - step), x)
+    raise RuntimeError("inverse Newton iteration failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +205,14 @@ def linear_system(matrix, halfwidth: float = 1e6) -> DiscreteSystem:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     a_inv = _frozen(np.linalg.inv(a))
+    a_t, a_inv_t = a.T, a_inv.T
     space = PhaseSpace.cube(a.shape[0], halfwidth)
     return DiscreteSystem(
         space=space,
-        forward=lambda x: a @ x,
-        inverse=lambda x: a_inv @ x,
-        jacobian=lambda x: a,
-        jacobian_inverse=lambda x: a_inv,
+        forward=lambda x: x @ a_t,
+        inverse=lambda x: x @ a_inv_t,
+        jacobian=_constant_jacobian(a),
+        jacobian_inverse=_constant_jacobian(a_inv),
         norm_bound=float(np.linalg.norm(a, 2)),
         linear_matrix=a,
     )
@@ -221,13 +244,14 @@ class ToralAutomorphism:
     def system(self) -> DiscreteSystem:
         m = _frozen(self.matrix, dtype=float)
         m_inv = _frozen(self.inverse_matrix, dtype=float)
+        m_t, m_inv_t = m.T, m_inv.T
         space = PhaseSpace.torus(self.matrix.shape[0])
         return DiscreteSystem(
             space=space,
-            forward=lambda x: np.mod(m @ x, 1.0),
-            inverse=lambda x: np.mod(m_inv @ x, 1.0),
-            jacobian=lambda x: m,
-            jacobian_inverse=lambda x: m_inv,
+            forward=lambda x: np.mod(x @ m_t, 1.0),
+            inverse=lambda x: np.mod(x @ m_inv_t, 1.0),
+            jacobian=_constant_jacobian(m),
+            jacobian_inverse=_constant_jacobian(m_inv),
             norm_bound=float(np.linalg.norm(m, 2)),
             linear_matrix=m,
         )
@@ -255,27 +279,26 @@ def cat_map() -> ToralAutomorphism:
 # Jordan-block models
 
 
-def _bump(t: float) -> float:
+def _bump(t: Array) -> Array:
     # exp(-1/t) continued by zero: the standard C-infinity mollifier leg
-    return math.exp(-1.0 / t) if t > 0.0 else 0.0
+    pos = t > 0.0
+    return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
 
 
-def _bump_deriv(t: float) -> float:
-    return math.exp(-1.0 / t) / (t * t) if t > 0.0 else 0.0
+def _bump_deriv(t: Array) -> Array:
+    s = np.where(t > 0.0, t, 1.0)
+    return _bump(t) / (s * s)
 
 
-def _smoothstep(t: float) -> float:
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    h1 = _bump(t)
-    h2 = _bump(1.0 - t)
-    return h1 / (h1 + h2) if (h1 + h2) > 0.0 else (1.0 if t >= 1.0 else 0.0)
+def _smoothstep(t: Array) -> Array:
+    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1 (h1 + h2 > 0 for every finite t)."""
+    h1, h2 = _bump(t), _bump(1.0 - t)
+    return h1 / (h1 + h2)
 
 
-def _smoothstep_deriv(t: float) -> float:
+def _smoothstep_deriv(t: Array) -> Array:
     h1, h2 = _bump(t), _bump(1.0 - t)
     s = h1 + h2
-    if s == 0.0:
-        return 0.0
     return (_bump_deriv(t) * h2 + h1 * _bump_deriv(1.0 - t)) / (s * s)
 
 
@@ -342,56 +365,68 @@ class JordanModel:
     def _phi_cap(self) -> float:
         return self.a_ball**3 / 4.0
 
-    def _phi_profile(self, r: float) -> tuple[float, float]:
+    def _phi_profile(self, r: Array) -> tuple[Array, Array]:
         """Radial profile beta(r) of the nonlinearity and its derivative."""
         a = self.a_ball
         t = (r - a) / a
         return self._phi_cap * _smoothstep(t), self._phi_cap * _smoothstep_deriv(t) / a
 
+    def _outside_core(self, v: Array) -> tuple[Array, Array]:
+        """Row norms |v| (keepdims; a_ball on rows inside the core ball) and the
+        mask |v| > a_ball of rows outside it."""
+        r = np.linalg.norm(v, axis=-1, keepdims=True)
+        outside = r > self.a_ball
+        return np.where(outside, r, self.a_ball), outside
+
     def phi(self, v: Array) -> Array:
-        r = float(np.linalg.norm(v))
-        if self.c == 0.0 or r <= self.a_ball:
+        v = np.asarray(v, dtype=float)
+        if self.c == 0.0:
             return np.zeros_like(v)
+        r, outside = self._outside_core(v)
         beta, _ = self._phi_profile(r)
-        return (self.c * beta / r) * v
+        return np.where(outside, (self.c * beta / r) * v, 0.0)
 
     def phi_jacobian(self, v: Array) -> Array:
-        n = v.size
-        r = float(np.linalg.norm(v))
-        if self.c == 0.0 or r <= self.a_ball:
-            return np.zeros((n, n))
-        beta, dbeta = self._phi_profile(r)
+        v = np.asarray(v, dtype=float)
+        n = v.shape[-1]
+        if self.c == 0.0:
+            return np.zeros(v.shape + (n,))
+        r, outside = self._outside_core(v)
+        beta, dbeta = self._phi_profile(r[..., None])
         unit = v / r
-        proj = np.outer(unit, unit)
-        return self.c * (dbeta * proj + (beta / r) * (np.eye(n) - proj))
+        proj = unit[..., :, None] * unit[..., None, :]
+        jac = self.c * (dbeta * proj + (beta / r[..., None]) * (np.eye(n) - proj))
+        return np.where(outside[..., None], jac, 0.0)
 
     @cached_property
     def system(self) -> DiscreteSystem:
         a = self.matrix
         a_inv = _frozen(np.linalg.inv(a))
+        a_t, a_inv_t = a.T, a_inv.T
         space = PhaseSpace.cube(self.dim, self.halfwidth)
+        linear_jacobian = _constant_jacobian(a)
 
+        # rows inside the core ball take the exact linear branch; np.where
+        # keeps their bits (lin + 0 would turn -0.0 into 0.0)
         def forward(v: Array) -> Array:
             v = np.asarray(v, dtype=float)
-            if self.c == 0.0 or float(v @ v) <= self.a_ball**2:
-                return a @ v  # exact linear branch
-            return a @ v + self.phi(v)
+            lin = v @ a_t
+            if self.c == 0.0:
+                return lin
+            return np.where(self._outside_core(v)[1], lin + self.phi(v), lin)
 
         def jacobian(v: Array) -> Array:
             v = np.asarray(v, dtype=float)
-            if self.c == 0.0 or float(v @ v) <= self.a_ball**2:
-                return np.array(a)
-            return a + self.phi_jacobian(v)
+            lin = linear_jacobian(v)
+            if self.c == 0.0:
+                return lin
+            outside = self._outside_core(v)[1][..., None]
+            return np.where(outside, lin + self.phi_jacobian(v), lin)
 
         def inverse(y: Array) -> Array:
             y = np.asarray(y, dtype=float)
-            x = a_inv @ y
-            for _ in range(100):
-                r = forward(x) - y
-                if float(np.linalg.norm(r)) <= 1e-14 * (1.0 + float(np.linalg.norm(y))):
-                    return x
-                x = x - np.linalg.solve(jacobian(x), r)
-            raise RuntimeError("inverse Newton iteration failed to converge")
+            tol = 1e-14 * (1.0 + np.linalg.norm(y, axis=-1))
+            return _newton_inverse(space, forward, jacobian, y, y @ a_inv_t, tol)
 
         norm = float(np.linalg.norm(a, 2))
         if self.c > 0.0:
@@ -409,11 +444,8 @@ class JordanModel:
     def _phi_lipschitz(self) -> float:
         # sup over r of max(beta'(r), beta(r)/r), evaluated on a fine grid
         rs = np.linspace(self.a_ball, 2.5 * self.a_ball, 2001)
-        worst = 0.0
-        for r in rs:
-            beta, dbeta = self._phi_profile(float(r))
-            worst = max(worst, abs(dbeta), beta / float(r))
-        return worst
+        beta, dbeta = self._phi_profile(rs)
+        return float(max(0.0, np.max(np.abs(dbeta)), np.max(beta / rs)))
 
 
 def jordan_model(
@@ -491,32 +523,28 @@ def perturbed_toral(matrix, amplitude: float = 0.05) -> DiscreteSystem:
         raise ValueError(f"amplitude must be in [0, {0.9 * sigma_min:.3f}) for invertibility")
     space = PhaseSpace.torus(n)
     shift = np.arange(1, n + 1) % n  # coordinate driving g_i
+    m_t = m.T
 
     def g(x: Array) -> Array:
-        return np.sin(2.0 * math.pi * x[shift]) / (2.0 * math.pi)
+        return np.sin(2.0 * math.pi * x[..., shift]) / (2.0 * math.pi)
 
     def dg(x: Array) -> Array:
-        out = np.zeros((n, n))
-        out[np.arange(n), shift] = np.cos(2.0 * math.pi * x[shift])
+        out = np.zeros(x.shape + (n,))
+        out[..., np.arange(n), shift] = np.cos(2.0 * math.pi * x[..., shift])
         return out
 
     def forward(x: Array) -> Array:
-        return np.mod(m @ x + amplitude * g(x), 1.0)
+        return np.mod(x @ m_t + amplitude * g(x), 1.0)
 
     def jacobian(x: Array) -> Array:
         return m + amplitude * dg(x)
 
     def inverse(y: Array) -> Array:
-        x = np.mod(np.linalg.solve(m, y), 1.0)
-        for _ in range(100):
-            r = forward(x) - y
-            r -= np.round(r)
-            if float(np.linalg.norm(r)) <= 1e-14:
-                return x
-            x = np.mod(x - np.linalg.solve(jacobian(x), r), 1.0)
-        raise RuntimeError("inverse Newton iteration failed to converge")
+        y = np.asarray(y, dtype=float)
+        x = np.mod(np.linalg.solve(m, y[..., None])[..., 0], 1.0)
+        return _newton_inverse(space, forward, jacobian, y, x, 1e-14)
 
-    sys = DiscreteSystem(
+    return DiscreteSystem(
         space=space,
         forward=forward,
         inverse=inverse,
@@ -525,4 +553,3 @@ def perturbed_toral(matrix, amplitude: float = 0.05) -> DiscreteSystem:
         norm_bound=float(np.linalg.norm(m, 2)) + amplitude,
         linear_matrix=None if amplitude > 0 else m,
     )
-    return sys

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import shadowlab as sl
 from shadowlab import cli
-from shadowlab.config import parse_config
+from shadowlab.config import INT, TEXT, parse_config
 from shadowlab.errors import ConfigError
 
 
@@ -40,8 +41,8 @@ def test_parse_basic(tmp_path):
         "seed = 7\n\n# comment\n[system]\nkind = toral\nmatrix = 2 1; 1 1\n",
     )
     cfg = parse_config(path)
-    assert cfg.top.take_int("seed") == 7
-    assert cfg.section("system").take_str("kind") == "toral"
+    assert cfg.top.take("seed", *INT) == 7
+    assert cfg.section("system").take("kind", *TEXT) == "toral"
 
 
 def test_parse_reports_line_numbers(tmp_path):
@@ -137,6 +138,24 @@ def test_periodic_point_cap_exits_1(tmp_path, capsys, command):
     assert peak < 1 << 20  # the lattice is never allocated
     assert "error (too-many-points)" in capsys.readouterr().err
     assert not (tmp_path / "periodic_points.csv").exists()
+
+
+def test_angles_orbit_cap_fails_before_analysis(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an orbit was analysed")
+
+    monkeypatch.setattr(sl.hyperbolicity, "analyze_periodic_orbit", never)
+    cfg = write(
+        tmp_path / "a.cfg",
+        CAT_SYSTEM
+        + f"[command]\nname = angles\nmax-period = 12\n[output]\ndirectory = {tmp_path}\n",
+    )
+    start = time.perf_counter()
+    assert cli.main(["run", cfg]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "error (too-many-points)" in err and "167736" in err
+    assert not (tmp_path / "angles.csv").exists()
 
 
 def test_witness_and_shadow_commands(tmp_path, capsys):

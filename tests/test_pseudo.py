@@ -244,6 +244,14 @@ def test_rotation_peak_and_steps():
         assert np.linalg.norm(gap) == pytest.approx(d, rel=1e-9)
 
 
+def test_rotation_header_writes_plain_floats(tmp_path):
+    rot = sl.jordan_model(block="rotation", size=2, theta=0.3)
+    xi, _ = sl.witness_rotation(rot, 1e-5, 10, w0=(2.0, 0.0))
+    sl.save_pseudotrajectory(xi, tmp_path / "w.csv")
+    header = (tmp_path / "w.csv").read_text().splitlines()[1]
+    assert "w0=1.0 0.0" in header.split(",", 3)[3].split(";")
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, math.pi, 2.5])
 def test_rotation_two_planes_period(theta):
     rot = sl.jordan_model(block="rotation", size=2, theta=theta, c=0.0)

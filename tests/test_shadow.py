@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import shadowlab as sl
 from shadowlab.errors import NonhyperbolicMonodromyError, SingularJacobianError
+from shadowlab.shadow import _cyclic_matrix
 
 from conftest import random_hyperbolic_matrix
 
@@ -87,6 +89,58 @@ def test_bound_cat_q8_brute_force():
 
 # ---------------------------------------------------------------------------
 # Newton shadow solver
+
+
+def _cyclic_matrix_oracle(jacobians):
+    """The former triple loop: COO triples in block, row, column order,
+    identity entry before -A_i entry, explicit zeros kept."""
+    q, n, _ = jacobians.shape
+    rows, cols, vals = [], [], []
+    eye = np.eye(n)
+    for i in range(q):
+        r0 = i * n
+        c_next = ((i + 1) % q) * n
+        for a in range(n):
+            for b in range(n):
+                rows.append(r0 + a)
+                cols.append(c_next + b)
+                vals.append(eye[a, b])
+                rows.append(r0 + a)
+                cols.append(i * n + b)
+                vals.append(-jacobians[i][a, b])
+    size = q * n
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def _dense_cyclic_oracle(jacobians):
+    """The former dense assembly loop."""
+    q, n, _ = jacobians.shape
+    m = np.zeros((q * n, q * n))
+    for i in range(q):
+        row = slice(i * n, (i + 1) * n)
+        nxt = slice(((i + 1) % q) * n, ((i + 1) % q + 1) * n)
+        m[row, nxt] += np.eye(n)
+        m[row, i * n : (i + 1) * n] -= jacobians[i]
+    return m
+
+
+@pytest.mark.parametrize("q,n", [(1, 1), (1, 2), (1, 3), (2, 2), (5, 1), (7, 2), (4, 3)])
+def test_cyclic_matrix_matches_triple_loop(q, n):
+    rng = np.random.default_rng(q * 10 + n)
+    jacobians = rng.normal(size=(q, n, n))
+    jacobians[0, 0, 0] = 0.0  # an exact zero, negated to -0.0 in the triples
+    if n > 1:
+        jacobians[-1, 0, 1] = 1.0  # cancels an identity entry at q = 1
+    got, want = _cyclic_matrix(jacobians), _cyclic_matrix_oracle(jacobians)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert got.toarray().tobytes() == _dense_cyclic_oracle(jacobians).tobytes()
+    # a broadcast constant Jacobian, as linear systems return it
+    cat = sl.cat_map().system
+    constant = cat.jacobian(np.zeros((q, 2)))
+    got, want = _cyclic_matrix(constant), _cyclic_matrix_oracle(constant)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_exact_orbit_returns_immediately(cat_sys):

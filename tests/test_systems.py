@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 import shadowlab as sl
 from shadowlab.errors import OrbitEscapeError
@@ -204,3 +205,107 @@ def test_perturbed_toral_norm_bound_covers_samples():
 def test_perturbed_toral_amplitude_guard():
     with pytest.raises(ValueError):
         sl.perturbed_toral([[2, 1], [1, 1]], amplitude=1.0)
+
+
+# ---------------------------------------------------------------------------
+# batch contract: every map takes (n,) or (Q, n), and row i of a batch call
+# equals the single-point call on row i
+
+
+EPS = np.finfo(float).eps
+
+BATCH_SYSTEMS = {
+    "linear": lambda: (sl.linear_system([[2.0, 1.0], [0.5, 1.5]]), "linear"),
+    "toral-cat": lambda: (sl.cat_map().system, "integer"),
+    "toral-3": lambda: (
+        sl.toral_automorphism([[2, 1, 1], [1, 1, 0], [1, 0, 0]]).system, "integer"
+    ),
+    "jordan-linear": lambda: (sl.jordan_model(block="real", size=2, c=0.0).system, "linear"),
+    "jordan-real": lambda: (
+        sl.jordan_model(block="real", size=2, tail=(2.0,), c=1.0).system, "nonlinear"
+    ),
+    "jordan-rotation": lambda: (
+        sl.jordan_model(block="rotation", size=1, theta=0.3, tail=(0.5,), c=1.0).system,
+        "nonlinear",
+    ),
+    "jordan-none": lambda: (
+        sl.jordan_model(block=None, tail=(3.0, 0.25), c=1.0).system, "nonlinear"
+    ),
+    "perturbed": lambda: (sl.perturbed_toral([[2, 1], [1, 1]], amplitude=0.05), "nonlinear"),
+}
+
+
+def _batch_points(sys, count=40):
+    """Halton points of the torus, or of [-0.6, 0.6]^n on a box: inside and
+    outside the Jordan core ball (radius 0.5), with images inside the box."""
+    pts = qmc.Halton(d=sys.dim, scramble=False).random(count)
+    if sys.space.kind == "euclidean":
+        pts = 1.2 * pts - 0.6
+        pts[1] = -0.0
+    return pts
+
+
+def _linear_part(sys):
+    return np.asarray(sys.jacobian(np.zeros(sys.dim)))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_batch_shapes(name):
+    sys, _ = BATCH_SYSTEMS[name]()
+    n = sys.dim
+    pts = _batch_points(sys, 7)
+    for fn in (sys.forward, sys.inverse):
+        assert fn(pts[3]).shape == (n,)
+        assert fn(pts).shape == (7, n)
+    for fn in (sys.jacobian, sys.jacobian_inverse):
+        assert fn(pts[3]).shape == (n, n)
+        assert fn(pts).shape == (7, n, n)
+    assert sl.evaluate(sys, pts, 1).shape == (7, n)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_batch_rows_equal_single_points(name):
+    sys, kind = BATCH_SYSTEMS[name]()
+    pts = _batch_points(sys)
+    a = _linear_part(sys)
+    if kind == "nonlinear" and sys.space.kind == "euclidean":
+        radii = np.linalg.norm(pts, axis=1)
+        assert np.any(radii > 0.5) and np.any(radii < 0.5)  # both sides of the core ball
+    images = sys.forward(pts)
+    jacs = sys.jacobian(pts)
+    inv_jacs = sys.jacobian_inverse(pts)
+    back = sys.inverse(images)
+    for i, p in enumerate(pts):
+        single = sys.forward(p)
+        if kind == "integer":
+            assert images[i].tobytes() == single.tobytes()
+            assert np.array_equal(jacs[i], sys.jacobian(p))
+            assert np.array_equal(back[i], sys.inverse(images[i]))
+        else:
+            scale = np.abs(a) @ np.abs(p)
+            assert np.all(np.abs(images[i] - single) <= 4 * EPS * scale)
+            assert np.all(np.abs(jacs[i] - sys.jacobian(p)) <= 4 * EPS * np.abs(a).max())
+            inv_scale = np.abs(np.linalg.inv(a)) @ np.abs(images[i])
+            assert np.all(np.abs(sys.space.diff(back[i], sys.inverse(images[i])))
+                          <= 4 * EPS * inv_scale + 1e-14 * (1.0 + np.linalg.norm(images[i])))
+        assert np.allclose(inv_jacs[i], sys.jacobian_inverse(p), rtol=1e-12, atol=0.0)
+        assert sys.space.dist(back[i], p) <= 1e-10
+    assert np.array_equal(sl.evaluate(sys, pts, 1)[5], sl.evaluate(sys, pts[5], 1))
+
+
+def test_jordan_batch_keeps_the_linear_branch_bits():
+    model = sl.jordan_model(block="real", size=2, c=1.0, a_ball=0.5)
+    a = model.matrix
+    pts = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.1, 0.2], [0.3, -0.35], [0.9, 0.4]])
+    images = model.system.forward(pts)
+    for i in range(4):  # rows inside the core ball are the linear image, bit for bit
+        assert images[i].tobytes() == (pts[i] @ a.T).tobytes()
+    assert not np.array_equal(images[4], pts[4] @ a.T)
+    jacs = model.system.jacobian(pts)
+    assert np.array_equal(jacs[:4], np.broadcast_to(a, (4, 2, 2)))
+
+
+def test_constant_jacobian_is_a_read_only_view(cat_sys):
+    jacs = cat_sys.jacobian(np.zeros((5, 2)))
+    assert jacs.shape == (5, 2, 2) and not jacs.flags.writeable
+    assert np.array_equal(jacs[3], cat_sys.linear_matrix)
