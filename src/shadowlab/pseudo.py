@@ -111,7 +111,7 @@ def _require_real_unit_block(model: JordanModel, op: str) -> None:
         raise ValueError(f"{op} is implemented for eigenvalue +1 only")
 
 
-def _embed(coeffs: Array | list[list[int]], scale: float, dim: int) -> Array:
+def _embed(coeffs: Array, scale: float, dim: int) -> Array:
     """points[k] = scale * coeffs[k] on the block coordinates, zero tail."""
     pts = np.zeros((len(coeffs), dim))
     block = np.array(coeffs, dtype=float)
@@ -174,6 +174,20 @@ def _real_block_coefficients(l: int, k_steps: int) -> tuple[Array, list[int]]:
     return np.concatenate(phases), lengths
 
 
+def _unit_block_witness(
+    model: JordanModel, d: float, k_steps: int, op: str
+) -> tuple[Array, list[int], Array]:
+    """Coefficient path, phase lengths and points (step magnitude d) of the
+    unit-block witness on the model's whole block."""
+    _require_real_unit_block(model, op)
+    if d <= 0 or k_steps < 1:
+        raise ValueError("need d > 0 and K >= 1")
+    coeffs, lengths = _real_block_coefficients(model.size, k_steps)
+    pts = _embed(coeffs, d, model.dim)
+    _check_core_ball(model, pts)
+    return coeffs, lengths, pts
+
+
 def witness_eigenvalue_one(
     model: JordanModel, d: float, k_steps: int
 ) -> tuple[PeriodicPseudotrajectory, WitnessMeta]:
@@ -189,10 +203,8 @@ def witness_eigenvalue_one(
         raise ConstraintViolatedError(
             f"K d = {k_steps * d:.3g} must stay below 2 a_ball = {2 * model.a_ball:.3g}"
         )
-    # integer path in units of d/2: +1 for K steps, -1 for K steps along e_0
-    coeffs = [[k] + [0] * (model.size - 1) for k in range(k_steps)]
-    coeffs += [[k_steps - k] + [0] * (model.size - 1) for k in range(k_steps)]
-    pts = _embed(coeffs, d / 2.0, model.dim)
+    # the l = 1 unit-block path in units of d/2: K steps up, K steps down along e_0
+    pts = _embed(_real_block_coefficients(1, k_steps)[0], d / 2.0, model.dim)
     _check_core_ball(model, pts)
     xi = make_pseudotrajectory(
         model.system, pts, kind="staircase", params={"d": d, "K": k_steps}
@@ -209,12 +221,7 @@ def witness_jordan_general(
     model: JordanModel, d: float, k_steps: int
 ) -> tuple[PeriodicPseudotrajectory, WitnessMeta]:
     """Unit-block witness for any block size l >= 1 (step magnitude d)."""
-    _require_real_unit_block(model, "the unit-block witness")
-    if d <= 0 or k_steps < 1:
-        raise ValueError("need d > 0 and K >= 1")
-    coeffs, lengths = _real_block_coefficients(model.size, k_steps)
-    pts = _embed(coeffs, d, model.dim)
-    _check_core_ball(model, pts)
+    coeffs, lengths, pts = _unit_block_witness(model, d, k_steps, "the unit-block witness")
     params = {
         "d": d,
         "K": k_steps,
@@ -237,14 +244,11 @@ def witness_jordan(
     """
     if model.block != "real" or model.size != 2:
         raise ValueError("this witness needs a real unit Jordan block of size 2")
-    _require_real_unit_block(model, "the size-2 unit-block witness")
-    if d <= 0 or k_steps < 1:
-        raise ValueError("need d > 0 and K >= 1")
-    coeffs, lengths = _real_block_coefficients(2, k_steps)
+    coeffs, lengths, pts = _unit_block_witness(
+        model, d, k_steps, "the size-2 unit-block witness"
+    )
     z1 = int(coeffs[k_steps, 0])
     z2 = lengths[2]
-    pts = _embed(coeffs, d, model.dim)
-    _check_core_ball(model, pts)
     peak = float(np.max(np.hypot(coeffs[:, 0], coeffs[:, 1])))
     params = {
         "d": d,

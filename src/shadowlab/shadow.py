@@ -5,11 +5,10 @@ The solver runs damped Newton on the cyclic residual map
     G(z_0 .. z_{Q-1})_i = z_{i+1 mod Q} - f(z_i),
 
 initialized at the pseudotrajectory.  Each Newton step solves the full cyclic
-block-bidiagonal linear system with LU (dense for small problems, sparse
-beyond), which is stable even when per-step Jacobian products over one period
-are astronomically large.  A numerically singular cyclic linearization
-signals nonhyperbolicity along the pseudotrajectory and raises
-SingularJacobianError.
+block-bidiagonal linear system with sparse LU, which is stable even when
+per-step Jacobian products over one period are astronomically large.  A
+numerically singular cyclic linearization signals nonhyperbolicity along the
+pseudotrajectory and raises SingularJacobianError.
 
 For globally linear maps the unique periodic solution of z_{i+1} = A z_i + e_i
 is also computed in closed form by diagonalizing the cyclic shift with the
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -48,7 +46,6 @@ from .systems import DiscreteSystem, JordanModel, ToralAutomorphism, orbit_segme
 
 Array = np.ndarray
 
-DENSE_SOLVE_LIMIT = 2000  # unknowns; beyond this the cyclic solve goes sparse
 SINGULAR_BLOWUP = 1e12
 
 
@@ -86,14 +83,18 @@ class ShadowSolution:
 RCOND_FLOOR = 1e-13
 
 
-def _estimate_rcond(matvec, solve, solve_t, size: int, sweeps: int = 6) -> float:
-    """sigma_min / sigma_max estimate via power iteration (deterministic start)."""
+def _estimate_rcond(
+    m: scipy.sparse.csc_matrix, lu: scipy.sparse.linalg.SuperLU, sweeps: int = 6
+) -> float:
+    """sigma_min / sigma_max estimate of ``m`` via power iteration, using its
+    LU factor ``lu`` (deterministic start)."""
+    size = m.shape[0]
     v = np.full(size, 1.0 / np.sqrt(size))
     v[::2] += 1e-3 / np.sqrt(size)  # break symmetry deterministically
     v /= np.linalg.norm(v)
     sigma_max = 1.0
     for _ in range(sweeps):
-        w = matvec(v)
+        w = m @ v
         sigma_max = float(np.linalg.norm(w))
         if sigma_max == 0.0:
             return 0.0
@@ -103,7 +104,7 @@ def _estimate_rcond(matvec, solve, solve_t, size: int, sweeps: int = 6) -> float
     u /= np.linalg.norm(u)
     inv_norm = 1.0
     for _ in range(sweeps):
-        w = solve_t(solve(u))  # inverse power iteration on M^T M
+        w = lu.solve(lu.solve(u), trans="T")  # inverse power iteration on M^T M
         inv_norm = float(np.linalg.norm(w))
         if not np.isfinite(inv_norm):
             return 0.0  # garbage from a singular factor
@@ -140,28 +141,14 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     singular (estimated reciprocal condition below 1e-13), which for a
     pseudotrajectory signals a unit-modulus direction of the linearization.
     """
-    q, n = rhs.shape
-    size = q * n
     m = _cyclic_matrix(jacobians)
-    if size <= DENSE_SOLVE_LIMIT:
-        m = m.toarray()
-        try:
-            factor = scipy.linalg.lu_factor(m)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        solve = lambda v: scipy.linalg.lu_solve(factor, v)  # noqa: E731
-        solve_t = lambda v: scipy.linalg.lu_solve(factor, v, trans=1)  # noqa: E731
-    else:
-        try:
-            lu = scipy.sparse.linalg.splu(m)
-        except RuntimeError as exc:  # exactly singular factor
-            raise SingularJacobianError(str(exc)) from exc
-        solve = lambda v: lu.solve(v)  # noqa: E731
-        solve_t = lambda v: lu.solve(v, trans="T")  # noqa: E731
-    matvec = lambda v: m @ v  # noqa: E731
+    try:
+        lu = scipy.sparse.linalg.splu(m)
+    except RuntimeError as exc:  # exactly singular factor
+        raise SingularJacobianError(str(exc)) from exc
     with np.errstate(all="ignore"):
-        rcond = _estimate_rcond(matvec, solve, solve_t, size)
-        delta = solve(rhs.ravel())
+        rcond = _estimate_rcond(m, lu)
+        delta = lu.solve(rhs.ravel())
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularJacobianError(
             f"cyclic linearization is numerically singular (rcond ~ {rcond:.1e})"
@@ -173,7 +160,7 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
         raise SingularJacobianError(
             "cyclic linearization is numerically singular (Newton step blow-up)"
         )
-    return delta.reshape(q, n)
+    return delta.reshape(rhs.shape)
 
 
 def _minimal_period(sys: DiscreteSystem, orbit: Array, tol: float = 1e-8) -> int:
@@ -286,13 +273,9 @@ def theoretical_linear_lipschitz_bound(matrix, q: int) -> float:
     """max over Q-th roots of unity of ||(w I - A)^{-1}||, the sharp sup-norm
     constant of the cyclic linear solve in each Fourier mode."""
     a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    worst = 0.0
-    for j in range(q):
-        omega = np.exp(2j * np.pi * j / q)
-        sigma = np.linalg.svd(omega * np.eye(n) - a, compute_uv=False)
-        worst = max(worst, 1.0 / float(sigma[-1]))
-    return worst
+    omega = np.exp(2j * np.pi * np.arange(q) / q)
+    sigma = np.linalg.svd(omega[:, None, None] * np.eye(a.shape[0]) - a, compute_uv=False)
+    return float(np.max(1.0 / sigma[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +322,9 @@ def verify_periodicity_by_expansivity(
         pts = orbit_segment(sys, p, -window, window + mu)
     except ShadowlabError:
         return False
-    offset = window
-    if sys.space.dist(pts[offset + mu], pts[offset]) > 1e-8:
-        return False
-    for i in range(-window, window + 1):
-        if sys.space.dist(pts[offset + i + mu], pts[offset + i]) > a:
-            return False
-    return True
+    # gaps[window + i] = dist(f^{i+mu}(p), f^i(p)) for |i| <= window
+    gaps = np.linalg.norm(sys.space.diff(pts[mu:], pts[: 2 * window + 1]), axis=1)
+    return not (gaps[window] > 1e-8 or np.any(gaps > a))
 
 
 # ---------------------------------------------------------------------------

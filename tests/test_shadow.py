@@ -112,18 +112,6 @@ def _cyclic_matrix_oracle(jacobians):
     return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def _dense_cyclic_oracle(jacobians):
-    """The former dense assembly loop."""
-    q, n, _ = jacobians.shape
-    m = np.zeros((q * n, q * n))
-    for i in range(q):
-        row = slice(i * n, (i + 1) * n)
-        nxt = slice(((i + 1) % q) * n, ((i + 1) % q + 1) * n)
-        m[row, nxt] += np.eye(n)
-        m[row, i * n : (i + 1) * n] -= jacobians[i]
-    return m
-
-
 @pytest.mark.parametrize("q,n", [(1, 1), (1, 2), (1, 3), (2, 2), (5, 1), (7, 2), (4, 3)])
 def test_cyclic_matrix_matches_triple_loop(q, n):
     rng = np.random.default_rng(q * 10 + n)
@@ -135,7 +123,6 @@ def test_cyclic_matrix_matches_triple_loop(q, n):
     assert got.data.tobytes() == want.data.tobytes()
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.indptr, want.indptr)
-    assert got.toarray().tobytes() == _dense_cyclic_oracle(jacobians).tobytes()
     # a broadcast constant Jacobian, as linear systems return it
     cat = sl.cat_map().system
     constant = cat.jacobian(np.zeros((q, 2)))
@@ -220,8 +207,24 @@ def test_solver_nonlinear_jordan(nonlinear_jordan2):
     assert sol.sup_distance <= 5e-3
 
 
-def test_solver_singular_on_unit_block_witness(linear_jordan2):
-    xi, _ = sl.witness_jordan(linear_jordan2, 1e-4, 10)
+def test_solver_weak_saddle_at_2000_unknowns():
+    # a normal saddle with multipliers -0.25 and -1.2: the cyclic system is
+    # well conditioned, but LU of its dense form grows like 1.2^Q
+    c, s = math.cos(0.5), math.sin(0.5)
+    turn = np.array([[c, -s], [s, c]])
+    a = turn @ np.diag([-0.25, -1.2]) @ turn.T
+    pts = np.random.default_rng(7).normal(scale=0.01, size=(1000, 2))
+    lin = sl.linear_system(a)
+    sol = sl.find_periodic_shadow(lin, sl.make_pseudotrajectory(lin, pts))
+    assert sol.converged
+    gaps = np.roll(pts, -1, axis=0) - pts @ a.T
+    oracle = pts - sl.closed_form_linear_shadow(a, gaps)
+    assert np.max(np.abs(oracle - sol.orbit)) < 1e-9
+
+
+@pytest.mark.parametrize("K", [10, 50])  # 240 and 5200 unknowns
+def test_solver_singular_on_unit_block_witness(linear_jordan2, K):
+    xi, _ = sl.witness_jordan(linear_jordan2, 1e-4, K)
     with pytest.raises(SingularJacobianError):
         sl.find_periodic_shadow(linear_jordan2.system, xi)
 
