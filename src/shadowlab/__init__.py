@@ -52,7 +52,6 @@ from .pseudo import (
     witness_rotation,
 )
 from .shadow import (
-    ExactOrbitFamily,
     JordanWitnessFamily,
     LipschitzScan,
     PerturbedOrbitFamily,

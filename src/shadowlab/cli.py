@@ -21,7 +21,6 @@ from . import hyperbolicity, pseudo, shadow, systems
 from .config import FLOAT, FLOATS, INT, INTS, MATRIX, TEXT, ConfigSection, parse_config
 from .errors import (
     ConfigError,
-    NonhyperbolicMonodromyError,
     ShadowlabError,
     TooManyPeriodicPointsError,
 )
@@ -268,21 +267,25 @@ def _cmd_scan(ctx) -> tuple[int, str]:
     if sys_.linear_matrix is not None:
         xi = family.generate(d_values[0], 0)
         matrix = sys_.linear_matrix
+        row = scan.rows[0]
         try:
             gaps = pseudo.cyclic_gaps(sys_, xi.points)
             correction = shadow.closed_form_linear_shadow(matrix, gaps)
-            oracle_orbit = sys_.space.wrap(xi.points - correction)
-            solved = shadow.find_periodic_shadow(sys_, xi)
-            deviation = np.max(
-                np.linalg.norm(sys_.space.diff(oracle_orbit, solved.orbit), axis=1)
-            )
-            ceiling = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
-            notes.append(
-                f"linear oracle deviation {deviation:.3g}, theoretical ratio ceiling "
-                f"{ceiling:.6g}"
-            )
-        except (NonhyperbolicMonodromyError, ShadowlabError) as exc:
+        except ShadowlabError as exc:
             notes.append(f"linear oracle inapplicable ({exc.code})")
+        else:
+            if row.orbit is None:  # the row's solve raised
+                notes.append(f"linear oracle inapplicable ({row.error})")
+            else:
+                oracle_orbit = sys_.space.wrap(xi.points - correction)
+                deviation = np.max(
+                    np.linalg.norm(sys_.space.diff(oracle_orbit, row.orbit), axis=1)
+                )
+                ceiling = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
+                notes.append(
+                    f"linear oracle deviation {deviation:.3g}, theoretical ratio ceiling "
+                    f"{ceiling:.6g}"
+                )
     converged = sum(1 for r in scan.rows if r.converged)
     verdict = "diverging" if scan.diverging else "bounded"
     note_text = ("; " + "; ".join(notes)) if notes else ""
@@ -307,7 +310,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     orbit_pts = systems.orbit_segment(sys_, point, 0, period - 1)
     residual = sys_.space.dist(systems.evaluate(sys_, point, period), point)
     norm_bound = systems.estimate_norm_bound(sys_, samples=1024)
-    report = hyperbolicity.format_orbit_report([record], constant)
+    report, rows, beta = hyperbolicity.orbit_report(record, constant)
     report += "points\n"
     for row in orbit_pts:
         report += "  " + " ".join(_fmt(v) for v in row) + "\n"
@@ -317,8 +320,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     txt_path = os.path.join(ctx["out_dir"], "orbit.txt")
     _write_text(txt_path, report)
     csv_path = os.path.join(ctx["out_dir"], "orbit.csv")
-    _write_rows(csv_path, hyperbolicity.orbit_csv_rows([record], constant))
-    beta = hyperbolicity.subspace_angle(record).minimum if record.hyperbolic else float("nan")
+    _write_rows(csv_path, rows)
     return 0, (
         f"Analyzed the period-{period} orbit: index {record.index}, "
         f"{'hyperbolic' if record.hyperbolic else 'NOT hyperbolic'}, splitting gap "

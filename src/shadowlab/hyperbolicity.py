@@ -1,9 +1,13 @@
 """Analysis of periodic orbits: multipliers, splittings, expansion certificates.
 
 The monodromy of a period-m orbit is the ordered Jacobian product
-Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space into stable
-and unstable invariant subspaces (computed from a sorted real Schur form, so
+Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space at p_0 into
+stable and unstable invariant subspaces (from one sorted real Schur form, so
 complex pairs stay together and the bases are real and orthonormal).
+subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
+re-orthonormalised by QR at each step (the unstable basis forward from p_0,
+the stable one backward from p_m = p_0, each in its numerically stable
+direction), so the splitting gap at every point costs O(m) per orbit.
 
 The expansion certificate attaches to an unstable vector the per-step growth
 rates lambda_i, the normalizing constant tau, and the coefficient sequence
@@ -67,14 +71,17 @@ class ExpansionCertificate:
 
     ``products[i]`` is lambda_0 * ... * lambda_{i-1} (empty product 1), the
     factor by which the i-th differential stretches the chosen vector.
-    ``displacement`` is only set by the pullback witness constructor and holds
-    the periodic tangent displacement sequence w_i.
+    ``directions[i]`` is that stretched vector normalised to unit length, the
+    vector lambda_i is measured on.  ``displacement`` is only set by the
+    pullback witness constructor and holds the periodic tangent displacement
+    sequence w_i.
     """
 
     rates: Array  # lambda_0 .. lambda_{m-1}
     tau: float
     coefficients: Array  # a_0 .. a_m
     products: Array  # length m
+    directions: Array | None = None  # (m, n) unit vectors v_0 .. v_{m-1}
     displacement: Array | None = None
     pullback_steps: int | None = None
 
@@ -191,8 +198,10 @@ def expansion_certificate(
         raise VectorNotUnstableError("vector does not lie in the unstable subspace")
     m = record.period
     rates = np.empty(m)
+    directions = np.empty((m, len(v_u)))
     v = v_u / np.linalg.norm(v_u)
     for i in range(m):
+        directions[i] = v
         w = record.jacobians[i] @ v
         rates[i] = np.linalg.norm(w)
         v = w / rates[i]
@@ -201,7 +210,7 @@ def expansion_certificate(
     if abs(coeff[m]) > 1e-9:
         raise RuntimeError(f"telescoping failure: a_m = {coeff[m]:.3e}")
     products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
-    return ExpansionCertificate(rates=rates, tau=tau, coefficients=coeff, products=products)
+    return ExpansionCertificate(rates, tau, coeff, products, directions)
 
 
 def verify_growth_bound(data: ExpansionCertificate, constant: float) -> bool:
@@ -283,20 +292,20 @@ def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
     if not record.hyperbolic:
         raise NonhyperbolicOrbitError("splitting angle requires a hyperbolic orbit")
     m = record.period
-    betas = np.empty(m)
-    for i in range(m):
-        # monodromy based at f^i(p); its Schur splitting gives the bases there
-        monodromy = np.eye(record.points.shape[1])
-        for j in range(m):
-            monodromy = record.jacobians[(i + j) % m] @ monodromy
-        s = _split_basis(monodromy, "stable", 0.0)
-        u = _split_basis(monodromy, "unstable", 0.0)
-        if s.shape[1] == 0 or u.shape[1] == 0:
-            betas[i] = 2.0  # one side empty: the minimum over pairs is vacuous
-            continue
-        sigma = np.linalg.svd(s.T @ u, compute_uv=False)
-        cos_min_angle = min(1.0, float(sigma[0]))
-        betas[i] = np.sqrt(max(0.0, 2.0 - 2.0 * cos_min_angle))
+    s, u = record.stable_basis, record.unstable_basis
+    if s.shape[1] == 0 or u.shape[1] == 0:
+        # one side empty: the minimum over pairs is vacuous
+        return SplittingAngles(per_point=np.full(m, 2.0), minimum=2.0)
+    stable = np.empty((m,) + s.shape)
+    unstable = np.empty((m,) + u.shape)
+    stable[0], unstable[0] = s, u
+    for i in range(1, m):
+        unstable[i] = np.linalg.qr(record.jacobians[i - 1] @ unstable[i - 1])[0]
+    for i in range(m - 1, 0, -1):  # p_m = p_0: the pullback starts from stable[0]
+        stable[i] = np.linalg.qr(np.linalg.solve(record.jacobians[i], stable[(i + 1) % m]))[0]
+    sigma = np.linalg.svd(stable.transpose(0, 2, 1) @ unstable, compute_uv=False)
+    cos_min_angle = np.minimum(1.0, sigma[:, 0])
+    betas = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))
     return SplittingAngles(per_point=betas, minimum=float(np.min(betas)))
 
 
@@ -373,58 +382,42 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _growth_verdict(record: PeriodicOrbitRecord, constant: float) -> str:
-    """holds | fails for the expansion certificate along the first unstable
-    direction; n/a when there is no unstable direction."""
-    if not record.hyperbolic or record.unstable_basis.shape[1] == 0:
-        return "n/a"
-    cert = expansion_certificate(None, record, record.unstable_basis[:, 0])
-    return "holds" if verify_growth_bound(cert, constant) else "fails"
-
-
-def format_orbit_report(
-    records: list[PeriodicOrbitRecord], growth_constant: float = 1.0
-) -> str:
-    """Structured text report, one section per orbit: period, multipliers,
-    index, splitting gap and the growth-check verdict."""
-    lines = []
-    for k, r in enumerate(records):
-        lines.append(f"orbit {k}")
-        lines.append(f"  point      {' '.join(_fmt(c) for c in r.point)}")
-        lines.append(f"  period     {r.period}")
-        mult = ", ".join(
-            f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}" for z in r.multipliers
-        )
-        lines.append(f"  multipliers {mult}")
-        lines.append(f"  index      {r.index}")
-        lines.append(f"  hyperbolic {'yes' if r.hyperbolic else 'no'}")
-        if r.hyperbolic:
-            angles = subspace_angle(r)
-            lines.append(f"  beta_min   {_fmt(angles.minimum)}")
-        lines.append(f"  growth-check (constant {growth_constant:g}) "
-                     f"{_growth_verdict(r, growth_constant)}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def orbit_csv_rows(
-    records: list[PeriodicOrbitRecord], growth_constant: float = 1.0
-) -> list[list[str]]:
-    rows = [
-        ["period", "index", "hyperbolic", "modulus_max", "modulus_min", "beta_min", "growth_ok"]
+def orbit_report(
+    record: PeriodicOrbitRecord, growth_constant: float = 1.0
+) -> tuple[str, list[list[str]], float]:
+    """Text report and csv rows of one orbit, and its splitting gap (nan if not
+    hyperbolic).  The growth check certifies the first unstable direction."""
+    beta = subspace_angle(record).minimum if record.hyperbolic else float("nan")
+    if record.hyperbolic and record.unstable_basis.shape[1]:
+        cert = expansion_certificate(None, record, record.unstable_basis[:, 0])
+        verdict = "holds" if verify_growth_bound(cert, growth_constant) else "fails"
+    else:
+        verdict = "n/a"
+    mult = ", ".join(
+        f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}" for z in record.multipliers
+    )
+    lines = [
+        "orbit 0",
+        f"  point      {' '.join(_fmt(c) for c in record.point)}",
+        f"  period     {record.period}",
+        f"  multipliers {mult}",
+        f"  index      {record.index}",
+        f"  hyperbolic {'yes' if record.hyperbolic else 'no'}",
     ]
-    for r in records:
-        moduli = np.abs(r.multipliers)
-        beta = _fmt(subspace_angle(r).minimum) if r.hyperbolic else ""
-        rows.append(
-            [
-                str(r.period),
-                str(r.index),
-                "true" if r.hyperbolic else "false",
-                _fmt(moduli.max()),
-                _fmt(moduli.min()),
-                beta,
-                _growth_verdict(r, growth_constant),
-            ]
-        )
-    return rows
+    if record.hyperbolic:
+        lines.append(f"  beta_min   {_fmt(beta)}")
+    lines.append(f"  growth-check (constant {growth_constant:g}) {verdict}")
+    moduli = np.abs(record.multipliers)
+    rows = [
+        ["period", "index", "hyperbolic", "modulus_max", "modulus_min", "beta_min", "growth_ok"],
+        [
+            str(record.period),
+            str(record.index),
+            "true" if record.hyperbolic else "false",
+            _fmt(moduli.max()),
+            _fmt(moduli.min()),
+            _fmt(beta) if record.hyperbolic else "",
+            verdict,
+        ],
+    ]
+    return "\n".join(lines) + "\n", rows, beta

@@ -370,13 +370,7 @@ def witness_orbit_pullback(
             "a hyperbolic orbit"
         )
     cert = expansion_certificate(sys, record, v_u)
-    units = np.empty((m, sys.dim))
-    units[0] = np.asarray(v_u, dtype=float) / np.linalg.norm(v_u)
-    for i in range(1, m):
-        w = record.jacobians[i - 1] @ units[i - 1]
-        units[i] = w / np.linalg.norm(w)
-
-    pullback = cert.tau * units[0]
+    pullback = cert.tau * cert.directions[0]
     n = n_pullback
     for _ in range(n_pullback):
         pullback = np.linalg.solve(record.monodromy, pullback)
@@ -392,8 +386,7 @@ def witness_orbit_pullback(
 
     q = m * (n + 1)
     w_seq = np.empty((q, sys.dim))
-    for i in range(m):
-        w_seq[i] = cert.coefficients[i] * units[i]
+    w_seq[:m] = cert.coefficients[:m, None] * cert.directions
     w_seq[m] = pullback
     for idx in range(m, q - 1):
         w_seq[idx + 1] = record.jacobians[(idx % m)] @ w_seq[idx]

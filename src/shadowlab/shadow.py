@@ -21,7 +21,7 @@ of A^Q, so the resolvent form is used.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .hyperbolicity import _fmt, _periodic_numerators, enumerate_periodic_points
 from .pseudo import (
     PeriodicPseudotrajectory,
     cyclic_gaps,
-    make_pseudotrajectory,
     perturb_orbit,
     witness_jordan,
 )
@@ -254,27 +253,30 @@ def closed_form_linear_shadow(matrix, gaps) -> Array:
     # float overflow in A^Q means the monodromy is astronomically expanding,
     # so (I - A^Q)^{-1} is negligible and the guard passes vacuously
     e_hat = np.fft.fft(e, axis=0)
-    z_hat = np.empty_like(e_hat)
-    eye = np.eye(n)
-    for j in range(q):
-        omega = np.exp(2j * np.pi * j / q)
-        try:
-            z_hat[j] = np.linalg.solve(omega * eye - a, e_hat[j])
-        except np.linalg.LinAlgError as exc:
-            # a singular resolvent means omega is a unit-modulus eigenvalue
-            raise NonhyperbolicMonodromyError(
-                f"spectrum touches the unit circle at angle 2 pi {j}/{q}"
-            ) from exc
+    resolvents = _resolvents(a, q)
+    try:
+        z_hat = np.linalg.solve(resolvents, e_hat[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        # a singular resolvent means omega_j is a unit-modulus eigenvalue
+        j = int(np.argmin(np.linalg.svd(resolvents, compute_uv=False)[:, -1]))
+        raise NonhyperbolicMonodromyError(
+            f"spectrum touches the unit circle at angle 2 pi {j}/{q}"
+        ) from exc
     z = np.fft.ifft(z_hat, axis=0)
     return np.real(z)
+
+
+def _resolvents(a: Array, q: int) -> Array:
+    """The (Q, n, n) stack of omega_j I - A over the Q-th roots of unity
+    omega_j = exp(i 2 pi j / Q), with the angle rounded in real arithmetic."""
+    omega = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+    return omega[:, None, None] * np.eye(a.shape[0]) - a
 
 
 def theoretical_linear_lipschitz_bound(matrix, q: int) -> float:
     """max over Q-th roots of unity of ||(w I - A)^{-1}||, the sharp sup-norm
     constant of the cyclic linear solve in each Fourier mode."""
-    a = np.asarray(matrix, dtype=float)
-    omega = np.exp(2j * np.pi * np.arange(q) / q)
-    sigma = np.linalg.svd(omega[:, None, None] * np.eye(a.shape[0]) - a, compute_uv=False)
+    sigma = np.linalg.svd(_resolvents(np.asarray(matrix, dtype=float), q), compute_uv=False)
     return float(np.max(1.0 / sigma[:, -1]))
 
 
@@ -339,6 +341,8 @@ class ScanRow:
     converged: bool
     lower_bound: float | None
     error: str | None = None
+    # the shadow orbit; None when the solve raised
+    orbit: Array | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -385,17 +389,6 @@ class JordanWitnessFamily:
 
     def lower_bound(self, xi: PeriodicPseudotrajectory) -> float:
         return direct_shadow_lower_bound(self.model, xi)
-
-
-@dataclass(frozen=True)
-class ExactOrbitFamily:
-    """Constant family returning one exact orbit regardless of d."""
-
-    sys: DiscreteSystem
-    orbit_points: Array
-
-    def generate(self, d: float, row: int) -> PeriodicPseudotrajectory:
-        return make_pseudotrajectory(self.sys, self.orbit_points, kind="exact")
 
 
 def _diverging_verdict(rows: Sequence[ScanRow]) -> bool:
@@ -450,6 +443,7 @@ def lipschitz_scan(
                     converged=sol.converged,
                     lower_bound=lower,
                     error=None if sol.converged else "no-convergence",
+                    orbit=sol.orbit,
                 )
             )
         except ShadowlabError as exc:

@@ -7,7 +7,7 @@ import pytest
 import shadowlab as sl
 from shadowlab import cli
 from shadowlab.config import INT, TEXT, parse_config
-from shadowlab.errors import ConfigError
+from shadowlab.errors import ConfigError, SingularJacobianError
 
 
 def write(path, text):
@@ -258,6 +258,74 @@ def test_orbit_command(tmp_path, capsys):
     assert "growth-check" in report and "holds" in report
     csv_header = (tmp_path / "orbit.csv").read_text().splitlines()[0]
     assert csv_header.endswith("beta_min,growth_ok")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_orbit_command_analyses_once(tmp_path, capsys, monkeypatch):
+    angles = _count_calls(monkeypatch, sl.hyperbolicity, "subspace_angle")
+    certificates = _count_calls(monkeypatch, sl.hyperbolicity, "expansion_certificate")
+    cfg = write(
+        tmp_path / "orbit.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = orbit\npoint = 0.2 0.4\nperiod = 2\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    assert "splitting gap 1.41421" in capsys.readouterr().out
+    assert len(angles) == 1 and len(certificates) == 1
+
+
+def test_scan_command_solves_each_level_once(tmp_path, capsys, monkeypatch):
+    solves = _count_calls(monkeypatch, sl.shadow, "find_periodic_shadow")
+    cfg = write(
+        tmp_path / "scan.cfg",
+        "seed = 3\n"
+        + CAT_SYSTEM
+        + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
+        + "d-values = 1e-3 1e-4 1e-5 1e-6\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    assert "linear oracle deviation" in capsys.readouterr().out
+    assert len(solves) == 4
+
+
+def test_scan_oracle_note_when_a_solve_raises(tmp_path, capsys, monkeypatch):
+    # the closed form runs first: at the unit Jordan block its error wins
+    cfg = write(
+        tmp_path / "jordan.cfg",
+        JORDAN_SYSTEM
+        + "[command]\nname = scan\nfamily = jordan-witness\nK = 25\n"
+        + "d-values = 1e-3 1e-4 1e-5\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 2
+    assert "linear oracle inapplicable (nonhyperbolic-monodromy)" in capsys.readouterr().out
+
+    def singular(*args, **kwargs):
+        raise SingularJacobianError("forced")
+
+    monkeypatch.setattr(sl.shadow, "find_periodic_shadow", singular)
+    cfg = write(
+        tmp_path / "cat.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
+        + "d-values = 1e-3 1e-4 1e-5\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    assert "linear oracle inapplicable (singular-jacobian)" in capsys.readouterr().out
 
 
 def test_certificate_command(tmp_path, capsys):

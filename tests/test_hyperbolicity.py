@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
 import shadowlab as sl
 from shadowlab import _intmat
@@ -221,6 +222,84 @@ def test_angle_constant_along_orbit(cat_sys):
     rec = sl.analyze_periodic_orbit(cat_sys, pts[11], 4)
     angles = sl.subspace_angle(rec)
     assert np.max(angles.per_point) - np.min(angles.per_point) <= 1e-8
+
+
+def _per_point_schur_angles(record):
+    """The splitting gap from the monodromy based at each orbit point and its
+    sorted real Schur forms (m products and two Schur forms per point)."""
+    m, n = record.points.shape
+    betas = np.empty(m)
+    for i in range(m):
+        monodromy = np.eye(n)
+        for j in range(m):
+            monodromy = record.jacobians[(i + j) % m] @ monodromy
+        _, zs, ks = schur(monodromy, output="real", sort=lambda x, y: np.hypot(x, y) < 1.0)
+        _, zu, ku = schur(monodromy, output="real", sort=lambda x, y: np.hypot(x, y) > 1.0)
+        if ks == 0 or ku == 0:
+            betas[i] = 2.0
+            continue
+        sigma = np.linalg.svd(zs[:, :ks].T @ zu[:, :ku], compute_uv=False)
+        betas[i] = np.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, float(sigma[0]))))
+    return betas
+
+
+def _refined_orbits(toral, amplitude, periods):
+    """Records of perturbed-torus orbits, refined from the automorphism's."""
+    pert = sl.perturbed_toral(toral.matrix, amplitude)
+    for m in periods:
+        base = sl.toral_orbit_with_period(toral, m)
+        sol = sl.find_periodic_shadow(pert, sl.make_pseudotrajectory(pert, base))
+        assert sol.converged
+        yield sl.analyze_periodic_orbit(pert, sol.orbit[0], m)
+
+
+def _angle_records():
+    cat = sl.cat_map()
+    for m in range(1, 9):
+        points = sl.enumerate_periodic_points_toral(cat.matrix, m)
+        for point in points[:: max(1, len(points) // 24)]:
+            yield f"cat-m{m}", sl.analyze_periodic_orbit(cat.system, point, m)
+    toral3 = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]])
+    for m in range(1, 4):
+        for point in sl.enumerate_periodic_points_toral(toral3.matrix, m):
+            yield f"toral3-m{m}", sl.analyze_periodic_orbit(toral3.system, point, m)
+    for record in _refined_orbits(cat, 0.05, range(1, 7)):
+        yield f"perturbed-cat-m{record.period}", record
+    for record in _refined_orbits(toral3, 0.05, range(1, 4)):  # 2-D unstable basis
+        yield f"perturbed-toral3-m{record.period}", record
+    jordan = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)  # 2-D stable basis
+    for m in (1, 2, 5):
+        yield f"jordan-tail-m{m}", sl.analyze_periodic_orbit(jordan.system, np.zeros(3), m)
+    # a non-normal map with an unstable complex pair of modulus 1.64
+    linear = sl.linear_system([[1.2, -1.5, 0.4], [1.1, 0.9, 0.2], [0.3, 0.1, 0.4]])
+    for m in (1, 2, 5):
+        yield f"linear-complex-m{m}", sl.analyze_periodic_orbit(linear, np.zeros(3), m)
+
+
+def test_angle_transport_matches_per_point_schur():
+    names, splits = set(), set()
+    for name, record in _angle_records():
+        got = sl.subspace_angle(record)
+        expected = _per_point_schur_angles(record)
+        assert got.per_point.shape == (record.period,)
+        np.testing.assert_allclose(got.per_point, expected, rtol=0, atol=1e-12, err_msg=name)
+        assert got.minimum == np.min(got.per_point)
+        names.add(name)
+        splits.add((record.stable_basis.shape[1], record.unstable_basis.shape[1]))
+    assert len(names) == 8 + 3 + 6 + 3 + 3 + 3
+    assert splits == {(1, 1), (1, 2), (2, 1)}
+
+
+def test_angle_one_side_empty_is_two_everywhere():
+    model = sl.jordan_model(block=None, tail=(2.0, 3.0), c=0.0)
+    angles = sl.subspace_angle(sl.analyze_periodic_orbit(model.system, np.zeros(2), 3))
+    assert np.array_equal(angles.per_point, [2.0, 2.0, 2.0]) and angles.minimum == 2.0
+
+
+def test_angle_rejects_nonhyperbolic(linear_jordan2):
+    record = sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)
+    with pytest.raises(sl.NonhyperbolicOrbitError):
+        sl.subspace_angle(record)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,31 @@ def test_pullback_coefficient_positivity(cat_sys):
     assert np.all(cert.coefficients[:4] > 0.0)
 
 
+def test_pullback_displacement_matches_pushed_unit_loop(cat_sys):
+    # oracle: push the unit unstable vector along the orbit again, as the
+    # witness once did itself; the certificate's directions must equal it bit for bit
+    cat = sl.cat_map()
+    cases = []
+    for m in (1, 3, 5):
+        cases += [(cat_sys, p, m) for p in sl.enumerate_periodic_points_toral(cat.matrix, m)[1:3]]
+    pert = sl.perturbed_toral(cat.matrix, 0.05)  # Jacobians vary along the orbit
+    for m in (2, 4):
+        base = sl.make_pseudotrajectory(pert, sl.toral_orbit_with_period(cat, m))
+        cases.append((pert, sl.find_periodic_shadow(pert, base).orbit[0], m))
+    for sys_, p, m in cases:
+        rec = sl.analyze_periodic_orbit(sys_, p, m)
+        v_u = 3.0 * rec.unstable_basis[:, 0]
+        _, _, cert = sl.witness_orbit_pullback(sys_, p, m, v_u, 1e-6)
+        units = [v_u / np.linalg.norm(v_u)]
+        for i in range(1, m):
+            w = rec.jacobians[i - 1] @ units[i - 1]
+            units.append(w / np.linalg.norm(w))
+        assert np.array_equal(cert.directions, np.array(units))
+        assert np.array_equal(cert.displacement[:m], cert.coefficients[:m, None] * cert.directions)
+        for i in range(m):
+            assert np.array_equal(cert.displacement[i], cert.coefficients[i] * units[i])
+
+
 def test_pullback_rejects_nonhyperbolic():
     model = sl.jordan_model(block="real", size=2, c=0.0)
     with pytest.raises(sl.NonhyperbolicOrbitError):

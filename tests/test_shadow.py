@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ def test_closed_form_self_substitution_random():
 def test_closed_form_rejects_nonhyperbolic():
     with pytest.raises(NonhyperbolicMonodromyError):
         sl.closed_form_linear_shadow([[1.0, 1.0], [0.0, 1.0]], np.zeros((3, 2)))
+
+
+def test_closed_form_names_the_singular_mode_when_the_power_overflows():
+    # A^Q overflows, so the I - A^Q guard is skipped and the mode solve must
+    # find the unit multiplier itself: omega_0 I - A = diag(0, 1 - 1e200)
+    with pytest.raises(NonhyperbolicMonodromyError, match="at angle 2 pi 0/2"):
+        sl.closed_form_linear_shadow(np.diag([1.0, 1e200]), np.zeros((2, 2)))
 
 
 def test_closed_form_survives_monodromy_overflow():
@@ -297,9 +305,20 @@ def test_scan_jordan_witness_diverges(linear_jordan2):
         assert r.lower_bound == pytest.approx(25.0 * r.defect, rel=1e-9)
 
 
+@dataclass(frozen=True)
+class ExactOrbitFamily:
+    """Scan family returning one exact orbit regardless of d."""
+
+    sys: sl.DiscreteSystem
+    orbit_points: np.ndarray
+
+    def generate(self, d, row):
+        return sl.make_pseudotrajectory(self.sys, self.orbit_points, kind="exact")
+
+
 def test_scan_exact_orbit_family(cat_sys):
     orbit = sl.toral_orbit_with_period(sl.cat_map(), 2)
-    family = sl.ExactOrbitFamily(cat_sys, orbit)
+    family = ExactOrbitFamily(cat_sys, orbit)
     scan = sl.lipschitz_scan(cat_sys, family, [1e-3, 1e-4, 1e-5])
     assert all(r.epsilon_star == 0.0 for r in scan.rows)
     assert scan.estimated_constant == 0.0
@@ -308,11 +327,25 @@ def test_scan_exact_orbit_family(cat_sys):
 
 def test_scan_validates_d_values(cat_sys):
     orbit = sl.toral_orbit_with_period(sl.cat_map(), 2)
-    family = sl.ExactOrbitFamily(cat_sys, orbit)
+    family = ExactOrbitFamily(cat_sys, orbit)
     with pytest.raises(ValueError):
         sl.lipschitz_scan(cat_sys, family, [1e-3, 1e-4])
     with pytest.raises(ValueError):
         sl.lipschitz_scan(cat_sys, family, [1e-5, 1e-4, 1e-3])
+
+
+def test_scan_rows_keep_the_shadow_orbit(cat_sys, linear_jordan2):
+    base = sl.toral_orbit_with_period(sl.cat_map(), 5)
+    family = sl.PerturbedOrbitFamily(cat_sys, base, seed=0)
+    d_values = [1e-3, 1e-4, 1e-5]
+    scan = sl.lipschitz_scan(cat_sys, family, d_values)
+    for idx, (d, row) in enumerate(zip(d_values, scan.rows)):
+        solved = sl.find_periodic_shadow(cat_sys, family.generate(d, idx))
+        assert np.array_equal(row.orbit, solved.orbit)
+    assert scan == sl.lipschitz_scan(cat_sys, family, d_values)  # rows compare by value
+    witness = sl.JordanWitnessFamily(linear_jordan2, 25)
+    failed = sl.lipschitz_scan(linear_jordan2.system, witness, [1e-3, 1e-4, 1e-5])
+    assert all(r.orbit is None and r.error == "singular-jacobian" for r in failed.rows)
 
 
 def test_scan_csv_shape(cat_sys, tmp_path):
