@@ -21,6 +21,7 @@ from . import hyperbolicity, pseudo, shadow, systems
 from .config import FLOAT, FLOATS, INT, INTS, MATRIX, TEXT, ConfigSection, parse_config
 from .errors import (
     ConfigError,
+    NonhyperbolicMonodromyError,
     ShadowlabError,
     TooManyPeriodicPointsError,
 )
@@ -267,25 +268,21 @@ def _cmd_scan(ctx) -> tuple[int, str]:
     if sys_.linear_matrix is not None:
         xi = family.generate(d_values[0], 0)
         matrix = sys_.linear_matrix
-        row = scan.rows[0]
         try:
             gaps = pseudo.cyclic_gaps(sys_, xi.points)
             correction = shadow.closed_form_linear_shadow(matrix, gaps)
-        except ShadowlabError as exc:
+            oracle_orbit = sys_.space.wrap(xi.points - correction)
+            solved = shadow.find_periodic_shadow(sys_, xi)
+            deviation = np.max(
+                np.linalg.norm(sys_.space.diff(oracle_orbit, solved.orbit), axis=1)
+            )
+            ceiling = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
+            notes.append(
+                f"linear oracle deviation {deviation:.3g}, theoretical ratio ceiling "
+                f"{ceiling:.6g}"
+            )
+        except (NonhyperbolicMonodromyError, ShadowlabError) as exc:
             notes.append(f"linear oracle inapplicable ({exc.code})")
-        else:
-            if row.orbit is None:  # the row's solve raised
-                notes.append(f"linear oracle inapplicable ({row.error})")
-            else:
-                oracle_orbit = sys_.space.wrap(xi.points - correction)
-                deviation = np.max(
-                    np.linalg.norm(sys_.space.diff(oracle_orbit, row.orbit), axis=1)
-                )
-                ceiling = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
-                notes.append(
-                    f"linear oracle deviation {deviation:.3g}, theoretical ratio ceiling "
-                    f"{ceiling:.6g}"
-                )
     converged = sum(1 for r in scan.rows if r.converged)
     verdict = "diverging" if scan.diverging else "bounded"
     note_text = ("; " + "; ".join(notes)) if notes else ""

@@ -210,7 +210,9 @@ def expansion_certificate(
     if abs(coeff[m]) > 1e-9:
         raise RuntimeError(f"telescoping failure: a_m = {coeff[m]:.3e}")
     products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
-    return ExpansionCertificate(rates, tau, coeff, products, directions)
+    return ExpansionCertificate(
+        rates=rates, tau=tau, coefficients=coeff, products=products, directions=directions
+    )
 
 
 def verify_growth_bound(data: ExpansionCertificate, constant: float) -> bool:

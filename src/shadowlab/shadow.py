@@ -21,7 +21,7 @@ of A^Q, so the resolvent form is used.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -341,8 +341,6 @@ class ScanRow:
     converged: bool
     lower_bound: float | None
     error: str | None = None
-    # the shadow orbit; None when the solve raised
-    orbit: Array | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -443,7 +441,6 @@ def lipschitz_scan(
                     converged=sol.converged,
                     lower_bound=lower,
                     error=None if sol.converged else "no-convergence",
-                    orbit=sol.orbit,
                 )
             )
         except ShadowlabError as exc:

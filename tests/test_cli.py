@@ -286,21 +286,6 @@ def test_orbit_command_analyses_once(tmp_path, capsys, monkeypatch):
     assert len(angles) == 1 and len(certificates) == 1
 
 
-def test_scan_command_solves_each_level_once(tmp_path, capsys, monkeypatch):
-    solves = _count_calls(monkeypatch, sl.shadow, "find_periodic_shadow")
-    cfg = write(
-        tmp_path / "scan.cfg",
-        "seed = 3\n"
-        + CAT_SYSTEM
-        + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
-        + "d-values = 1e-3 1e-4 1e-5 1e-6\n"
-        + f"[output]\ndirectory = {tmp_path}\n",
-    )
-    assert cli.run(cfg) == 0
-    assert "linear oracle deviation" in capsys.readouterr().out
-    assert len(solves) == 4
-
-
 def test_scan_oracle_note_when_a_solve_raises(tmp_path, capsys, monkeypatch):
     # the closed form runs first: at the unit Jordan block its error wins
     cfg = write(

@@ -334,20 +334,6 @@ def test_scan_validates_d_values(cat_sys):
         sl.lipschitz_scan(cat_sys, family, [1e-5, 1e-4, 1e-3])
 
 
-def test_scan_rows_keep_the_shadow_orbit(cat_sys, linear_jordan2):
-    base = sl.toral_orbit_with_period(sl.cat_map(), 5)
-    family = sl.PerturbedOrbitFamily(cat_sys, base, seed=0)
-    d_values = [1e-3, 1e-4, 1e-5]
-    scan = sl.lipschitz_scan(cat_sys, family, d_values)
-    for idx, (d, row) in enumerate(zip(d_values, scan.rows)):
-        solved = sl.find_periodic_shadow(cat_sys, family.generate(d, idx))
-        assert np.array_equal(row.orbit, solved.orbit)
-    assert scan == sl.lipschitz_scan(cat_sys, family, d_values)  # rows compare by value
-    witness = sl.JordanWitnessFamily(linear_jordan2, 25)
-    failed = sl.lipschitz_scan(linear_jordan2.system, witness, [1e-3, 1e-4, 1e-5])
-    assert all(r.orbit is None and r.error == "singular-jacobian" for r in failed.rows)
-
-
 def test_scan_csv_shape(cat_sys, tmp_path):
     base = sl.toral_orbit_with_period(sl.cat_map(), 5)
     family = sl.PerturbedOrbitFamily(cat_sys, base, seed=0)
