@@ -33,6 +33,7 @@ from .hyperbolicity import (
     expansion_certificate,
     extract_uniform_constants,
     subspace_angle,
+    subspace_angles,
     verify_growth_bound,
 )
 from .pseudo import (
@@ -108,6 +109,7 @@ PUBLIC_OPERATIONS = (
     verify_growth_bound,
     extract_uniform_constants,
     subspace_angle,
+    subspace_angles,
     enumerate_periodic_points_toral,
 )
 

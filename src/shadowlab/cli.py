@@ -18,7 +18,8 @@ import sys as _sys
 import numpy as np
 
 from . import hyperbolicity, pseudo, shadow, systems
-from .config import FLOAT, FLOATS, INT, INTS, MATRIX, TEXT, ConfigSection, parse_config
+from .config import FLOAT, FLOATS, INT, INTS, MATRIX, POSITIVE_INT, TEXT
+from .config import ConfigSection, parse_config
 from .errors import (
     ConfigError,
     NonhyperbolicMonodromyError,
@@ -74,7 +75,7 @@ COMMAND_OPERATIONS = {
     "angles": (
         hyperbolicity.enumerate_periodic_points_toral,
         hyperbolicity.analyze_periodic_orbit,
-        hyperbolicity.subspace_angle,
+        hyperbolicity.subspace_angles,
         hyperbolicity.extract_uniform_constants,
     ),
     "enumerate": (hyperbolicity.enumerate_periodic_points_toral, systems.evaluate),
@@ -183,7 +184,7 @@ def _cmd_witness(ctx) -> tuple[int, str]:
     model = _require_jordan(kind, obj, "witness", section.path)
     wtype = section.take("type", *TEXT, required=True)
     d = section.take("d", *FLOAT, required=True)
-    k_steps = section.take("K", *INT, required=True)
+    k_steps = section.take("K", *POSITIVE_INT, required=True)
     if wtype == "staircase":
         xi, meta = pseudo.witness_eigenvalue_one(model, d, k_steps)
     elif wtype == "jordan":
@@ -239,7 +240,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
     if family_name == "perturbed-orbit":
         if kind not in ("toral", "perturbed-toral"):
             raise ConfigError("the perturbed-orbit family needs a torus system", section.path)
-        period = section.take("period", *INT, required=True)
+        period = section.take("period", *POSITIVE_INT, required=True)
         base = shadow.toral_orbit_with_period(obj, period)
         if kind == "perturbed-toral":
             # refine the automorphism's orbit into an exact orbit of the
@@ -256,7 +257,8 @@ def _cmd_scan(ctx) -> tuple[int, str]:
         family = shadow.PerturbedOrbitFamily(sys_, base, seed=ctx["seed"])
     elif family_name == "jordan-witness":
         model = _require_jordan(kind, obj, "scan", section.path)
-        family = shadow.JordanWitnessFamily(model, section.take("K", *INT, required=True))
+        k_steps = section.take("K", *POSITIVE_INT, required=True)
+        family = shadow.JordanWitnessFamily(model, k_steps)
     else:
         raise ConfigError(f"unknown scan family {family_name!r}", section.path)
     scan = shadow.lipschitz_scan(sys_, family, d_values)
@@ -298,7 +300,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     _, _, sys_ = ctx["system"]
     section = ctx["command"]
     point = np.array(section.take("point", *FLOATS, required=True))
-    period = section.take("period", *INT, required=True)
+    period = section.take("period", *POSITIVE_INT, required=True)
     a_const = section.take("expansivity-a", *FLOAT, default=0.5)
     window = section.take("window", *INT, default=2 * period)
     constant = section.take("L", *FLOAT, default=1.0)
@@ -330,9 +332,9 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
     _, _, sys_ = ctx["system"]
     section = ctx["command"]
     point = np.array(section.take("point", *FLOATS, required=True))
-    period = section.take("period", *INT, required=True)
+    period = section.take("period", *POSITIVE_INT, required=True)
     d = section.take("d", *FLOAT, default=1e-5)
-    n_pullback = section.take("n-pullback", *INT, default=1)
+    n_pullback = section.take("n-pullback", *POSITIVE_INT, default=1)
     constant = section.take("L", *FLOAT, default=1.0)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
     if record.unstable_basis.shape[1] == 0:
@@ -373,8 +375,8 @@ def _cmd_angles(ctx) -> tuple[int, str]:
     kind, obj, sys_ = ctx["system"]
     section = ctx["command"]
     toral = _require_toral(kind, obj, "angles", section.path)
-    max_period = section.take("max-period", *INT, required=True)
-    horizon = section.take("horizon", *INT, default=8)
+    max_period = section.take("max-period", *POSITIVE_INT, required=True)
+    horizon = section.take("horizon", *POSITIVE_INT, default=8)
     # largest period first, so a count over the enumeration cap fails before
     # any orbit is analysed
     point_sets = [
@@ -387,18 +389,12 @@ def _cmd_angles(ctx) -> tuple[int, str]:
             f"periods 1..{max_period} have {total} periodic points, more than the "
             f"{MAX_ANALYSED_ORBITS} that are analysed"
         )
+    periodic = [(m, point) for m, points in enumerate(point_sets, start=1) for point in points]
+    records = [hyperbolicity.analyze_periodic_orbit(sys_, point, m) for m, point in periodic]
+    betas = [angle.minimum for angle in hyperbolicity.subspace_angles(records)]
     rows = [["period", "point", "beta_min"]]
-    records = []
-    betas = []
-    for m, points in enumerate(point_sets, start=1):
-        for point in points:
-            record = hyperbolicity.analyze_periodic_orbit(sys_, point, m)
-            records.append(record)
-            angle = hyperbolicity.subspace_angle(record)
-            betas.append(angle.minimum)
-            rows.append(
-                [str(m), " ".join(_fmt(c) for c in point), _fmt(angle.minimum)]
-            )
+    for (m, point), beta in zip(periodic, betas):
+        rows.append([str(m), " ".join(_fmt(c) for c in point), _fmt(beta)])
     constants = hyperbolicity.extract_uniform_constants(sys_, records, horizon)
     path = os.path.join(ctx["out_dir"], "angles.csv")
     _write_rows(path, rows)
@@ -416,7 +412,7 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
     kind, obj, sys_ = ctx["system"]
     section = ctx["command"]
     toral = _require_toral(kind, obj, "enumerate", section.path)
-    period = section.take("period", *INT, required=True)
+    period = section.take("period", *POSITIVE_INT, required=True)
     points = hyperbolicity.enumerate_periodic_points_toral(toral.matrix, period)
     images = systems.evaluate(sys_, points, period)
     worst = float(np.max(np.linalg.norm(sys_.space.diff(images, points), axis=1)))
@@ -436,11 +432,9 @@ def _cmd_splice(ctx) -> tuple[int, str]:
     kind, obj, sys_ = ctx["system"]
     section = ctx["command"]
     toral = _require_toral(kind, obj, "splice", section.path)
-    forward = section.take("forward", *INT, required=True)
-    backward = section.take("backward", *INT, required=True)
+    forward = section.take("forward", *POSITIVE_INT, required=True)
+    backward = section.take("backward", *POSITIVE_INT, required=True)
     shift = section.take("shift", *INTS, default=[0, 1])
-    if forward < 1 or backward < 1:
-        raise ConfigError("forward and backward lengths must be >= 1", section.path)
     p = pseudo.homoclinic_point(toral, shift)
     seg_fwd = systems.orbit_segment(sys_, p, 0, forward - 1)
     seg_bwd = systems.orbit_segment(sys_, p, -backward, -1)

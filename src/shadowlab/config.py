@@ -30,8 +30,16 @@ def _square_matrix(text: str) -> list[list[float]]:
     return mat
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 TEXT = (str, "text")
 INT = (int, "an integer")
+POSITIVE_INT = (_positive_int, "a positive integer")
 FLOAT = (float, "a number")
 FLOATS = (lambda s: [float(v) for v in s.split()], "numbers")
 INTS = (lambda s: [int(v) for v in s.split()], "integers")

@@ -9,6 +9,13 @@ re-orthonormalised by QR at each step (the unstable basis forward from p_0,
 the stable one backward from p_m = p_0, each in its numerically stable
 direction), so the splitting gap at every point costs O(m) per orbit.
 
+subspace_angles and extract_uniform_constants work on stacks: they group the
+records by (period, dim S, dim U) and push each group through one batched
+product, solve or QR per step.  The Jacobians of a group are stacked with the
+step axis first, (m, N, n, n), so step i is the contiguous (N, n, n) slab
+jacobians[i]; a single record's own (m, n, n) Jacobians are the same layout
+without the N axis, and subspace_angle runs the same kernel on them.
+
 The expansion certificate attaches to an unstable vector the per-step growth
 rates lambda_i, the normalizing constant tau, and the coefficient sequence
 a_0 = tau, a_{i+1} = lambda_i a_i - 1, which telescopes to a_m = 0.  Products
@@ -241,6 +248,27 @@ def _unit_sphere_sample(dim: int, count: int) -> Array:
     return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
+def _orbit_groups(records: list[PeriodicOrbitRecord]):
+    """Records grouped by (period, dim S, dim U), in order of first appearance.
+
+    Yields for each group its indices into ``records``, the step-first
+    Jacobian stack (m, N, n, n) and the bases at p_0, (N, n, dim S) and
+    (N, n, dim U).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, r in enumerate(records):
+        key = (r.period, r.stable_basis.shape, r.unstable_basis.shape)
+        groups.setdefault(key, []).append(i)
+    for indices in groups.values():
+        group = [records[i] for i in indices]
+        yield (
+            indices,
+            np.stack([r.jacobians for r in group], axis=1),
+            np.stack([r.stable_basis for r in group]),
+            np.stack([r.unstable_basis for r in group]),
+        )
+
+
 def extract_uniform_constants(
     sys: DiscreteSystem, records: list[PeriodicOrbitRecord], horizon: int, samples: int = 100
 ) -> HyperbolicityConstants:
@@ -248,7 +276,8 @@ def extract_uniform_constants(
 
     g(j) tracks the worst stretch of stable sample vectors under Df^j and of
     unstable ones under Df^{-j}; then lam = max_j g(j)^(1/j) and
-    C = max_j g(j) / lam^j.
+    C = max_j g(j) / lam^j.  The orbits of one period and splitting
+    dimensions are pushed as one stack.
     """
     if not records:
         raise ValueError("empty input: need at least one orbit record")
@@ -259,21 +288,23 @@ def extract_uniform_constants(
     g = np.zeros(horizon + 1)
     g[0] = 1.0
     steps = np.arange(horizon)
-    for record in records:
-        m = record.period
-        for basis, backward in ((record.stable_basis, False), (record.unstable_basis, True)):
-            k = basis.shape[1]
+    for indices, jacobians, stable, unstable in _orbit_groups(records):
+        m = len(jacobians)
+        for basis, backward in ((stable, False), (unstable, True)):
+            k = basis.shape[-1]
             if k == 0:
                 continue
-            vecs = (basis @ _unit_sphere_sample(k, samples).T).T  # rows: unit vectors
+            # rows: each orbit's sample of unit vectors, (N, count, n)
+            vecs = np.swapaxes(basis @ _unit_sphere_sample(k, samples).T, -1, -2)
             if backward:
-                jac_seq = sys.jacobian_inverse(record.points)[(m - 1 - steps) % m]
+                points = np.stack([records[i].points for i in indices])
+                jac_seq = np.swapaxes(sys.jacobian_inverse(points), 0, 1)[(m - 1 - steps) % m]
             else:
-                jac_seq = record.jacobians[steps % m]
+                jac_seq = jacobians[steps % m]
             current = vecs.copy()
             for j in range(1, horizon + 1):
-                current = current @ jac_seq[j - 1].T
-                g[j] = max(g[j], float(np.max(np.linalg.norm(current, axis=1))))
+                current = current @ np.swapaxes(jac_seq[j - 1], -1, -2)
+                g[j] = max(g[j], float(np.max(np.linalg.norm(current, axis=-1))))
     with np.errstate(divide="ignore"):
         lam = float(np.max(g[1:] ** (1.0 / np.arange(1, horizon + 1))))
     lam = min(lam, 1.0 - 1e-12)
@@ -290,25 +321,54 @@ class SplittingAngles:
     minimum: float
 
 
-def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
-    if not record.hyperbolic:
+def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
+    """Splitting gap at every point of one orbit or of a stack of orbits.
+
+    ``jacobians`` is (m, ..., n, n) with the step axis first; ``stable`` and
+    ``unstable`` are the bases at p_0, (..., n, dim S) and (..., n, dim U),
+    both sides nonempty.  Returns the gaps, (m, ...).
+    """
+    m = len(jacobians)
+    s_path = np.empty((m,) + stable.shape)
+    u_path = np.empty((m,) + unstable.shape)
+    s_path[0], u_path[0] = stable, unstable
+    for i in range(1, m):
+        u_path[i] = np.linalg.qr(jacobians[i - 1] @ u_path[i - 1])[0]
+    for i in range(m - 1, 0, -1):  # p_m = p_0: the pullback starts from s_path[0]
+        s_path[i] = np.linalg.qr(np.linalg.solve(jacobians[i], s_path[(i + 1) % m]))[0]
+    sigma = np.linalg.svd(np.swapaxes(s_path, -1, -2) @ u_path, compute_uv=False)
+    cos_min_angle = np.minimum(1.0, sigma[..., 0])
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))
+
+
+def _require_hyperbolic(records) -> None:
+    if any(not r.hyperbolic for r in records):
         raise NonhyperbolicOrbitError("splitting angle requires a hyperbolic orbit")
-    m = record.period
+
+
+def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
+    _require_hyperbolic([record])
     s, u = record.stable_basis, record.unstable_basis
     if s.shape[1] == 0 or u.shape[1] == 0:
         # one side empty: the minimum over pairs is vacuous
-        return SplittingAngles(per_point=np.full(m, 2.0), minimum=2.0)
-    stable = np.empty((m,) + s.shape)
-    unstable = np.empty((m,) + u.shape)
-    stable[0], unstable[0] = s, u
-    for i in range(1, m):
-        unstable[i] = np.linalg.qr(record.jacobians[i - 1] @ unstable[i - 1])[0]
-    for i in range(m - 1, 0, -1):  # p_m = p_0: the pullback starts from stable[0]
-        stable[i] = np.linalg.qr(np.linalg.solve(record.jacobians[i], stable[(i + 1) % m]))[0]
-    sigma = np.linalg.svd(stable.transpose(0, 2, 1) @ unstable, compute_uv=False)
-    cos_min_angle = np.minimum(1.0, sigma[:, 0])
-    betas = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))
+        return SplittingAngles(per_point=np.full(record.period, 2.0), minimum=2.0)
+    betas = _splitting_gaps(record.jacobians, s, u)
     return SplittingAngles(per_point=betas, minimum=float(np.min(betas)))
+
+
+def subspace_angles(records: list[PeriodicOrbitRecord]) -> list[SplittingAngles]:
+    """subspace_angle of every record, each group of one period and splitting
+    dimensions transported as one stack."""
+    _require_hyperbolic(records)
+    angles: list[SplittingAngles | None] = [None] * len(records)
+    for indices, jacobians, stable, unstable in _orbit_groups(records):
+        if stable.shape[-1] == 0 or unstable.shape[-1] == 0:
+            betas = np.full((len(indices), len(jacobians)), 2.0)
+        else:
+            betas = np.ascontiguousarray(_splitting_gaps(jacobians, stable, unstable).T)
+        for i, per_point in zip(indices, betas):
+            angles[i] = SplittingAngles(per_point=per_point, minimum=float(np.min(per_point)))
+    return angles
 
 
 # ---------------------------------------------------------------------------

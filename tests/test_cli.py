@@ -286,6 +286,28 @@ def test_orbit_command_analyses_once(tmp_path, capsys, monkeypatch):
     assert len(angles) == 1 and len(certificates) == 1
 
 
+def test_angles_command_stacks_each_period(tmp_path, capsys, monkeypatch):
+    cat = sl.cat_map()
+    rows = ["period,point,beta_min"]
+    for m in range(1, 5):
+        for point in sl.enumerate_periodic_points_toral(cat.matrix, m):
+            beta = sl.subspace_angle(sl.analyze_periodic_orbit(cat.system, point, m)).minimum
+            rows.append(f"{m},{' '.join(repr(float(c)) for c in point)},{beta!r}")
+    single = _count_calls(monkeypatch, sl.hyperbolicity, "subspace_angle")
+    stacked = _count_calls(monkeypatch, sl.hyperbolicity, "subspace_angles")
+    fits = _count_calls(monkeypatch, sl.hyperbolicity, "extract_uniform_constants")
+    cfg = write(
+        tmp_path / "angles.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = angles\nmax-period = 4\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    capsys.readouterr()
+    assert (len(single), len(stacked), len(fits)) == (0, 1, 1)
+    assert (tmp_path / "angles.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 def test_scan_oracle_note_when_a_solve_raises(tmp_path, capsys, monkeypatch):
     # the closed form runs first: at the unit Jordan block its error wins
     cfg = write(
@@ -378,6 +400,38 @@ def test_operation_coverage():
     missing = [op.__name__ for op in sl.PUBLIC_OPERATIONS if op not in reachable]
     assert not missing, f"operations unreachable from any command: {missing}"
     assert set(cli.COMMAND_OPERATIONS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "system,command,bad",
+    [
+        (CAT_SYSTEM, "name = orbit\npoint = 0 0", "period = 0"),
+        (CAT_SYSTEM, "name = enumerate", "period = 0"),
+        (CAT_SYSTEM, "name = lemma6\npoint = 0 0", "period = 0"),
+        (CAT_SYSTEM, "name = lemma6\npoint = 0 0\nperiod = 1", "n-pullback = 0"),
+        (
+            CAT_SYSTEM,
+            "name = scan\nfamily = perturbed-orbit\nd-values = 1e-3 1e-4 1e-5",
+            "period = 0",
+        ),
+        (CAT_SYSTEM, "name = angles", "max-period = 0"),
+        (CAT_SYSTEM, "name = angles\nmax-period = 2", "horizon = 0"),
+        (CAT_SYSTEM, "name = angles\nmax-period = 2", "horizon = -3"),
+        (CAT_SYSTEM, "name = splice\nbackward = 3", "forward = 0"),
+        (JORDAN_SYSTEM, "name = witness\ntype = jordan\nd = 1e-4", "K = 0"),
+        (JORDAN_SYSTEM, "name = scan\nfamily = jordan-witness\nd-values = 1e-3 1e-4 1e-5", "K = 0"),
+    ],
+)
+def test_nonpositive_count_is_a_config_error(tmp_path, capsys, system, command, bad):
+    body = system + f"[command]\n{command}\n{bad}\n"
+    cfg = write(tmp_path / "bad.cfg", body + f"[output]\ndirectory = {tmp_path}\n")
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    key, _, value = bad.partition(" = ")
+    line = body.splitlines().index(bad) + 1
+    assert f":{line}:" in err
+    assert f"key 'command.{key}' must be a positive integer, got '{value}'" in err
 
 
 def test_missing_config_file(capsys):

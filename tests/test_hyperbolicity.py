@@ -194,6 +194,86 @@ def test_constants_empty_input(cat_sys):
         sl.extract_uniform_constants(cat_sys, [], 4)
 
 
+def _loop_uniform_constants(sys, records, horizon, samples=100):
+    """The per-record fit: every record, basis and horizon step on its own."""
+    g = np.zeros(horizon + 1)
+    g[0] = 1.0
+    steps = np.arange(horizon)
+    for record in records:
+        m = record.period
+        for basis, backward in ((record.stable_basis, False), (record.unstable_basis, True)):
+            k = basis.shape[1]
+            if k == 0:
+                continue
+            vecs = (basis @ hyperbolicity._unit_sphere_sample(k, samples).T).T
+            if backward:
+                jac_seq = sys.jacobian_inverse(record.points)[(m - 1 - steps) % m]
+            else:
+                jac_seq = record.jacobians[steps % m]
+            current = vecs.copy()
+            for j in range(1, horizon + 1):
+                current = current @ jac_seq[j - 1].T
+                g[j] = max(g[j], float(np.max(np.linalg.norm(current, axis=1))))
+    with np.errstate(divide="ignore"):
+        lam = float(np.max(g[1:] ** (1.0 / np.arange(1, horizon + 1))))
+    lam = min(lam, 1.0 - 1e-12)
+    c = float(np.max(g / lam ** np.arange(horizon + 1)))
+    return sl.HyperbolicityConstants(growth_constant=c, rate=lam)
+
+
+def _continued_orbits(toral, amplitude, periods, per_period):
+    """Records of perturbed-torus orbits continued from enumerated points."""
+    pert = sl.perturbed_toral(toral.matrix, amplitude)
+    for m in periods:
+        points = sl.enumerate_periodic_points_toral(toral.matrix, m)
+        for point in points[:: max(1, len(points) // per_period)]:
+            base = sl.orbit_segment(toral.system, point, 0, m - 1)
+            sol = sl.find_periodic_shadow(pert, sl.make_pseudotrajectory(pert, base))
+            assert sol.converged
+            yield sl.analyze_periodic_orbit(pert, sol.orbit[0], m)
+
+
+def _uniform_constant_cases():
+    cat = sl.cat_map()
+    records = [
+        sl.analyze_periodic_orbit(cat.system, point, m)
+        for m in range(1, 7)
+        for point in sl.enumerate_periodic_points_toral(cat.matrix, m)
+    ]
+    order = np.random.default_rng(6).permutation(len(records))  # periods interleaved
+    yield "cat-m1-6", cat.system, [records[i] for i in order]
+    toral3 = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]])
+    records = [
+        sl.analyze_periodic_orbit(toral3.system, point, m)
+        for m in range(1, 4)
+        for point in sl.enumerate_periodic_points_toral(toral3.matrix, m)
+    ]
+    yield "toral3-m1-3", toral3.system, records
+    pert = sl.perturbed_toral(cat.matrix, 0.2)
+    yield "perturbed-cat", pert, list(_continued_orbits(cat, 0.2, range(1, 6), 6))
+    repeller = sl.jordan_model(block=None, tail=(2.0, 3.0), c=0.0)
+    records = [sl.analyze_periodic_orbit(repeller.system, np.zeros(2), m) for m in (1, 2, 3)]
+    yield "stable-side-empty", repeller.system, records
+    for tail in ((2.0, 0.5), (3.0, 0.5, 0.25)):
+        model = sl.jordan_model(block=None, tail=tail, c=0.0)
+        zero = np.zeros(len(tail))
+        records = [sl.analyze_periodic_orbit(model.system, zero, m) for m in (1, 2, 5, 1)]
+        yield f"jordan-tail-{len(tail)}", model.system, records
+
+
+def test_constants_stacked_equal_the_per_record_loop():
+    names, splits = [], set()
+    for name, sys_, records in _uniform_constant_cases():
+        assert len(records) > 1, name
+        for horizon in (1, 8):
+            expected = _loop_uniform_constants(sys_, records, horizon)
+            assert sl.extract_uniform_constants(sys_, records, horizon) == expected, name
+        names.append(name)
+        splits.update((r.stable_basis.shape[1], r.unstable_basis.shape[1]) for r in records)
+    assert len(names) == 6
+    assert splits == {(1, 1), (1, 2), (0, 2), (2, 1)}
+
+
 # ---------------------------------------------------------------------------
 # splitting angles
 
@@ -300,6 +380,37 @@ def test_angle_rejects_nonhyperbolic(linear_jordan2):
     record = sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)
     with pytest.raises(sl.NonhyperbolicOrbitError):
         sl.subspace_angle(record)
+
+
+def test_angles_stacked_equal_the_per_record_calls():
+    _, records = zip(*_angle_records())
+    repeller = sl.jordan_model(block=None, tail=(2.0, 3.0), c=0.0)
+    records = list(records) + [
+        sl.analyze_periodic_orbit(repeller.system, np.zeros(2), m) for m in (1, 3)
+    ]
+    order = np.random.default_rng(4).permutation(len(records))
+    records = [records[i] for i in order]
+    stacked = sl.subspace_angles(records)
+    assert len(stacked) == len(records)
+    for record, got in zip(records, stacked):
+        expected = sl.subspace_angle(record)
+        assert got.per_point.shape == (record.period,)
+        assert got.per_point.tobytes() == expected.per_point.tobytes()
+        assert got.minimum == expected.minimum
+    assert sl.subspace_angles([]) == []
+
+
+def test_angles_stacked_reject_nonhyperbolic_before_transport(cat_sys, linear_jordan2, monkeypatch):
+    def transport(*args):
+        raise AssertionError("transported before the hyperbolicity check")
+
+    monkeypatch.setattr(hyperbolicity, "_splitting_gaps", transport)
+    records = [
+        sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1),
+        sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1),
+    ]
+    with pytest.raises(sl.NonhyperbolicOrbitError, match="requires a hyperbolic orbit"):
+        sl.subspace_angles(records)
 
 
 # ---------------------------------------------------------------------------
