@@ -145,7 +145,7 @@ def _build_system(section: ConfigSection):
             block = None
         model = systems.jordan_model(
             block=block,
-            size=section.take("l", *INT, default=2),
+            size=section.take("l", *POSITIVE_INT, default=2),
             eigenvalue=section.take("eigenvalue", *INT, default=1),
             theta=section.take("theta", *FLOAT, default=0.0),
             tail=section.take("tail", *FLOATS, default=[]),
@@ -214,7 +214,14 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
         max_iterations=section.take("max-iterations", *INT, default=100),
         tolerance=section.take("tolerance", *FLOAT, default=1e-10),
     )
-    xi = pseudo.load_pseudotrajectory(source, sys_)
+    try:
+        xi = pseudo.load_pseudotrajectory(source, sys_)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(
+            f"key 'command.pseudotrajectory' = {source!r} cannot be loaded: {exc}",
+            section.path,
+            section.entries["pseudotrajectory"].line,
+        ) from exc
     sol = shadow.find_periodic_shadow(sys_, xi, options)
     rows = [["i"] + [f"x{j}" for j in range(sys_.dim)]]
     for i, point in enumerate(sol.orbit):
@@ -302,7 +309,13 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     point = np.array(section.take("point", *FLOATS, required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
     a_const = section.take("expansivity-a", *FLOAT, default=0.5)
-    window = section.take("window", *INT, default=2 * period)
+    window = section.take("window", *POSITIVE_INT, default=2 * period)
+    if window < period:
+        raise ConfigError(
+            f"key 'command.window' must be at least the period {period}, got {window}",
+            section.path,
+            section.entries["window"].line,
+        )
     constant = section.take("L", *FLOAT, default=1.0)
     periodic = shadow.verify_periodicity_by_expansivity(sys_, point, period, a_const, window)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)

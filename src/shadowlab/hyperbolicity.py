@@ -5,16 +5,20 @@ Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space at p_0 into
 stable and unstable invariant subspaces (from one sorted real Schur form, so
 complex pairs stay together and the bases are real and orthonormal).
 subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
-re-orthonormalised by QR at each step (the unstable basis forward from p_0,
-the stable one backward from p_m = p_0, each in its numerically stable
-direction), so the splitting gap at every point costs O(m) per orbit.
+re-orthonormalised at each step by two-pass classical Gram-Schmidt, which is
+orthogonal to working precision ("twice is enough"): the unstable basis moves
+forward from p_0 through the Jacobians, the stable one backward from
+p_m = p_0 through their inverses, taken in one batched call, so each moves
+in its numerically stable direction and the splitting gap at every point
+costs O(m) per orbit.
 
 subspace_angles and extract_uniform_constants work on stacks: they group the
 records by (period, dim S, dim U) and push each group through one batched
-product, solve or QR per step.  The Jacobians of a group are stacked with the
-step axis first, (m, N, n, n), so step i is the contiguous (N, n, n) slab
-jacobians[i]; a single record's own (m, n, n) Jacobians are the same layout
-without the N axis, and subspace_angle runs the same kernel on them.
+product per step, followed by one batched Gram-Schmidt sweep in the splitting
+transport.  The Jacobians of a group are stacked with the step axis first,
+(m, N, n, n), so step i is the contiguous (N, n, n) slab jacobians[i]; a
+single record's own (m, n, n) Jacobians are the same layout without the N
+axis, and subspace_angle runs the same kernel on them.
 
 The expansion certificate attaches to an unstable vector the per-step growth
 rates lambda_i, the normalizing constant tau, and the coefficient sequence
@@ -25,6 +29,7 @@ of the rates are then checked against the uniform lower bound curve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,7 +215,7 @@ def expansion_certificate(
     for i in range(m):
         directions[i] = v
         w = record.jacobians[i] @ v
-        rates[i] = np.linalg.norm(w)
+        rates[i] = math.sqrt(w @ w)
         v = w / rates[i]
     tau = expansion_tau(rates)
     coeff = expansion_coefficients(rates, tau)
@@ -321,6 +326,31 @@ class SplittingAngles:
     minimum: float
 
 
+def _orthonormal_columns(x: Array) -> Array:
+    """Orthonormal columns spanning those of ``x``, (..., n, k), batched over
+    the leading axes: two-pass classical Gram-Schmidt, each column projected
+    out against the earlier ones twice, then scaled to unit length."""
+    q = np.empty_like(x)
+    for j in range(x.shape[-1]):
+        v = x[..., j : j + 1]
+        if j:
+            done = q[..., :j]
+            for _ in range(2):
+                v = v - done @ (np.swapaxes(done, -1, -2) @ v)
+        q[..., j : j + 1] = v / np.sqrt(np.swapaxes(v, -1, -2) @ v)
+    return q
+
+
+def _carry(maps: Array, basis: Array) -> Array:
+    """Path of ``basis`` through ``maps``, (m, ..., n, n) with the step axis
+    first, orthonormalised after every map: (m + 1, ..., n, k), from ``basis``."""
+    path = np.empty((len(maps) + 1,) + basis.shape)
+    path[0] = basis
+    for i, a in enumerate(maps):
+        path[i + 1] = _orthonormal_columns(a @ path[i])
+    return path
+
+
 def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
     """Splitting gap at every point of one orbit or of a stack of orbits.
 
@@ -329,13 +359,10 @@ def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
     both sides nonempty.  Returns the gaps, (m, ...).
     """
     m = len(jacobians)
-    s_path = np.empty((m,) + stable.shape)
-    u_path = np.empty((m,) + unstable.shape)
-    s_path[0], u_path[0] = stable, unstable
-    for i in range(1, m):
-        u_path[i] = np.linalg.qr(jacobians[i - 1] @ u_path[i - 1])[0]
-    for i in range(m - 1, 0, -1):  # p_m = p_0: the pullback starts from s_path[0]
-        s_path[i] = np.linalg.qr(np.linalg.solve(jacobians[i], s_path[(i + 1) % m]))[0]
+    u_path = _carry(jacobians[: m - 1], unstable)
+    # pulled back from p_m = p_0 through p_{m-1}, ..., p_1, then put in orbit order
+    s_back = _carry(np.linalg.inv(jacobians[:0:-1]), stable)
+    s_path = np.concatenate((s_back[:1], s_back[:0:-1]))
     sigma = np.linalg.svd(np.swapaxes(s_path, -1, -2) @ u_path, compute_uv=False)
     cos_min_angle = np.minimum(1.0, sigma[..., 0])
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))

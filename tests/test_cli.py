@@ -420,18 +420,62 @@ def test_operation_coverage():
         (CAT_SYSTEM, "name = splice\nbackward = 3", "forward = 0"),
         (JORDAN_SYSTEM, "name = witness\ntype = jordan\nd = 1e-4", "K = 0"),
         (JORDAN_SYSTEM, "name = scan\nfamily = jordan-witness\nd-values = 1e-3 1e-4 1e-5", "K = 0"),
+        (CAT_SYSTEM, "name = orbit\npoint = 0 0\nperiod = 4", "window = 0"),
     ],
 )
 def test_nonpositive_count_is_a_config_error(tmp_path, capsys, system, command, bad):
     body = system + f"[command]\n{command}\n{bad}\n"
-    cfg = write(tmp_path / "bad.cfg", body + f"[output]\ndirectory = {tmp_path}\n")
-    assert cli.main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "Traceback" not in err
+    err = _run_bad_config(tmp_path, capsys, body)
     key, _, value = bad.partition(" = ")
     line = body.splitlines().index(bad) + 1
     assert f":{line}:" in err
     assert f"key 'command.{key}' must be a positive integer, got '{value}'" in err
+
+
+def _run_bad_config(tmp_path, capsys, body: str) -> str:
+    cfg = write(tmp_path / "bad.cfg", body + f"[output]\ndirectory = {tmp_path}\n")
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "system,command,bad,message",
+    [
+        (
+            JORDAN_SYSTEM.replace("l = 2", "l = 0"),
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "l = 0",
+            "key 'system.l' must be a positive integer, got '0'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = orbit\npoint = 0 0\nperiod = 4\nwindow = 2",
+            "window = 2",
+            "key 'command.window' must be at least the period 4, got 2",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = shadow\npseudotrajectory = /nonexistent",
+            "pseudotrajectory = /nonexistent",
+            "key 'command.pseudotrajectory' = '/nonexistent' cannot be loaded",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = shadow\npseudotrajectory = MALFORMED",
+            "pseudotrajectory = MALFORMED",
+            "not a pseudotrajectory file",
+        ),
+    ],
+)
+def test_unusable_value_is_a_config_error(tmp_path, capsys, system, command, bad, message):
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("i,x0,x1\n0,0.1,0.2\n")
+    body = (system + f"[command]\n{command}\n").replace("MALFORMED", str(malformed))
+    err = _run_bad_config(tmp_path, capsys, body)
+    line = body.splitlines().index(bad.replace("MALFORMED", str(malformed))) + 1
+    assert f":{line}:" in err and message in err
 
 
 def test_missing_config_file(capsys):

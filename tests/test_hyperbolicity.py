@@ -370,6 +370,75 @@ def test_angle_transport_matches_per_point_schur():
     assert splits == {(1, 1), (1, 2), (2, 1)}
 
 
+def _qr_solve_gaps(record):
+    """Splitting gaps from the LAPACK transport: one QR factorisation per
+    step, and one linear solve per step of the stable pullback."""
+    m = record.period
+    s_path = np.empty((m,) + record.stable_basis.shape)
+    u_path = np.empty((m,) + record.unstable_basis.shape)
+    s_path[0], u_path[0] = record.stable_basis, record.unstable_basis
+    for i in range(1, m):
+        u_path[i] = np.linalg.qr(record.jacobians[i - 1] @ u_path[i - 1])[0]
+    for i in range(m - 1, 0, -1):
+        s_path[i] = np.linalg.qr(np.linalg.solve(record.jacobians[i], s_path[(i + 1) % m]))[0]
+    sigma = np.linalg.svd(np.swapaxes(s_path, -1, -2) @ u_path, compute_uv=False)
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, sigma[:, 0])))
+
+
+def test_angle_transport_matches_qr_solve_transport():
+    names = set()
+    for name, record in _angle_records():
+        got = sl.subspace_angle(record).per_point
+        np.testing.assert_allclose(got, _qr_solve_gaps(record), rtol=0, atol=4.5e-16, err_msg=name)
+        names.add(name.rsplit("-m", 1)[0])
+    assert {"cat", "toral3", "perturbed-cat", "perturbed-toral3", "linear-complex"} <= names
+
+
+def test_orthonormal_columns_of_nearly_parallel_stacks():
+    rng = np.random.default_rng(7)
+    first = rng.standard_normal((64, 3, 1))
+    x = np.concatenate((first, first + 1e-6 * rng.standard_normal((64, 3, 1))), axis=-1)
+    q = hyperbolicity._orthonormal_columns(x)
+    assert q.shape == x.shape
+    gram = np.swapaxes(q, -1, -2) @ q
+    assert np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))) <= 1e-14
+    # Q spans x, and its first column is the first column of x scaled
+    residual = x - q @ (np.swapaxes(q, -1, -2) @ x)
+    assert np.max(np.linalg.norm(residual, axis=-2) / np.linalg.norm(x, axis=-2)) <= 1e-14
+    assert np.allclose(q[..., :1] * np.linalg.norm(first, axis=-2, keepdims=True), first)
+
+
+def _norm_loop_certificate(record, v_u):
+    """(rates, tau, coefficients, products, directions) from a step loop
+    that measures every rate with np.linalg.norm."""
+    m = record.period
+    rates = np.empty(m)
+    directions = np.empty((m, len(v_u)))
+    v = v_u / np.linalg.norm(v_u)
+    for i in range(m):
+        directions[i] = v
+        w = record.jacobians[i] @ v
+        rates[i] = np.linalg.norm(w)
+        v = w / rates[i]
+    tau = expansion_tau(rates)
+    products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
+    return rates, tau, expansion_coefficients(rates, tau), products, directions
+
+
+def test_certificate_equals_norm_loop_bit_for_bit():
+    dims = set()
+    for name, record in _angle_records():
+        for v_u in (record.unstable_basis[:, 0], 3.0 * record.unstable_basis.sum(axis=1)):
+            cert = sl.expansion_certificate(None, record, v_u)
+            expected = _norm_loop_certificate(record, v_u)
+            fields = ("rates", "tau", "coefficients", "products", "directions")
+            for field, want in zip(fields, expected):
+                got = np.asarray(getattr(cert, field))
+                assert got.tobytes() == np.asarray(want).tobytes(), (name, field)
+        dims.add(record.points.shape[1])
+    assert dims == {2, 3}
+
+
 def test_angle_one_side_empty_is_two_everywhere():
     model = sl.jordan_model(block=None, tail=(2.0, 3.0), c=0.0)
     angles = sl.subspace_angle(sl.analyze_periodic_orbit(model.system, np.zeros(2), 3))
