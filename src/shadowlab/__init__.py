@@ -11,6 +11,7 @@ from .errors import (
     ConstraintViolatedError,
     DegenerateMatrixError,
     InapplicableError,
+    LostPrecisionError,
     NonhyperbolicMonodromyError,
     NonhyperbolicOrbitError,
     NotAnOrbitError,

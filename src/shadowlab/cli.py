@@ -18,8 +18,8 @@ import sys as _sys
 import numpy as np
 
 from . import hyperbolicity, pseudo, shadow, systems
-from .config import FLOAT, FLOATS, INT, INTS, MATRIX, POSITIVE_INT, TEXT
-from .config import ConfigSection, parse_config
+from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, NONNEGATIVE
+from .config import POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
 from .errors import (
     ConfigError,
     NonhyperbolicMonodromyError,
@@ -149,9 +149,9 @@ def _build_system(section: ConfigSection):
             eigenvalue=section.take("eigenvalue", *INT, default=1),
             theta=section.take("theta", *FLOAT, default=0.0),
             tail=section.take("tail", *FLOATS, default=[]),
-            c=section.take("c", *FLOAT, default=1.0),
-            a_ball=section.take("a-ball", *FLOAT, default=0.5),
-            halfwidth=section.take("box", *FLOAT, default=None),
+            c=section.take("c", *NONNEGATIVE, default=1.0),
+            a_ball=section.take("a-ball", *POSITIVE, default=0.5),
+            halfwidth=section.take("box", *POSITIVE, default=None),
         )
         return kind, model, model.system
     if kind == "perturbed-toral":
@@ -183,7 +183,7 @@ def _cmd_witness(ctx) -> tuple[int, str]:
     section = ctx["command"]
     model = _require_jordan(kind, obj, "witness", section.path)
     wtype = section.take("type", *TEXT, required=True)
-    d = section.take("d", *FLOAT, required=True)
+    d = section.take("d", *POSITIVE, required=True)
     k_steps = section.take("K", *POSITIVE_INT, required=True)
     if wtype == "staircase":
         xi, meta = pseudo.witness_eigenvalue_one(model, d, k_steps)
@@ -243,7 +243,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
     kind, obj, sys_ = ctx["system"]
     section = ctx["command"]
     family_name = section.take("family", *TEXT, required=True)
-    d_values = section.take("d-values", *FLOATS, required=True)
+    d_values = section.take("d-values", *DECREASING, required=True)
     if family_name == "perturbed-orbit":
         if kind not in ("toral", "perturbed-toral"):
             raise ConfigError("the perturbed-orbit family needs a torus system", section.path)
@@ -308,7 +308,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     section = ctx["command"]
     point = np.array(section.take("point", *FLOATS, required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
-    a_const = section.take("expansivity-a", *FLOAT, default=0.5)
+    a_const = section.take("expansivity-a", *POSITIVE, default=0.5)
     window = section.take("window", *POSITIVE_INT, default=2 * period)
     if window < period:
         raise ConfigError(
@@ -316,15 +316,14 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
             section.path,
             section.entries["window"].line,
         )
-    constant = section.take("L", *FLOAT, default=1.0)
+    constant = section.take("L", *AT_LEAST_ONE, default=1.0)
     periodic = shadow.verify_periodicity_by_expansivity(sys_, point, period, a_const, window)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
-    orbit_pts = systems.orbit_segment(sys_, point, 0, period - 1)
     residual = sys_.space.dist(systems.evaluate(sys_, point, period), point)
     norm_bound = systems.estimate_norm_bound(sys_, samples=1024)
     report, rows, beta = hyperbolicity.orbit_report(record, constant)
     report += "points\n"
-    for row in orbit_pts:
+    for row in record.points:
         report += "  " + " ".join(_fmt(v) for v in row) + "\n"
     report += f"periodicity-residual {_fmt(residual)}\n"
     report += f"periodicity-check {'passed' if periodic else 'failed'}\n"
@@ -346,9 +345,9 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
     section = ctx["command"]
     point = np.array(section.take("point", *FLOATS, required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
-    d = section.take("d", *FLOAT, default=1e-5)
+    d = section.take("d", *POSITIVE, default=1e-5)
     n_pullback = section.take("n-pullback", *POSITIVE_INT, default=1)
-    constant = section.take("L", *FLOAT, default=1.0)
+    constant = section.take("L", *AT_LEAST_ONE, default=1.0)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
     if record.unstable_basis.shape[1] == 0:
         raise ConfigError("the orbit has no unstable direction", section.path)

@@ -22,28 +22,41 @@ from .errors import ConfigError
 KNOWN_SECTIONS = ("system", "command", "output")
 
 
-def _square_matrix(text: str) -> list[list[float]]:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    mat = [[float(v) for v in r.split()] for r in rows]
-    if not mat or any(len(r) != len(mat) for r in mat):
-        raise ValueError(text)
-    return mat
+def _checked(conv, accept):
+    """``conv``, then a ValueError for a value ``accept`` rejects (NaN fails any bound)."""
+
+    def convert(text: str):
+        value = conv(text)
+        if not accept(value):
+            raise ValueError(text)
+        return value
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _decreasing(values: list[float]) -> bool:
+    return len(values) >= 3 and values[-1] > 0 and all(a > b for a, b in zip(values, values[1:]))
+
+
+def _rows(text: str) -> list[list[float]]:
+    return [[float(v) for v in r.split()] for r in text.split(";") if r.strip()]
+
+
+def _square(rows: list[list[float]]) -> bool:
+    return bool(rows) and all(len(r) == len(rows) for r in rows)
 
 
 TEXT = (str, "text")
 INT = (int, "an integer")
-POSITIVE_INT = (_positive_int, "a positive integer")
+POSITIVE_INT = (_checked(int, lambda v: v >= 1), "a positive integer")
 FLOAT = (float, "a number")
+POSITIVE = (_checked(float, lambda v: v > 0), "a positive number")
+NONNEGATIVE = (_checked(float, lambda v: v >= 0), "a number >= 0")
+AT_LEAST_ONE = (_checked(float, lambda v: v >= 1), "a number >= 1")
 FLOATS = (lambda s: [float(v) for v in s.split()], "numbers")
+DECREASING = (_checked(FLOATS[0], _decreasing), "at least 3 positive, strictly decreasing numbers")
 INTS = (lambda s: [int(v) for v in s.split()], "integers")
-MATRIX = (_square_matrix, "a square matrix like '2 1; 1 1'")
+MATRIX = (_checked(_rows, _square), "a square matrix like '2 1; 1 1'")
 
 
 @dataclass

@@ -49,6 +49,12 @@ class NonhyperbolicOrbitError(ShadowlabError):
     code = "nonhyperbolic-orbit"
 
 
+class LostPrecisionError(ShadowlabError):
+    """The monodromy product has lost multipliers to rounding (log|det| check)."""
+
+    code = "lost-precision"
+
+
 class PullbackFailedError(ShadowlabError):
     """The pullback step of the displacement witness could not be made small."""
 

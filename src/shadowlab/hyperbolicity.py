@@ -21,10 +21,10 @@ single record's own (m, n, n) Jacobians are the same layout without the N
 axis, and subspace_angle runs the same kernel on them.
 
 The expansion certificate attaches to an unstable vector the per-step growth
-rates lambda_i, the normalizing constant tau, and the coefficient sequence
-a_0 = tau, a_{i+1} = lambda_i a_i - 1, which telescopes to a_m = 0.  Products
-of the rates are then checked against the uniform lower bound curve
-(1 / (16 L)) (1 + 1 / (8 L))^i.
+rates lambda_i and the coefficients a_m = 0, a_i = (a_{i+1} + 1) / lambda_i,
+run backward, where rounding errors are damped rather than multiplied by rate
+products; tau = a_0.  Products of the rates are then checked against the
+uniform lower bound curve (1 / (16 L)) (1 + 1 / (8 L))^i.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from scipy.stats import qmc, norm as _norm_dist
 from . import _intmat
 from .errors import (
     DegenerateMatrixError,
+    LostPrecisionError,
     NonhyperbolicOrbitError,
     NotPeriodicError,
     TooManyPeriodicPointsError,
@@ -54,6 +55,8 @@ PERIODICITY_TOL = 1e-8
 # largest |det(M^m - I)| the enumerator materialises (period 15 of the cat map
 # has 1860496 points, period 16 has 4870845)
 MAX_PERIODIC_POINTS = 2**22
+# unit vectors sampled per basis by extract_uniform_constants
+UNIFORM_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ class ExpansionCertificate:
     """
 
     rates: Array  # lambda_0 .. lambda_{m-1}
-    tau: float
-    coefficients: Array  # a_0 .. a_m
+    coefficients: Array  # a_0 .. a_m, a_m = 0
     products: Array  # length m
     directions: Array | None = None  # (m, n) unit vectors v_0 .. v_{m-1}
     displacement: Array | None = None
@@ -101,29 +103,24 @@ class ExpansionCertificate:
     def period(self) -> int:
         return len(self.rates)
 
+    @property
+    def tau(self) -> float:
+        return float(self.coefficients[0])
+
     def bound_curve(self, constant: float) -> Array:
         i = np.arange(self.period)
         return (1.0 / (16.0 * constant)) * (1.0 + 1.0 / (8.0 * constant)) ** i
 
 
-def expansion_tau(rates) -> float:
-    """tau = (lam_{m-1}..lam_1 + lam_{m-1}..lam_2 + ... + lam_{m-1} + 1) / (lam_{m-1}..lam_0)."""
-    rates = np.asarray(rates, dtype=float)
-    m = len(rates)
-    numerator = 0.0
-    for j in range(1, m + 1):
-        numerator += float(np.prod(rates[j:m]))
-    return numerator / float(np.prod(rates))
-
-
-def expansion_coefficients(rates, tau: float) -> Array:
-    """a_0 = tau, a_{i+1} = lambda_i a_i - 1; telescopes to a_m = 0 exactly."""
-    rates = np.asarray(rates, dtype=float)
-    a = np.empty(len(rates) + 1)
-    a[0] = tau
-    for i, lam in enumerate(rates):
-        a[i + 1] = lam * a[i] - 1.0
-    return a
+def expansion_coefficients(rates) -> Array:
+    """a_0 .. a_m from a_m = 0 backward, a_i = (a_{i+1} + 1) / lambda_i; a step
+    off a_{i+1} = lambda_i a_i - 1 by 1e-12 relative (a NaN or inf rate) raises."""
+    a = [0.0]  # a_m, a_{m-1}, ..., a_0
+    for lam in reversed(np.asarray(rates, dtype=float).tolist()):
+        a.append((a[-1] + 1.0) / lam)
+        if not (abs(lam * a[-1] - 1.0 - a[-2]) <= 1e-12 * (a[-2] + 1.0)):
+            raise RuntimeError(f"telescoping failure at rate {lam!r}: a_i = {a[-1]!r}")
+    return np.array(a[::-1])
 
 
 def _split_basis(monodromy: Array, where: str, band: float) -> Array:
@@ -139,7 +136,8 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
 
     ``m`` need not be the minimal period.  A unit-modulus multiplier (within
-    1e-6) yields hyperbolic=False, which is a result, not an error.
+    1e-6) yields hyperbolic=False, which is a result, not an error.  Multipliers
+    lost to rounding (log-moduli off sum log|det Df(p_i)|) raise LostPrecisionError.
     """
     if m < 1:
         raise ValueError("period must be >= 1")
@@ -158,6 +156,10 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     order = np.lexsort((multipliers.imag, multipliers.real, -np.abs(multipliers)))
     multipliers = multipliers[order]
     moduli = np.abs(multipliers)
+    # log|det B| two ways: from the multipliers and from the Jacobians
+    drift = abs(float(np.log(moduli).sum() - np.linalg.slogdet(jacs)[1].sum()))
+    if not (drift <= UNIT_MODULUS_BAND):
+        raise LostPrecisionError(f"period-{m} multipliers lost to rounding (log drift {drift:.3g})")
     hyperbolic = bool(np.all(np.abs(moduli - 1.0) >= UNIT_MODULUS_BAND))
     band = 0.0 if hyperbolic else UNIT_MODULUS_BAND
     stable = _split_basis(monodromy, "stable", band)
@@ -196,7 +198,7 @@ def expansion_certificate(
     sys: DiscreteSystem | None, record: PeriodicOrbitRecord, v_u: Array
 ) -> ExpansionCertificate:
     """Growth rates along the orbit for an unstable vector, with the
-    telescoping coefficient sequence (a_m = 0 is asserted to 1e-9).
+    coefficient sequence of expansion_coefficients (a_m = 0 by construction).
 
     ``sys`` is accepted for interface symmetry with the other orbit
     operations; all data comes from the record's stored Jacobians.
@@ -217,14 +219,8 @@ def expansion_certificate(
         w = record.jacobians[i] @ v
         rates[i] = math.sqrt(w @ w)
         v = w / rates[i]
-    tau = expansion_tau(rates)
-    coeff = expansion_coefficients(rates, tau)
-    if abs(coeff[m]) > 1e-9:
-        raise RuntimeError(f"telescoping failure: a_m = {coeff[m]:.3e}")
     products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
-    return ExpansionCertificate(
-        rates=rates, tau=tau, coefficients=coeff, products=products, directions=directions
-    )
+    return ExpansionCertificate(rates, expansion_coefficients(rates), products, directions)
 
 
 def verify_growth_bound(data: ExpansionCertificate, constant: float) -> bool:
@@ -275,7 +271,7 @@ def _orbit_groups(records: list[PeriodicOrbitRecord]):
 
 
 def extract_uniform_constants(
-    sys: DiscreteSystem, records: list[PeriodicOrbitRecord], horizon: int, samples: int = 100
+    sys: DiscreteSystem, records: list[PeriodicOrbitRecord], horizon: int
 ) -> HyperbolicityConstants:
     """Fit the smallest (C, lam) consistent with the sampled orbit data.
 
@@ -300,7 +296,7 @@ def extract_uniform_constants(
             if k == 0:
                 continue
             # rows: each orbit's sample of unit vectors, (N, count, n)
-            vecs = np.swapaxes(basis @ _unit_sphere_sample(k, samples).T, -1, -2)
+            vecs = np.swapaxes(basis @ _unit_sphere_sample(k, UNIFORM_SAMPLES).T, -1, -2)
             if backward:
                 points = np.stack([records[i].points for i in indices])
                 jac_seq = np.swapaxes(sys.jacobian_inverse(points), 0, 1)[(m - 1 - steps) % m]

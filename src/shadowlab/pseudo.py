@@ -49,6 +49,8 @@ from .systems import DiscreteSystem, JordanModel, ToralAutomorphism, _frozen
 Array = np.ndarray
 
 SEGMENT_GAP_TOL = 1e-8
+# most inverse-monodromy solves the pullback witness takes beyond n_pullback
+MAX_PULLBACK_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -346,7 +348,6 @@ def witness_orbit_pullback(
     v_u: Array,
     d: float,
     n_pullback: int = 1,
-    max_pullback_tries: int = 1000,
 ) -> tuple[PeriodicPseudotrajectory, WitnessMeta, ExpansionCertificate]:
     """Displace a hyperbolic period-m orbit along its unstable direction.
 
@@ -371,18 +372,14 @@ def witness_orbit_pullback(
         )
     cert = expansion_certificate(sys, record, v_u)
     pullback = cert.tau * cert.directions[0]
-    n = n_pullback
-    for _ in range(n_pullback):
-        pullback = np.linalg.solve(record.monodromy, pullback)
-    tries = 0
-    while float(np.linalg.norm(pullback)) >= 1.0:
+    n = 0
+    while n < n_pullback or float(np.linalg.norm(pullback)) >= 1.0:
+        if n >= n_pullback + MAX_PULLBACK_TRIES:
+            raise PullbackFailedError(
+                f"|B^-n tau e_0| stayed >= 1 after {MAX_PULLBACK_TRIES} extra pullbacks"
+            )
         pullback = np.linalg.solve(record.monodromy, pullback)
         n += 1
-        tries += 1
-        if tries > max_pullback_tries:
-            raise PullbackFailedError(
-                f"|B^-n tau e_0| stayed >= 1 after {max_pullback_tries} extra pullbacks"
-            )
 
     q = m * (n + 1)
     w_seq = np.empty((q, sys.dim))

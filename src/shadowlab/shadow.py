@@ -51,7 +51,6 @@ SINGULAR_BLOWUP = 1e12
 @dataclass(frozen=True)
 class ShadowOptions:
     max_iterations: int = 100
-    step_damping: float = 0.5
     tolerance: float = 1e-10
 
 
@@ -80,11 +79,10 @@ class ShadowSolution:
 
 
 RCOND_FLOOR = 1e-13
+RCOND_SWEEPS = 6
 
 
-def _estimate_rcond(
-    m: scipy.sparse.csc_matrix, lu: scipy.sparse.linalg.SuperLU, sweeps: int = 6
-) -> float:
+def _estimate_rcond(m: scipy.sparse.csc_matrix, lu: scipy.sparse.linalg.SuperLU) -> float:
     """sigma_min / sigma_max estimate of ``m`` via power iteration, using its
     LU factor ``lu`` (deterministic start)."""
     size = m.shape[0]
@@ -92,7 +90,7 @@ def _estimate_rcond(
     v[::2] += 1e-3 / np.sqrt(size)  # break symmetry deterministically
     v /= np.linalg.norm(v)
     sigma_max = 1.0
-    for _ in range(sweeps):
+    for _ in range(RCOND_SWEEPS):
         w = m @ v
         sigma_max = float(np.linalg.norm(w))
         if sigma_max == 0.0:
@@ -102,7 +100,7 @@ def _estimate_rcond(
     u[1::2] -= 1e-3 / np.sqrt(size)
     u /= np.linalg.norm(u)
     inv_norm = 1.0
-    for _ in range(sweeps):
+    for _ in range(RCOND_SWEEPS):
         w = lu.solve(lu.solve(u), trans="T")  # inverse power iteration on M^T M
         inv_norm = float(np.linalg.norm(w))
         if not np.isfinite(inv_norm):
@@ -178,7 +176,8 @@ def find_periodic_shadow(
     xi: PeriodicPseudotrajectory,
     options: ShadowOptions = DEFAULT_OPTIONS,
 ) -> ShadowSolution:
-    """Damped Newton search for the exact Q-periodic orbit near ``xi``.
+    """Damped Newton search for the exact Q-periodic orbit near ``xi``: each
+    Newton step is halved until the largest cyclic gap falls.
 
     Returns immediately (0 iterations) when the pseudotrajectory already
     satisfies the orbit equation.  On failure to converge the best iterate is
@@ -203,7 +202,7 @@ def find_periodic_shadow(
                 z, gaps, residual = trial, trial_gaps, trial_res
                 improved = True
                 break
-            step *= options.step_damping
+            step *= 0.5
         iterations += 1
         if not improved:
             break
@@ -410,7 +409,6 @@ def lipschitz_scan(
     sys: DiscreteSystem,
     family: ScanFamily,
     d_values: Sequence[float],
-    options: ShadowOptions = DEFAULT_OPTIONS,
 ) -> LipschitzScan:
     """Generate, shadow and tabulate the family at each defect level.
 
@@ -432,7 +430,7 @@ def lipschitz_scan(
         if hasattr(family, "lower_bound"):
             lower = float(family.lower_bound(xi))
         try:
-            sol = find_periodic_shadow(sys, xi, options)
+            sol = find_periodic_shadow(sys, xi)
             rows.append(
                 ScanRow(
                     defect=xi.defect,

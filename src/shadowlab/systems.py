@@ -357,10 +357,6 @@ class JordanModel:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def block_dim(self) -> int:
-        return self.dim - len(self.tail)
-
     @cached_property
     def _phi_cap(self) -> float:
         return self.a_ball**3 / 4.0

@@ -258,6 +258,23 @@ def test_orbit_command(tmp_path, capsys):
     assert "growth-check" in report and "holds" in report
     csv_header = (tmp_path / "orbit.csv").read_text().splitlines()[0]
     assert csv_header.endswith("beta_min,growth_ok")
+    lines = report.splitlines()
+    start = lines.index("points") + 1
+    expected = sl.orbit_segment(sl.cat_map().system, [0.2, 0.4], 0, 1).tolist()
+    assert lines[start : start + 2] == ["  " + " ".join(map(repr, row)) for row in expected]
+
+
+def test_orbit_command_lost_multipliers_exit_1(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "orbit.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = orbit\npoint = 0 0\nperiod = 40\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (lost-precision)") and "Traceback" not in err
+    assert not (tmp_path / "orbit.txt").exists()
 
 
 def _count_calls(monkeypatch, module, name):
@@ -466,6 +483,67 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "name = shadow\npseudotrajectory = MALFORMED",
             "pseudotrajectory = MALFORMED",
             "not a pseudotrajectory file",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = orbit\npoint = 0 0\nperiod = 1\nexpansivity-a = 0",
+            "expansivity-a = 0",
+            "key 'command.expansivity-a' must be a positive number, got '0'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = orbit\npoint = 0 0\nperiod = 1\nL = 0.5",
+            "L = 0.5",
+            "key 'command.L' must be a number >= 1, got '0.5'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = lemma6\npoint = 0 0\nperiod = 1\nL = 0.5",
+            "L = 0.5",
+            "key 'command.L' must be a number >= 1, got '0.5'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = lemma6\npoint = 0 0\nperiod = 1\nd = -1",
+            "d = -1",
+            "key 'command.d' must be a positive number, got '-1'",
+        ),
+        (
+            JORDAN_SYSTEM,
+            "name = witness\ntype = jordan\nd = -1\nK = 3",
+            "d = -1",
+            "key 'command.d' must be a positive number, got '-1'",
+        ),
+        (
+            JORDAN_SYSTEM.replace("c = 0", "c = -1"),
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "c = -1",
+            "key 'system.c' must be a number >= 0, got '-1'",
+        ),
+        (
+            JORDAN_SYSTEM + "a-ball = 0\n",
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "a-ball = 0",
+            "key 'system.a-ball' must be a positive number, got '0'",
+        ),
+        (
+            JORDAN_SYSTEM + "box = nan\n",
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "box = nan",
+            "key 'system.box' must be a positive number, got 'nan'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = scan\nfamily = perturbed-orbit\nperiod = 3\nd-values = 1e-3 1e-5 1e-4",
+            "d-values = 1e-3 1e-5 1e-4",
+            "key 'command.d-values' must be at least 3 positive, strictly decreasing numbers, "
+            "got '1e-3 1e-5 1e-4'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = scan\nfamily = perturbed-orbit\nperiod = 3\nd-values = 1e-3 1e-4 0",
+            "d-values = 1e-3 1e-4 0",
+            "key 'command.d-values' must be at least 3 positive, strictly decreasing",
         ),
     ],
 )

@@ -10,12 +10,16 @@ from scipy.linalg import schur
 import shadowlab as sl
 from shadowlab import _intmat
 from shadowlab import hyperbolicity
-from shadowlab.errors import DegenerateMatrixError, NotPeriodicError, TooManyPeriodicPointsError
+from shadowlab.errors import (
+    DegenerateMatrixError,
+    LostPrecisionError,
+    NotPeriodicError,
+    TooManyPeriodicPointsError,
+)
 from shadowlab.hyperbolicity import (
     MAX_PERIODIC_POINTS,
     ExpansionCertificate,
     expansion_coefficients,
-    expansion_tau,
 )
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -59,6 +63,20 @@ def test_not_periodic_rejected(cat_sys):
         sl.analyze_periodic_orbit(cat_sys, [0.123, 0.456], 3)
 
 
+@pytest.mark.parametrize("m", [20, 40])
+def test_lost_multipliers_are_a_typed_error(cat_sys, m):
+    # the explicit product at the cat origin carries the stable multiplier
+    # phi^-2m below its own rounding; at m = 40 it used to come out as index 2
+    with pytest.raises(LostPrecisionError):
+        sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], m)
+
+
+def test_period_12_keeps_its_multipliers(cat_sys):
+    rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 12)
+    assert rec.hyperbolic and rec.index == 1
+    assert np.abs(rec.multipliers[0]) == pytest.approx(GOLDEN**12, rel=1e-12)
+
+
 def test_invariant_subspaces(cat_sys):
     rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
     b = rec.monodromy
@@ -72,19 +90,75 @@ def test_invariant_subspaces(cat_sys):
 # expansion certificates
 
 
+def _forward_tau(rates):
+    """The closed form (lam_{m-1}..lam_1 + ... + lam_{m-1} + 1) / (lam_{m-1}..lam_0)
+    from suffix products, as an oracle for a_0."""
+    rates = np.asarray(rates, dtype=float)
+    m = len(rates)
+    return sum(float(np.prod(rates[j:m])) for j in range(1, m + 1)) / float(np.prod(rates))
+
+
+def _forward_coefficients(rates, tau):
+    """a_0 = tau, a_{i+1} = lambda_i a_i - 1 run forward, as an oracle."""
+    a = [tau]
+    for lam in rates:
+        a.append(lam * a[-1] - 1.0)
+    return np.array(a)
+
+
 def test_tau_single_rate():
-    assert expansion_tau([2.0]) == pytest.approx(0.5)
-    a = expansion_coefficients([2.0], 0.5)
-    assert a[1] == pytest.approx(0.0, abs=1e-15)
+    a = expansion_coefficients([2.0])
+    assert a.tolist() == [0.5, 0.0]
 
 
 def test_tau_isometric_toy():
-    # all rates 1: tau = m and a_i = m - i
+    # all rates 1: tau = m and a_i = m - i, exactly
     m = 6
-    tau = expansion_tau([1.0] * m)
-    assert tau == pytest.approx(float(m))
-    a = expansion_coefficients([1.0] * m, tau)
-    assert np.allclose(a, [m - i for i in range(m + 1)])
+    a = expansion_coefficients([1.0] * m)
+    assert a.tolist() == [float(m - i) for i in range(m + 1)]
+
+
+@pytest.mark.parametrize("m", [20, 200, 1000])
+def test_backward_recursion_closes_at_long_periods(m):
+    # the cat origin's rate phi^2 at every step: a_i = (1 - phi^-2(m-i)) / (phi^2 - 1)
+    a = expansion_coefficients(np.full(m, GOLDEN))
+    assert a[m] == 0.0 and np.all(a[:m] > 0.0)
+    exact = (1.0 - GOLDEN ** -np.arange(m, 0, -1.0)) / (GOLDEN - 1.0)
+    assert np.max(np.abs(a[:m] - exact) / exact) <= 1e-14
+    if m == 20:
+        # the forward loop multiplies the rounding of tau by phi^40
+        forward = _forward_coefficients(np.full(m, GOLDEN), _forward_tau(np.full(m, GOLDEN)))
+        assert abs(forward[m]) > 1e-9
+
+
+def test_backward_recursion_matches_exact_arithmetic():
+    rates = np.random.default_rng(11).uniform(0.5, 4.0, 200)
+    a = expansion_coefficients(rates)
+    exact = [Fraction(0)]
+    for lam in reversed(rates.tolist()):
+        exact.append((exact[-1] + 1) / Fraction(lam))
+    exact = np.array([float(x) for x in reversed(exact)])
+    assert a[200] == 0.0
+    assert np.max(np.abs(a[:200] - exact[:200]) / exact[:200]) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_backward_recursion_rejects_nonfinite_rates(bad):
+    with pytest.raises(RuntimeError, match="telescoping failure"):
+        expansion_coefficients([2.0, bad, 3.0])
+
+
+def test_backward_recursion_matches_the_forward_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        m = int(rng.integers(1, 9))
+        rates = rng.uniform(1.0, 3.0, m)
+        a = expansion_coefficients(rates)
+        tau = _forward_tau(rates)
+        assert abs(a[0] - tau) <= 2e-12 * tau
+        forward = _forward_coefficients(rates, tau)
+        assert np.all(np.abs(a[:m] - forward[:m]) <= 2e-12 * np.abs(a[:m]))
+        assert abs(forward[m]) <= 2e-12 and a[m] == 0.0
 
 
 def test_certificate_cat_period2(cat_sys):
@@ -93,8 +167,8 @@ def test_certificate_cat_period2(cat_sys):
     rec = sl.analyze_periodic_orbit(cat_sys, p, 2)
     cert = sl.expansion_certificate(cat_sys, rec, rec.unstable_basis[:, 0])
     assert float(np.prod(cert.rates)) == pytest.approx(GOLDEN**2, rel=1e-10)
-    assert abs(cert.coefficients[2]) <= 1e-12
-    assert cert.tau == pytest.approx(expansion_tau(cert.rates))
+    assert cert.coefficients[2] == 0.0
+    assert cert.tau == pytest.approx(_forward_tau(cert.rates), rel=1e-14)
 
 
 def test_certificate_telescopes_everywhere(cat_sys):
@@ -102,7 +176,7 @@ def test_certificate_telescopes_everywhere(cat_sys):
         for p in sl.enumerate_periodic_points_toral(sl.cat_map().matrix, m):
             rec = sl.analyze_periodic_orbit(cat_sys, p, m)
             cert = sl.expansion_certificate(cat_sys, rec, rec.unstable_basis[:, 0])
-            assert abs(cert.coefficients[m]) <= 1e-9
+            assert cert.coefficients[m] == 0.0
             assert np.all(cert.coefficients[:m] > 0.0)
 
 
@@ -118,7 +192,7 @@ def test_certificate_rejects_stable_vector(cat_sys):
 
 def test_growth_bound_m1_empty_product():
     cert = ExpansionCertificate(
-        rates=np.array([2.0]), tau=0.5, coefficients=np.array([0.5, 0.0]),
+        rates=np.array([2.0]), coefficients=np.array([0.5, 0.0]),
         products=np.array([1.0]),
     )
     assert sl.verify_growth_bound(cert, 1.0)  # 1 > 1/16
@@ -135,9 +209,7 @@ def test_growth_bound_fails_for_contraction():
     rates = np.full(8, 0.5)
     products = np.concatenate(([1.0], np.cumprod(rates[:-1])))
     cert = ExpansionCertificate(
-        rates=rates, tau=expansion_tau(rates),
-        coefficients=expansion_coefficients(rates, expansion_tau(rates)),
-        products=products,
+        rates=rates, coefficients=expansion_coefficients(rates), products=products,
     )
     assert not sl.verify_growth_bound(cert, 1.0)
     assert 0.5**7 < (1.0 / 16.0) * 1.125**7
@@ -145,7 +217,7 @@ def test_growth_bound_fails_for_contraction():
 
 def test_growth_bound_rejects_small_constant():
     cert = ExpansionCertificate(
-        rates=np.array([2.0]), tau=0.5, coefficients=np.array([0.5, 0.0]),
+        rates=np.array([2.0]), coefficients=np.array([0.5, 0.0]),
         products=np.array([1.0]),
     )
     with pytest.raises(ValueError):
@@ -420,9 +492,9 @@ def _norm_loop_certificate(record, v_u):
         w = record.jacobians[i] @ v
         rates[i] = np.linalg.norm(w)
         v = w / rates[i]
-    tau = expansion_tau(rates)
+    coefficients = expansion_coefficients(rates)
     products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
-    return rates, tau, expansion_coefficients(rates, tau), products, directions
+    return rates, coefficients[0], coefficients, products, directions
 
 
 def test_certificate_equals_norm_loop_bit_for_bit():
