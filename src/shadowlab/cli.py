@@ -135,30 +135,35 @@ def _write_rows(path: str, rows: list[list[str]]) -> None:
 
 def _build_system(section: ConfigSection):
     kind = section.take("kind", *TEXT, required=True)
-    if kind == "toral":
-        matrix = section.take("matrix", *MATRIX, required=True)
-        toral = systems.toral_automorphism(matrix)
-        return kind, toral, toral.system
-    if kind == "jordan":
-        block = section.take("block", *TEXT, default="real")
-        if block == "none":
-            block = None
-        model = systems.jordan_model(
-            block=block,
-            size=section.take("l", *POSITIVE_INT, default=2),
-            eigenvalue=section.take("eigenvalue", *INT, default=1),
-            theta=section.take("theta", *FLOAT, default=0.0),
-            tail=section.take("tail", *FLOATS, default=[]),
-            c=section.take("c", *NONNEGATIVE, default=1.0),
-            a_ball=section.take("a-ball", *POSITIVE, default=0.5),
-            halfwidth=section.take("box", *POSITIVE, default=None),
-        )
-        return kind, model, model.system
-    if kind == "perturbed-toral":
-        matrix = section.take("matrix", *MATRIX, required=True)
-        base = systems.toral_automorphism(matrix)
-        sys_ = systems.perturbed_toral(matrix, section.take("amplitude", *FLOAT, default=0.05))
-        return kind, base, sys_
+    try:
+        if kind == "toral":
+            matrix = section.take("matrix", *MATRIX, required=True)
+            toral = systems.toral_automorphism(matrix)
+            return kind, toral, toral.system
+        if kind == "jordan":
+            block = section.take("block", *TEXT, default="real")
+            if block == "none":
+                block = None
+            model = systems.jordan_model(
+                block=block,
+                size=section.take("l", *POSITIVE_INT, default=2),
+                eigenvalue=section.take("eigenvalue", *INT, default=1),
+                theta=section.take("theta", *FLOAT, default=0.0),
+                tail=section.take("tail", *FLOATS, default=[]),
+                c=section.take("c", *NONNEGATIVE, default=1.0),
+                a_ball=section.take("a-ball", *POSITIVE, default=0.5),
+                halfwidth=section.take("box", *POSITIVE, default=None),
+            )
+            return kind, model, model.system
+        if kind == "perturbed-toral":
+            matrix = section.take("matrix", *MATRIX, required=True)
+            base = systems.toral_automorphism(matrix)
+            sys_ = systems.perturbed_toral(matrix, section.take("amplitude", *FLOAT, default=0.05))
+            return kind, base, sys_
+    except ValueError as exc:
+        # bounds that tie keys together (|det| = 1, invertibility) are checked
+        # by the system constructors, not by the per-key converters
+        raise ConfigError(f"section '[system]': {exc}", section.path, section.line) from exc
     raise ConfigError(f"unknown system kind {kind!r}", section.path)
 
 

@@ -71,6 +71,7 @@ class ConfigSection:
     name: str
     path: str
     entries: dict[str, ConfigEntry] = field(default_factory=dict)
+    line: int | None = None  # of the section header
 
     def _entry(self, key: str) -> ConfigEntry | None:
         entry = self.entries.get(key)
@@ -145,7 +146,7 @@ def parse_config(path) -> Config:
                 raise ConfigError(f"unknown section '[{name}]'", path, lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section '[{name}]'", path, lineno)
-            current = ConfigSection(name, path)
+            current = ConfigSection(name, path, line=lineno)
             sections[name] = current
             continue
         key, sep, value = line.partition("=")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import get_lapack_funcs
 from scipy.stats import qmc, norm as _norm_dist
 
 from . import _intmat
@@ -123,12 +123,21 @@ def expansion_coefficients(rates) -> Array:
     return np.array(a[::-1])
 
 
+_GEES = get_lapack_funcs("gees", dtype=np.float64)
+
+
 def _split_basis(monodromy: Array, where: str, band: float) -> Array:
+    """Orthonormal basis of the stable (or unstable) invariant subspace: the
+    leading Schur vectors after LAPACK's gees sorts the selected eigenvalues
+    to the top, as ``scipy.linalg.schur(..., sort=...)`` does."""
     if where == "stable":
         sort = lambda x, y: np.hypot(x, y) < 1.0 - band  # noqa: E731
     else:
         sort = lambda x, y: np.hypot(x, y) > 1.0 + band  # noqa: E731
-    _, z, sdim = schur(monodromy, output="real", sort=sort)
+    lwork = _GEES(lambda x, y: None, monodromy, lwork=-1)[-2][0].real.astype(np.int_)
+    _, sdim, _, _, z, _, info = _GEES(sort, monodromy, lwork=lwork, sort_t=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gees failed to sort the Schur form (info {info})")
     return z[:, :sdim]
 
 

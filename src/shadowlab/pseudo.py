@@ -82,7 +82,7 @@ class WitnessMeta:
 
 def cyclic_gaps(sys: DiscreteSystem, pts: Array) -> Array:
     """Rows x_{(i+1) mod Q} - f(x_i) of a (Q, n) sequence, as chart displacements."""
-    return sys.space.diff(np.roll(pts, -1, axis=0), sys.space.wrap(sys.forward(pts)))
+    return sys.space.diff(np.concatenate((pts[1:], pts[:1])), sys.space.wrap(sys.forward(pts)))
 
 
 def defect(sys: DiscreteSystem, points: Array) -> float:

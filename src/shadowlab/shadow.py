@@ -6,7 +6,10 @@ The solver runs damped Newton on the cyclic residual map
 
 initialized at the pseudotrajectory.  Each Newton step solves the full cyclic
 block-bidiagonal linear system with sparse LU, which is stable even when
-per-step Jacobian products over one period are astronomically large.  A
+per-step Jacobian products over one period are astronomically large.  The
+cyclic matrix is written out directly in CSC form: each of its Qn columns
+holds 2n entries in increasing row order (an identity column and a column of
+-A_i), and at Q = 1, where the two blocks share rows, they are summed.  A
 numerically singular cyclic linearization signals nonhyperbolicity along the
 pseudotrajectory and raises SingularJacobianError.
 
@@ -34,7 +37,12 @@ from .errors import (
     ShadowlabError,
     SingularJacobianError,
 )
-from .hyperbolicity import _fmt, _periodic_numerators, enumerate_periodic_points_exact
+from .hyperbolicity import (
+    PERIODICITY_TOL,
+    _fmt,
+    _periodic_numerators,
+    enumerate_periodic_points_exact,
+)
 from .pseudo import (
     PeriodicPseudotrajectory,
     cyclic_gaps,
@@ -115,20 +123,27 @@ def _estimate_rcond(m: scipy.sparse.csc_matrix, lu: scipy.sparse.linalg.SuperLU)
 def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
     """The cyclic matrix M with (M delta)_i = delta_{i+1 mod Q} - A_i delta_i.
 
-    Assembled from COO triples ordered by block i, row a, column b, identity
-    entry before -A_i entry; the explicit zeros of the identity blocks are
-    kept, and at Q = 1 the two blocks share positions and are summed.
+    Written out directly in CSC form.  Column b of block j holds 2n entries
+    in increasing row order: identity block j-1, then -A_j, for j >= 1, and
+    -A_0, then identity block Q-1, for j = 0.  The explicit zeros of the
+    identity blocks and the -0.0 of negated zeros are kept; at Q = 1 the two
+    blocks share rows and ``sum_duplicates`` adds them (for Q >= 2 it only
+    confirms the format).
     """
     q, n, _ = jacobians.shape
-    shape = (q, n, n, 2)  # block i, row a, column b, (identity, -A_i)
-    i = np.arange(q)[:, None, None, None]
-    a = np.arange(n)[None, :, None, None]
-    b = np.arange(n)[None, None, :, None]
-    col_block = np.where(np.arange(2) == 0, (i + 1) % q, i)
-    rows = np.broadcast_to(i * n + a, shape).ravel()
-    cols = np.broadcast_to(col_block * n + b, shape).ravel()
-    vals = np.stack([np.broadcast_to(np.eye(n), jacobians.shape), -jacobians], axis=-1).ravel()
-    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(q * n, q * n))
+    size = q * n
+    data = np.empty((q, n, 2, n))  # block j, column b, entry slot, row a
+    data[:, :, 0] = np.eye(n)
+    data[:, :, 1] = -jacobians.transpose(0, 2, 1)
+    indices = np.empty((q, n, 2 * n), dtype=np.int32)
+    indices[:] = np.arange(-n, size - n, n, dtype=np.int32)[:, None, None] + np.arange(2 * n)
+    # block 0 wraps: -A_0 on rows 0..n-1 comes before identity block Q-1
+    data[0] = data[0, :, ::-1].copy()
+    indices[0] = np.concatenate((np.arange(n), np.arange(size - n, size)))
+    indptr = np.arange(0, 2 * n * size + 1, 2 * n, dtype=np.int32)
+    m = scipy.sparse.csc_matrix((data.ravel(), indices.ravel(), indptr), shape=(size, size))
+    m.sum_duplicates()
+    return m
 
 
 def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
@@ -160,13 +175,14 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     return delta.reshape(rhs.shape)
 
 
-def _minimal_period(sys: DiscreteSystem, orbit: Array, tol: float = 1e-8) -> int:
+def _minimal_period(sys: DiscreteSystem, orbit: Array) -> int:
     q = orbit.shape[0]
     for cand in range(1, q + 1):
         if q % cand:
             continue
-        shifts = np.linalg.norm(sys.space.diff(np.roll(orbit, -cand, axis=0), orbit), axis=1)
-        if np.all(shifts <= tol):
+        shifted = np.concatenate((orbit[cand:], orbit[:cand]))
+        shifts = np.linalg.norm(sys.space.diff(shifted, orbit), axis=1)
+        if np.all(shifts <= PERIODICITY_TOL):
             return cand
     return q
 
@@ -209,7 +225,9 @@ def find_periodic_shadow(
         if residual < best_residual:
             best, best_residual = z.copy(), residual
     orbit = best
-    sup = max(sys.space.dist(orbit[i], xi.points[i]) for i in range(xi.period))
+    d = sys.space.diff(orbit, xi.points)
+    # row norms as sqrt(d_i . d_i), which rounds like the per-row np.linalg.norm
+    sup = float(np.max(np.sqrt(d[:, None, :] @ d[:, :, None])))
     if xi.defect > 0:
         ratio = sup / xi.defect
     else:

@@ -545,6 +545,37 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "d-values = 1e-3 1e-4 0",
             "key 'command.d-values' must be at least 3 positive, strictly decreasing",
         ),
+        # bounds that tie several keys together name the [system] section
+        (
+            CAT_SYSTEM.replace("2 1; 1 1", "2 0; 0 1"),
+            "name = orbit\npoint = 0 0\nperiod = 1",
+            "[system]",
+            "section '[system]': |det| must be 1",
+        ),
+        (
+            CAT_SYSTEM.replace("toral", "perturbed-toral") + "amplitude = 5\n",
+            "name = orbit\npoint = 0 0\nperiod = 1",
+            "[system]",
+            "section '[system]': amplitude must be in [0, ",
+        ),
+        (
+            JORDAN_SYSTEM + "tail = 1.0\n",
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[system]",
+            "section '[system]': tail entries must have modulus away from 0 and 1",
+        ),
+        (
+            JORDAN_SYSTEM.replace("eigenvalue = 1", "eigenvalue = 2"),
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[system]",
+            "section '[system]': eigenvalue must be +1 or -1",
+        ),
+        (
+            JORDAN_SYSTEM.replace("c = 0", "c = 100"),
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[system]",
+            "section '[system]': nonlinearity scale",
+        ),
     ],
 )
 def test_unusable_value_is_a_config_error(tmp_path, capsys, system, command, bad, message):

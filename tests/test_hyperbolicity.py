@@ -428,6 +428,38 @@ def _angle_records():
         yield f"linear-complex-m{m}", sl.analyze_periodic_orbit(linear, np.zeros(3), m)
 
 
+def _split_records(linear_jordan2):
+    cat = sl.cat_map()
+    for m in range(1, 9):
+        points = sl.enumerate_periodic_points_toral(cat.matrix, m)
+        for point in points[:: max(1, len(points) // 40)]:
+            yield sl.analyze_periodic_orbit(cat.system, point, m)
+    toral3 = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]])
+    for m in range(1, 4):
+        for point in sl.enumerate_periodic_points_toral(toral3.matrix, m):
+            yield sl.analyze_periodic_orbit(toral3.system, point, m)
+    linear = sl.linear_system([[1.2, -1.5, 0.4], [1.1, 0.9, 0.2], [0.3, 0.1, 0.4]])
+    for m in (1, 2, 5):
+        yield sl.analyze_periodic_orbit(linear, np.zeros(3), m)
+    yield sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)  # unit band
+
+
+def test_split_basis_matches_scipy_schur(linear_jordan2):
+    hyperbolic = set()
+    for record in _split_records(linear_jordan2):
+        band = 0.0 if record.hyperbolic else hyperbolicity.UNIT_MODULUS_BAND
+        for where, select in (
+            ("stable", lambda x, y: np.hypot(x, y) < 1.0 - band),
+            ("unstable", lambda x, y: np.hypot(x, y) > 1.0 + band),
+        ):
+            got = hyperbolicity._split_basis(record.monodromy, where, band)
+            _, z, sdim = schur(record.monodromy, output="real", sort=select)
+            assert got.shape == (record.monodromy.shape[0], sdim)
+            assert got.tobytes() == z[:, :sdim].tobytes()
+        hyperbolic.add(record.hyperbolic)
+    assert hyperbolic == {True, False}
+
+
 def test_angle_transport_matches_per_point_schur():
     names, splits = set(), set()
     for name, record in _angle_records():

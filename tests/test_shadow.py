@@ -120,7 +120,11 @@ def _cyclic_matrix_oracle(jacobians):
     return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-@pytest.mark.parametrize("q,n", [(1, 1), (1, 2), (1, 3), (2, 2), (5, 1), (7, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "q,n",
+    [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (5, 1), (7, 2), (4, 3), (12, 2), (33, 3),
+     (1000, 2)],
+)
 def test_cyclic_matrix_matches_triple_loop(q, n):
     rng = np.random.default_rng(q * 10 + n)
     jacobians = rng.normal(size=(q, n, n))
@@ -131,11 +135,59 @@ def test_cyclic_matrix_matches_triple_loop(q, n):
     assert got.data.tobytes() == want.data.tobytes()
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.indptr, want.indptr)
+    assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype
     # a broadcast constant Jacobian, as linear systems return it
     cat = sl.cat_map().system
     constant = cat.jacobian(np.zeros((q, 2)))
     got, want = _cyclic_matrix(constant), _cyclic_matrix_oracle(constant)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def _per_point_sup(sys_, orbit, points):
+    """The former sup: one ``dist`` call per point."""
+    return max(sys_.space.dist(orbit[i], points[i]) for i in range(len(points)))
+
+
+def _rolled_minimal_period(sys_, orbit, tol=1e-8):
+    """The former minimal period: one ``np.roll`` per divisor of Q."""
+    q = orbit.shape[0]
+    for cand in range(1, q + 1):
+        if q % cand:
+            continue
+        shifts = np.linalg.norm(sys_.space.diff(np.roll(orbit, -cand, axis=0), orbit), axis=1)
+        if np.all(shifts <= tol):
+            return cand
+    return q
+
+
+def _shadow_cases(cat):
+    rng = np.random.default_rng(2024)
+    for q in (12, 24, 36, 60):
+        for n in (1, 2, 3, 4):
+            lin = sl.linear_system(random_hyperbolic_matrix(rng, n))
+            yield lin, sl.make_pseudotrajectory(lin, rng.normal(scale=0.01, size=(q, n)))
+        for m in (1, 2, 3, 4, 6):  # noise on an orbit run Q/m times round: period m
+            orbit = sl.toral_orbit_with_period(cat, m)
+            yield cat.system, sl.perturb_orbit(cat.system, np.tile(orbit, (q // m, 1)), 1e-6, q)
+    for m in range(1, 7):
+        for point in sl.enumerate_periodic_points_toral(cat.matrix, m)[:4]:
+            record = sl.analyze_periodic_orbit(cat.system, point, m)
+            v_u = record.unstable_basis[:, 0]
+            yield cat.system, sl.witness_orbit_pullback(cat.system, point, m, v_u, 1e-5)[0]
+    # the shadow of [p] under 2I is exactly 0, so the sup is |p|, and
+    # np.linalg.norm(d, axis=1) rounds |(2e-4, 5e-4)| one ulp away from np.linalg.norm(d[0])
+    double = sl.linear_system(2.0 * np.eye(2))
+    yield double, sl.make_pseudotrajectory(double, [[2e-4, 5e-4]])
+
+
+def test_shadow_solution_matches_per_point_loops(cat):
+    for sys_, xi in _shadow_cases(cat):
+        sol = sl.find_periodic_shadow(sys_, xi)
+        assert sol.converged
+        sup = _per_point_sup(sys_, sol.orbit, xi.points)
+        assert sol.sup_distance == sup
+        assert sol.ratio == sup / xi.defect
+        assert sol.minimal_period == _rolled_minimal_period(sys_, sol.orbit)
 
 
 def test_exact_orbit_returns_immediately(cat_sys):
