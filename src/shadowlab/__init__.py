@@ -20,6 +20,7 @@ from .errors import (
     PullbackFailedError,
     ShadowlabError,
     SingularJacobianError,
+    StepLimitError,
     TooManyPeriodicPointsError,
     VectorNotUnstableError,
 )

@@ -1,12 +1,13 @@
 """Experiment runner: ``shadowlab run <config>`` and ``shadowlab describe <kind>``.
 
-Every library operation is reachable from at least one command (the mapping
-lives in COMMAND_OPERATIONS and is enforced by a test).  Identical configs
-produce bitwise-identical output files: seeds are explicit, aggregation is
-ordered, floats are written with shortest round-trip formatting and no
-timestamps are emitted.
+Every library operation in ``PUBLIC_OPERATIONS`` runs under at least one
+command (a test runs each command and records which operations are entered).
+Identical configs produce bitwise-identical output files: seeds are explicit,
+aggregation is ordered, floats are written with shortest round-trip
+formatting and no timestamps are emitted.
 
-Exit codes: 0 success, 2 when a scan's verdict is diverging, 1 on any error.
+Exit codes: 0 success, 2 when a scan's verdict is diverging (solves fail while
+certified lower bounds keep pace with the defect), 1 on any error.
 """
 
 from __future__ import annotations
@@ -20,14 +21,9 @@ import numpy as np
 from . import hyperbolicity, pseudo, shadow, systems
 from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, NONNEGATIVE
 from .config import POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
-from .errors import (
-    ConfigError,
-    NonhyperbolicMonodromyError,
-    ShadowlabError,
-    TooManyPeriodicPointsError,
-)
+from .errors import ConfigError, ShadowlabError, TooManyPeriodicPointsError
 from .hyperbolicity import _fmt
-from .shadow import _table_text
+from .shadow import _csv_text, _table_text
 
 OUTPUT_DIR_ENV = "SHADOWLAB_OUTPUT_DIR"
 
@@ -35,52 +31,6 @@ OUTPUT_DIR_ENV = "SHADOWLAB_OUTPUT_DIR"
 MAX_ANALYSED_ORBITS = 2**16
 
 COMMANDS = ("witness", "shadow", "scan", "orbit", "lemma6", "angles", "enumerate", "splice")
-
-# command name -> library operations it exercises (coverage-checked by tests)
-COMMAND_OPERATIONS = {
-    "witness": (
-        pseudo.witness_eigenvalue_one,
-        pseudo.witness_jordan,
-        pseudo.witness_jordan_general,
-        pseudo.witness_rotation,
-        pseudo.defect,
-    ),
-    "shadow": (shadow.find_periodic_shadow, pseudo.defect),
-    "scan": (
-        shadow.lipschitz_scan,
-        shadow.find_periodic_shadow,
-        shadow.direct_shadow_lower_bound,
-        shadow.closed_form_linear_shadow,
-        shadow.theoretical_linear_lipschitz_bound,
-        pseudo.perturb_orbit,
-        shadow.toral_orbit_with_period,
-        hyperbolicity.enumerate_periodic_points_exact,
-    ),
-    "orbit": (
-        hyperbolicity.analyze_periodic_orbit,
-        hyperbolicity.subspace_angle,
-        shadow.verify_periodicity_by_expansivity,
-        systems.orbit_segment,
-        systems.estimate_norm_bound,
-        systems.evaluate,
-    ),
-    "lemma6": (
-        pseudo.witness_orbit_pullback,
-        hyperbolicity.analyze_periodic_orbit,
-        hyperbolicity.expansion_certificate,
-        hyperbolicity.verify_growth_bound,
-        shadow.find_periodic_shadow,
-        pseudo.defect,
-    ),
-    "angles": (
-        hyperbolicity.enumerate_periodic_points_toral,
-        hyperbolicity.analyze_periodic_orbit,
-        hyperbolicity.subspace_angles,
-        hyperbolicity.extract_uniform_constants,
-    ),
-    "enumerate": (hyperbolicity.enumerate_periodic_points_toral, systems.evaluate),
-    "splice": (pseudo.splice_cycle, systems.orbit_segment, pseudo.defect),
-}
 
 DESCRIPTIONS = {
     "toral": """\
@@ -125,8 +75,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_rows(path: str, rows: list[list[str]]) -> None:
-    _write_text(path, "\n".join(",".join(row) for row in rows) + "\n")
+def _write_table(ctx, name: str, rows: list[list[str]]) -> str:
+    """Write ``rows`` to <name>.csv, and under ``format = table`` also as aligned
+    columns to <name>.txt; returns the csv path."""
+    path = os.path.join(ctx["out_dir"], f"{name}.csv")
+    _write_text(path, _csv_text(rows))
+    if ctx["format"] == "table":
+        _write_text(os.path.join(ctx["out_dir"], f"{name}.txt"), _table_text(rows))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +123,12 @@ def _build_system(section: ConfigSection):
     raise ConfigError(f"unknown system kind {kind!r}", section.path)
 
 
-def _require_toral(kind, obj, command: str, path: str) -> systems.ToralAutomorphism:
-    if kind != "toral":
-        raise ConfigError(f"the {command} command needs a toral system", path)
-    return obj
-
-
-def _require_jordan(kind, obj, command: str, path: str) -> systems.JordanModel:
-    if kind != "jordan":
-        raise ConfigError(f"the {command} command needs a jordan system", path)
-    return obj
+def _require(ctx, kind: str):
+    """The system object (ToralAutomorphism or JordanModel) when the system has
+    the ``kind`` the command needs; a config error otherwise."""
+    if ctx["system"][0] != kind:
+        raise ConfigError(f"the {ctx['name']} command needs a {kind} system", ctx["command"].path)
+    return ctx["system"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +136,8 @@ def _require_jordan(kind, obj, command: str, path: str) -> systems.JordanModel:
 
 
 def _cmd_witness(ctx) -> tuple[int, str]:
-    kind, obj, _ = ctx["system"]
     section = ctx["command"]
-    model = _require_jordan(kind, obj, "witness", section.path)
+    model = _require(ctx, "jordan")
     wtype = section.take("type", *TEXT, required=True)
     d = section.take("d", *POSITIVE, required=True)
     k_steps = section.take("K", *POSITIVE_INT, required=True)
@@ -231,10 +182,7 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
     rows = [["i"] + [f"x{j}" for j in range(sys_.dim)]]
     for i, point in enumerate(sol.orbit):
         rows.append([str(i)] + [_fmt(v) for v in point])
-    path = os.path.join(ctx["out_dir"], "shadow_orbit.csv")
-    _write_rows(path, rows)
-    if ctx["format"] == "table":
-        _write_text(os.path.join(ctx["out_dir"], "shadow_orbit.txt"), _table_text(rows))
+    path = _write_table(ctx, "shadow_orbit", rows)
     status = "converged" if sol.converged else "did not converge"
     return 0, (
         f"Shadow solve on the period-{sol.period} pseudotrajectory (defect {xi.defect:.6g}) "
@@ -268,7 +216,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
             base = refined.orbit
         family = shadow.PerturbedOrbitFamily(sys_, base, seed=ctx["seed"])
     elif family_name == "jordan-witness":
-        model = _require_jordan(kind, obj, "scan", section.path)
+        model = _require(ctx, "jordan")
         k_steps = section.take("K", *POSITIVE_INT, required=True)
         family = shadow.JordanWitnessFamily(model, k_steps)
     else:
@@ -295,7 +243,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
                 f"linear oracle deviation {deviation:.3g}, theoretical ratio ceiling "
                 f"{ceiling:.6g}"
             )
-        except (NonhyperbolicMonodromyError, ShadowlabError) as exc:
+        except ShadowlabError as exc:
             notes.append(f"linear oracle inapplicable ({exc.code})")
     converged = sum(1 for r in scan.rows if r.converged)
     verdict = "diverging" if scan.diverging else "bounded"
@@ -336,7 +284,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     txt_path = os.path.join(ctx["out_dir"], "orbit.txt")
     _write_text(txt_path, report)
     csv_path = os.path.join(ctx["out_dir"], "orbit.csv")
-    _write_rows(csv_path, rows)
+    _write_text(csv_path, _csv_text(rows))
     return 0, (
         f"Analyzed the period-{period} orbit: index {record.index}, "
         f"{'hyperbolic' if record.hyperbolic else 'NOT hyperbolic'}, splitting gap "
@@ -375,10 +323,7 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
                 _fmt(curve[i]),
             ]
         )
-    csv_path = os.path.join(ctx["out_dir"], "certificate.csv")
-    _write_rows(csv_path, rows)
-    if ctx["format"] == "table":
-        _write_text(os.path.join(ctx["out_dir"], "certificate.txt"), _table_text(rows))
+    csv_path = _write_table(ctx, "certificate", rows)
     return 0, (
         f"Expansion certificate at the period-{period} orbit: tau {cert.tau:.6g}, closing "
         f"coefficient {cert.coefficients[period]:.3g}, growth bound with constant "
@@ -389,9 +334,9 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
 
 
 def _cmd_angles(ctx) -> tuple[int, str]:
-    kind, obj, sys_ = ctx["system"]
+    _, _, sys_ = ctx["system"]
     section = ctx["command"]
-    toral = _require_toral(kind, obj, "angles", section.path)
+    toral = _require(ctx, "toral")
     max_period = section.take("max-period", *POSITIVE_INT, required=True)
     horizon = section.take("horizon", *POSITIVE_INT, default=8)
     # largest period first, so a count over the enumeration cap fails before
@@ -413,10 +358,7 @@ def _cmd_angles(ctx) -> tuple[int, str]:
     for (m, point), beta in zip(periodic, betas):
         rows.append([str(m), " ".join(_fmt(c) for c in point), _fmt(beta)])
     constants = hyperbolicity.extract_uniform_constants(sys_, records, horizon)
-    path = os.path.join(ctx["out_dir"], "angles.csv")
-    _write_rows(path, rows)
-    if ctx["format"] == "table":
-        _write_text(os.path.join(ctx["out_dir"], "angles.txt"), _table_text(rows))
+    path = _write_table(ctx, "angles", rows)
     return 0, (
         f"Splitting angles over {len(betas)} periodic points up to period {max_period}: "
         f"beta in [{min(betas):.9g}, {max(betas):.9g}]; fitted uniform constants "
@@ -426,9 +368,9 @@ def _cmd_angles(ctx) -> tuple[int, str]:
 
 
 def _cmd_enumerate(ctx) -> tuple[int, str]:
-    kind, obj, sys_ = ctx["system"]
+    _, _, sys_ = ctx["system"]
     section = ctx["command"]
-    toral = _require_toral(kind, obj, "enumerate", section.path)
+    toral = _require(ctx, "toral")
     period = section.take("period", *POSITIVE_INT, required=True)
     points = hyperbolicity.enumerate_periodic_points_toral(toral.matrix, period)
     images = systems.evaluate(sys_, points, period)
@@ -438,7 +380,7 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
     rows = [[f"x{j}" for j in range(sys_.dim)]]
     rows += [[_fmt(c) for c in p] for p in points]
     path = os.path.join(ctx["out_dir"], "periodic_points.csv")
-    _write_rows(path, rows)
+    _write_text(path, _csv_text(rows))
     return 0, (
         f"Enumerated {len(points)} points with f^{period}(x) = x (worst float residual "
         f"{worst:.3g}). Wrote {path}."
@@ -446,9 +388,9 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
 
 
 def _cmd_splice(ctx) -> tuple[int, str]:
-    kind, obj, sys_ = ctx["system"]
+    _, _, sys_ = ctx["system"]
     section = ctx["command"]
-    toral = _require_toral(kind, obj, "splice", section.path)
+    toral = _require(ctx, "toral")
     forward = section.take("forward", *POSITIVE_INT, required=True)
     backward = section.take("backward", *POSITIVE_INT, required=True)
     shift = section.take("shift", *INTS, default=[0, 1])
@@ -498,6 +440,7 @@ def run(config_path: str) -> int:
             raise ConfigError(f"output format must be csv or table, got {fmt!r}", cfg.path)
         system_info = _build_system(system_section)
         ctx = {
+            "name": name,
             "system": system_info,
             "command": command_section,
             "out_dir": out_dir,

@@ -14,6 +14,14 @@ class ShadowlabError(Exception):
     code = "error"
 
 
+class StepLimitError(ShadowlabError, ValueError):
+    """More iterates were asked for than ``systems.MAX_ITERATE_STEPS``.
+
+    Also a ValueError, since the limit bounds an argument's value."""
+
+    code = "step-limit"
+
+
 class OrbitEscapeError(ShadowlabError):
     """An iterate left the Euclidean bounding box."""
 

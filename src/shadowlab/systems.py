@@ -31,7 +31,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import _intmat
-from .errors import OrbitEscapeError
+from .errors import OrbitEscapeError, StepLimitError
 
 Array = np.ndarray
 
@@ -130,7 +130,7 @@ def evaluate(sys: DiscreteSystem, x: Array, k: int) -> Array:
     """Return the k-th iterate of x, a point or a batch of points (negative k
     uses the inverse map)."""
     if abs(k) > MAX_ITERATE_STEPS:
-        raise ValueError(f"|k| must be <= {MAX_ITERATE_STEPS}")
+        raise StepLimitError(f"|k| must be <= {MAX_ITERATE_STEPS}, got {k}")
     x = sys.space.wrap(np.asarray(x, dtype=float))
     if not sys.space.contains(x):
         raise OrbitEscapeError(0, x)
@@ -146,6 +146,8 @@ def orbit_segment(sys: DiscreteSystem, x: Array, start: int, stop: int) -> Array
     """Return the iterates f^i(x) for i = start..stop as a (stop-start+1, n) array."""
     if start > stop:
         raise ValueError("start must be <= stop")
+    if stop - start > MAX_ITERATE_STEPS:
+        raise StepLimitError(f"stop - start must be <= {MAX_ITERATE_STEPS}, got {stop - start}")
     current = evaluate(sys, x, start)
     out = np.empty((stop - start + 1, sys.dim))
     out[0] = current

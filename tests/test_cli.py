@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 
@@ -243,6 +244,32 @@ def test_scan_command_diverging_exit2(tmp_path, capsys):
     assert "verdict diverging" in capsys.readouterr().out
 
 
+# seed 833 at period 5: the converged ratios rise monotonically and more
+# than double under the seeded noise, yet every one is below the cat-map
+# ceiling 1.618; the verdict rests on certified lower bounds only
+SCAN_833_CSV = """\
+d,epsilon_star,ratio,converged,lower_bound
+0.002720379468038002,0.0009715643326186257,0.35714294422290266,true,
+0.00023906425762201128,9.831855173438029e-05,0.4112641208366392,true,
+1.545738706878746e-05,9.286955340512254e-06,0.6008101692209716,true,
+1.1689710156651463e-06,9.032666340123998e-07,0.7727023355651292,true,
+"""
+
+
+def test_scan_command_rising_ratios_stay_bounded(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "scan.cfg",
+        "seed = 833\n"
+        + CAT_SYSTEM
+        + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
+        + "d-values = 1e-3 1e-4 1e-5 1e-6\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    assert "4/4 rows converged" in capsys.readouterr().out
+    assert (tmp_path / "scan.csv").read_text() == SCAN_833_CSV
+
+
 def test_orbit_command(tmp_path, capsys):
     cfg = write(
         tmp_path / "orbit.cfg",
@@ -274,6 +301,22 @@ def test_orbit_command_lost_multipliers_exit_1(tmp_path, capsys):
     assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error (lost-precision)") and "Traceback" not in err
+    assert not (tmp_path / "orbit.txt").exists()
+
+
+def test_orbit_command_step_limit_exit_1(tmp_path, capsys):
+    # the default window 2 * period asks for 5 * period iterates, over the limit
+    cfg = write(
+        tmp_path / "orbit.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = orbit\npoint = 0 0\nperiod = 6000000\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    start = time.perf_counter()
+    assert cli.main(["run", cfg]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error (step-limit)") and "Traceback" not in err
     assert not (tmp_path / "orbit.txt").exists()
 
 
@@ -410,13 +453,55 @@ def test_determinism_bitwise(tmp_path, capsys):
     assert (out_a / "scan.csv").read_bytes() == (out_b / "scan.csv").read_bytes()
 
 
-def test_operation_coverage():
-    reachable = set()
-    for ops in cli.COMMAND_OPERATIONS.values():
-        reachable.update(ops)
-    missing = [op.__name__ for op in sl.PUBLIC_OPERATIONS if op not in reachable]
-    assert not missing, f"operations unreachable from any command: {missing}"
-    assert set(cli.COMMAND_OPERATIONS) == set(cli.COMMANDS)
+# one small run per command branch: (system, command body, expected exit code);
+# the shadow run reads the splice run's output, so the order matters
+COVERAGE_RUNS = [
+    (CAT_SYSTEM, "name = splice\nforward = 4\nbackward = 4", 0),
+    (CAT_SYSTEM, "name = shadow\npseudotrajectory = {out}/splice.csv", 0),
+    (CAT_SYSTEM, "name = scan\nfamily = perturbed-orbit\nperiod = 3\nd-values = 1e-3 1e-4 1e-5", 0),
+    (JORDAN_SYSTEM, "name = scan\nfamily = jordan-witness\nK = 5\nd-values = 1e-3 1e-4 1e-5", 2),
+    (CAT_SYSTEM, "name = orbit\npoint = 0.2 0.4\nperiod = 2", 0),
+    (CAT_SYSTEM, "name = lemma6\npoint = 0 0\nperiod = 1", 0),
+    (CAT_SYSTEM, "name = angles\nmax-period = 2", 0),
+    (CAT_SYSTEM, "name = enumerate\nperiod = 2", 0),
+    (JORDAN_SYSTEM, "name = witness\ntype = staircase\nd = 1e-4\nK = 3", 0),
+    (JORDAN_SYSTEM, "name = witness\ntype = jordan\nd = 1e-4\nK = 3", 0),
+    (
+        JORDAN_SYSTEM.replace("l = 2", "l = 3"),
+        "name = witness\ntype = jordan-general\nd = 1e-4\nK = 3",
+        0,
+    ),
+    (
+        "[system]\nkind = jordan\nblock = rotation\nl = 1\ntheta = 0.7\nc = 0\n",
+        "name = witness\ntype = rotation\nd = 1e-4\nK = 3",
+        0,
+    ),
+]
+
+
+def test_operation_coverage(tmp_path, capsys):
+    """Every public operation is entered while some command runs."""
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    commands = set()
+    for i, (system, command, expected) in enumerate(COVERAGE_RUNS):
+        body = system + "[command]\n" + command.format(out=tmp_path) + "\n"
+        cfg = write(tmp_path / f"run{i}.cfg", body + f"[output]\ndirectory = {tmp_path}\n")
+        sys.setprofile(record)
+        try:
+            code = cli.run(cfg)
+        finally:
+            sys.setprofile(None)
+        assert code == expected, (command, capsys.readouterr().err)
+        commands.add(command.split("\n")[0].removeprefix("name = "))
+    capsys.readouterr()
+    assert commands == set(cli.COMMANDS)
+    missing = [op.__name__ for op in sl.PUBLIC_OPERATIONS if op.__code__ not in entered]
+    assert not missing, f"operations no command runs: {missing}"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import shadowlab as sl
-from shadowlab.errors import OrbitEscapeError
+from shadowlab.errors import OrbitEscapeError, StepLimitError
 from shadowlab.systems import PhaseSpace, low_discrepancy_sample
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # largest cat-map multiplier
@@ -101,6 +101,18 @@ def test_toral_hyperbolicity_flag():
 def test_evaluate_rejects_huge_k(cat_sys):
     with pytest.raises(ValueError):
         sl.evaluate(cat_sys, [0.1, 0.1], 10**7 + 1)
+
+
+def test_orbit_segment_checks_its_length_before_iterating(cat_sys):
+    # start = 0 passes evaluate; the length alone is over the limit
+    with pytest.raises(StepLimitError):
+        sl.orbit_segment(cat_sys, [0.1, 0.1], 0, 10**7 + 1)
+    assert issubclass(StepLimitError, ValueError)
+    with pytest.raises(StepLimitError):
+        sl.evaluate(cat_sys, [0.1, 0.1], -(10**7) - 1)
+    # a step limit is not an escape: the expansivity check does not answer False
+    with pytest.raises(StepLimitError):
+        sl.verify_periodicity_by_expansivity(cat_sys, [0.0, 0.0], 1, 0.5, 6 * 10**6)
 
 
 # ---------------------------------------------------------------------------
