@@ -13,6 +13,7 @@ certified lower bounds keep pace with the defect), 1 on any error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys as _sys
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import hyperbolicity, pseudo, shadow, systems
 from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, NONNEGATIVE
-from .config import POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
+from .config import POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config, sized
 from .errors import ConfigError, ShadowlabError, TooManyPeriodicPointsError
 from .hyperbolicity import _fmt
 from .shadow import _csv_text, _table_text
@@ -85,13 +86,24 @@ def _write_table(ctx, name: str, rows: list[list[str]]) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _section_errors(section: ConfigSection):
+    """Report a ValueError as a config error naming ``section``: bounds that tie
+    keys together (|det| = 1, a witness's block) are checked by the library."""
+    try:
+        yield
+    except ValueError as exc:
+        message = f"section '[{section.name}]': {exc}"
+        raise ConfigError(message, section.path, section.line) from exc
+
+
 # ---------------------------------------------------------------------------
 # system construction
 
 
 def _build_system(section: ConfigSection):
     kind = section.take("kind", *TEXT, required=True)
-    try:
+    with _section_errors(section):
         if kind == "toral":
             matrix = section.take("matrix", *MATRIX, required=True)
             toral = systems.toral_automorphism(matrix)
@@ -116,10 +128,6 @@ def _build_system(section: ConfigSection):
             base = systems.toral_automorphism(matrix)
             sys_ = systems.perturbed_toral(matrix, section.take("amplitude", *FLOAT, default=0.05))
             return kind, base, sys_
-    except ValueError as exc:
-        # bounds that tie keys together (|det| = 1, invertibility) are checked
-        # by the system constructors, not by the per-key converters
-        raise ConfigError(f"section '[system]': {exc}", section.path, section.line) from exc
     raise ConfigError(f"unknown system kind {kind!r}", section.path)
 
 
@@ -141,17 +149,18 @@ def _cmd_witness(ctx) -> tuple[int, str]:
     wtype = section.take("type", *TEXT, required=True)
     d = section.take("d", *POSITIVE, required=True)
     k_steps = section.take("K", *POSITIVE_INT, required=True)
-    if wtype == "staircase":
-        xi, meta = pseudo.witness_eigenvalue_one(model, d, k_steps)
-    elif wtype == "jordan":
-        xi, meta = pseudo.witness_jordan(model, d, k_steps)
-    elif wtype == "jordan-general":
-        xi, meta = pseudo.witness_jordan_general(model, d, k_steps)
-    elif wtype == "rotation":
-        w0 = section.take("w0", *FLOATS, default=[1.0, 0.0])
-        xi, meta = pseudo.witness_rotation(model, d, k_steps, w0)
-    else:
-        raise ConfigError(f"unknown witness type {wtype!r}", section.path)
+    with _section_errors(section):
+        if wtype == "staircase":
+            xi, meta = pseudo.witness_eigenvalue_one(model, d, k_steps)
+        elif wtype == "jordan":
+            xi, meta = pseudo.witness_jordan(model, d, k_steps)
+        elif wtype == "jordan-general":
+            xi, meta = pseudo.witness_jordan_general(model, d, k_steps)
+        elif wtype == "rotation":
+            w0 = section.take("w0", *sized(FLOATS, 2), default=[1.0, 0.0])
+            xi, meta = pseudo.witness_rotation(model, d, k_steps, w0)
+        else:
+            raise ConfigError(f"unknown witness type {wtype!r}", section.path)
     path = os.path.join(ctx["out_dir"], "witness.csv")
     pseudo.save_pseudotrajectory(xi, path)
     peak = float(np.max(np.linalg.norm(xi.points, axis=1)))
@@ -221,7 +230,8 @@ def _cmd_scan(ctx) -> tuple[int, str]:
         family = shadow.JordanWitnessFamily(model, k_steps)
     else:
         raise ConfigError(f"unknown scan family {family_name!r}", section.path)
-    scan = shadow.lipschitz_scan(sys_, family, d_values)
+    with _section_errors(section):  # the jordan-witness family checks its model per row
+        scan = shadow.lipschitz_scan(sys_, family, d_values)
     path = os.path.join(ctx["out_dir"], "scan.csv")
     shadow.write_scan_csv(scan, path)
     if ctx["format"] == "table":
@@ -259,7 +269,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
 def _cmd_orbit(ctx) -> tuple[int, str]:
     _, _, sys_ = ctx["system"]
     section = ctx["command"]
-    point = np.array(section.take("point", *FLOATS, required=True))
+    point = np.array(section.take("point", *sized(FLOATS, sys_.dim), required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
     a_const = section.take("expansivity-a", *POSITIVE, default=0.5)
     window = section.take("window", *POSITIVE_INT, default=2 * period)
@@ -296,7 +306,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
 def _cmd_certificate(ctx) -> tuple[int, str]:
     _, _, sys_ = ctx["system"]
     section = ctx["command"]
-    point = np.array(section.take("point", *FLOATS, required=True))
+    point = np.array(section.take("point", *sized(FLOATS, sys_.dim), required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
     d = section.take("d", *POSITIVE, default=1e-5)
     n_pullback = section.take("n-pullback", *POSITIVE_INT, default=1)
@@ -393,8 +403,9 @@ def _cmd_splice(ctx) -> tuple[int, str]:
     toral = _require(ctx, "toral")
     forward = section.take("forward", *POSITIVE_INT, required=True)
     backward = section.take("backward", *POSITIVE_INT, required=True)
-    shift = section.take("shift", *INTS, default=[0, 1])
-    p = pseudo.homoclinic_point(toral, shift)
+    shift = section.take("shift", *sized(INTS, sys_.dim), default=[0, 1])
+    with _section_errors(section):
+        p = pseudo.homoclinic_point(toral, shift)
     seg_fwd = systems.orbit_segment(sys_, p, 0, forward - 1)
     seg_bwd = systems.orbit_segment(sys_, p, -backward, -1)
     xi = pseudo.splice_cycle(sys_, [seg_fwd, seg_bwd])

@@ -59,6 +59,11 @@ INTS = (lambda s: [int(v) for v in s.split()], "integers")
 MATRIX = (_checked(_rows, _square), "a square matrix like '2 1; 1 1'")
 
 
+def sized(kind, n: int):
+    """The list type ``kind`` (FLOATS or INTS) restricted to exactly ``n`` values."""
+    return _checked(kind[0], lambda v: len(v) == n), f"{n} {kind[1]}"
+
+
 @dataclass
 class ConfigEntry:
     value: str

@@ -91,20 +91,15 @@ RCOND_FLOOR = 1e-13
 RCOND_SWEEPS = 6
 
 
-def _estimate_rcond(m: scipy.sparse.csc_matrix, lu: scipy.sparse.linalg.SuperLU) -> float:
-    """sigma_min / sigma_max estimate of ``m`` via power iteration, using its
-    LU factor ``lu`` (deterministic start)."""
-    size = m.shape[0]
-    v = np.full(size, 1.0 / np.sqrt(size))
-    v[::2] += 1e-3 / np.sqrt(size)  # break symmetry deterministically
-    v /= np.linalg.norm(v)
-    sigma_max = 1.0
-    for _ in range(RCOND_SWEEPS):
-        w = m @ v
-        sigma_max = float(np.linalg.norm(w))
-        if sigma_max == 0.0:
-            return 0.0
-        v = w / sigma_max
+def _estimate_rcond(jacobians: Array, lu: scipy.sparse.linalg.SuperLU) -> float:
+    """sigma_min / ||M||_2 estimate of the cyclic matrix M of ``jacobians``.
+
+    sigma_min comes from inverse power iteration on M^T M through the LU
+    factor ``lu`` (deterministic start).  M is the cyclic shift minus the
+    block diagonal of the A_i, so ||M||_2 <= 1 + max_i ||A_i||_2, and the
+    Frobenius norms bound the ||A_i||_2.
+    """
+    size = lu.shape[0]
     u = np.full(size, 1.0 / np.sqrt(size))
     u[1::2] -= 1e-3 / np.sqrt(size)
     u /= np.linalg.norm(u)
@@ -118,7 +113,8 @@ def _estimate_rcond(m: scipy.sparse.csc_matrix, lu: scipy.sparse.linalg.SuperLU)
             return 1.0  # inverse annihilates u: perfectly conditioned direction
         u = w / inv_norm
     sigma_min = inv_norm**-0.5
-    return sigma_min / sigma_max
+    bound = 1.0 + float(np.sqrt(np.max(np.sum(jacobians * jacobians, axis=(-2, -1)))))
+    return sigma_min / bound
 
 
 def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
@@ -151,7 +147,7 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     """Solve delta_{i+1 mod Q} - A_i delta_i = rhs_i for all i.
 
     Raises SingularJacobianError when the cyclic matrix is numerically
-    singular (estimated reciprocal condition below 1e-13), which for a
+    singular (estimated sigma_min over its norm bound below 1e-13), which for a
     pseudotrajectory signals a unit-modulus direction of the linearization.
     """
     m = _cyclic_matrix(jacobians)
@@ -160,7 +156,7 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     except RuntimeError as exc:  # exactly singular factor
         raise SingularJacobianError(str(exc)) from exc
     with np.errstate(all="ignore"):
-        rcond = _estimate_rcond(m, lu)
+        rcond = _estimate_rcond(jacobians, lu)
         delta = lu.solve(rhs.ravel())
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularJacobianError(

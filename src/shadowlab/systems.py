@@ -107,9 +107,7 @@ class DiscreteSystem:
     """Invertible map with Jacobians on a flat phase space.
 
     The four maps act on a point (n,) or a batch (..., n) of points (see the
-    module docstring).  ``norm_bound`` is an upper bound for the operator norm
-    of the Jacobian over the phase space (exact for linear maps, sampled
-    otherwise).  When the map is globally linear in chart coordinates,
+    module docstring).  When the map is globally linear in chart coordinates,
     ``linear_matrix`` holds the matrix; solvers never require it.
     """
 
@@ -118,7 +116,6 @@ class DiscreteSystem:
     inverse: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
     jacobian_inverse: Callable[[Array], Array]
-    norm_bound: float
     linear_matrix: Array | None = None
 
     @property
@@ -215,7 +212,6 @@ def linear_system(matrix, halfwidth: float = 1e6) -> DiscreteSystem:
         inverse=lambda x: x @ a_inv_t,
         jacobian=_constant_jacobian(a),
         jacobian_inverse=_constant_jacobian(a_inv),
-        norm_bound=float(np.linalg.norm(a, 2)),
         linear_matrix=a,
     )
 
@@ -254,7 +250,6 @@ class ToralAutomorphism:
             inverse=lambda x: np.mod(x @ m_inv_t, 1.0),
             jacobian=_constant_jacobian(m),
             jacobian_inverse=_constant_jacobian(m_inv),
-            norm_bound=float(np.linalg.norm(m, 2)),
             linear_matrix=m,
         )
 
@@ -426,16 +421,12 @@ class JordanModel:
             tol = 1e-14 * (1.0 + np.linalg.norm(y, axis=-1))
             return _newton_inverse(space, forward, jacobian, y, y @ a_inv_t, tol)
 
-        norm = float(np.linalg.norm(a, 2))
-        if self.c > 0.0:
-            norm += self.c * self._phi_lipschitz()
         return DiscreteSystem(
             space=space,
             forward=forward,
             inverse=inverse,
             jacobian=jacobian,
             jacobian_inverse=lambda v: np.linalg.inv(jacobian(v)),
-            norm_bound=norm,
             linear_matrix=a if self.c == 0.0 else None,
         )
 
@@ -548,6 +539,5 @@ def perturbed_toral(matrix, amplitude: float = 0.05) -> DiscreteSystem:
         inverse=inverse,
         jacobian=jacobian,
         jacobian_inverse=lambda x: np.linalg.inv(jacobian(x)),
-        norm_bound=float(np.linalg.norm(m, 2)) + amplitude,
         linear_matrix=None if amplitude > 0 else m,
     )

@@ -31,6 +31,10 @@ eigenvalue = 1
 c = 0
 """
 
+ROTATION_SYSTEM = JORDAN_SYSTEM.replace("block = real", "block = rotation").replace(
+    "l = 2", "l = 1\ntheta = 0.7"
+)
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -660,6 +664,74 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
             "[system]",
             "section '[system]': nonlinearity scale",
+        ),
+        # a point or vector of the wrong length names its key
+        (
+            CAT_SYSTEM,
+            "name = orbit\npoint = 0 0 0\nperiod = 1",
+            "point = 0 0 0",
+            "key 'command.point' must be 2 numbers, got '0 0 0'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = lemma6\npoint = 0\nperiod = 1",
+            "point = 0",
+            "key 'command.point' must be 2 numbers, got '0'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = splice\nforward = 3\nbackward = 3\nshift = 1",
+            "shift = 1",
+            "key 'command.shift' must be 2 integers, got '1'",
+        ),
+        (
+            ROTATION_SYSTEM,
+            "name = witness\ntype = rotation\nd = 1e-4\nK = 3\nw0 = 1 0 0",
+            "w0 = 1 0 0",
+            "key 'command.w0' must be 2 numbers, got '1 0 0'",
+        ),
+        # a command that needs another system names the [command] section
+        (
+            CAT_SYSTEM.replace("2 1; 1 1", "1 1; 0 1"),
+            "name = splice\nforward = 3\nbackward = 3",
+            "[command]",
+            "section '[command]': homoclinic construction needs a 2x2 hyperbolic automorphism",
+        ),
+        (
+            JORDAN_SYSTEM.replace("eigenvalue = 1", "eigenvalue = -1"),
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[command]",
+            "section '[command]': the size-2 unit-block witness is implemented for eigenvalue +1",
+        ),
+        (
+            JORDAN_SYSTEM.replace("l = 2", "l = 3"),
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[command]",
+            "section '[command]': this witness needs a real unit Jordan block of size 2",
+        ),
+        (
+            ROTATION_SYSTEM,
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[command]",
+            "section '[command]': this witness needs a real unit Jordan block of size 2",
+        ),
+        (
+            JORDAN_SYSTEM.replace("block = real", "block = none") + "tail = 2\n",
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[command]",
+            "section '[command]': this witness needs a real unit Jordan block of size 2",
+        ),
+        (
+            ROTATION_SYSTEM,
+            "name = witness\ntype = staircase\nd = 1e-4\nK = 3",
+            "[command]",
+            "section '[command]': the staircase witness needs a real Jordan block model",
+        ),
+        (
+            ROTATION_SYSTEM,
+            "name = scan\nfamily = jordan-witness\nK = 3\nd-values = 1e-3 1e-4 1e-5",
+            "[command]",
+            "section '[command]': this witness needs a real unit Jordan block of size 2",
         ),
     ],
 )

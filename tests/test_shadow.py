@@ -289,6 +289,50 @@ def test_solver_singular_on_unit_block_witness(linear_jordan2, K):
         sl.find_periodic_shadow(linear_jordan2.system, xi)
 
 
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+@pytest.mark.parametrize(
+    "matrix,q,singular",
+    [
+        # R^Q = I for a rotation R by 2 pi / Q, so the cyclic matrix is singular
+        (_rotation(2 * math.pi / 7), 7, True),
+        (_rotation(2 * math.pi / 50), 50, True),
+        (_rotation(2 * math.pi / 400), 400, True),
+        # 1e-9 off resonance: rcond ~ 4e-10, far above the floor
+        (_rotation(2 * math.pi / 7 + 1e-9), 7, False),
+        (_rotation(2 * math.pi / 400 + 1e-9), 400, False),
+        # rcond ~ 3e-13, three times the floor
+        (np.diag([1.0 + 1e-12, 2.0]), 5, False),
+    ],
+)
+def test_rcond_floor_separates_near_singular_cyclic_solves(matrix, q, singular):
+    lin = sl.linear_system(matrix)
+    pts = np.random.default_rng(0).normal(scale=0.01, size=(q, 2))
+    xi = sl.make_pseudotrajectory(lin, pts)
+    if singular:
+        with pytest.raises(SingularJacobianError, match="rcond"):
+            sl.find_periodic_shadow(lin, xi)
+    else:
+        assert sl.find_periodic_shadow(lin, xi).converged
+
+
+def _jacobian_stacks(q):
+    torus = sl.perturbed_toral([[2, 1], [1, 1]], amplitude=0.05)
+    orbit = sl.orbit_segment(torus, np.array([0.3, 0.7]), 0, q - 1)
+    linear = [sl.cat_map().system, sl.linear_system(np.diag([1.1, 1 / 1.1]))]
+    linear.append(sl.linear_system(_rotation(0.7)))
+    return [s.jacobian(np.zeros((q, 2))) for s in linear] + [torus.jacobian(orbit)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])  # at Q = 1 the two blocks of M are summed
+def test_cyclic_norm_bound_covers_the_cyclic_matrix(q):
+    for jacobians in _jacobian_stacks(q):
+        bound = 1.0 + np.sqrt(np.max(np.sum(jacobians * jacobians, axis=(-2, -1))))
+        assert bound >= np.linalg.norm(_cyclic_matrix(jacobians).toarray(), 2)
+
+
 # ---------------------------------------------------------------------------
 # direct lower bound
 
