@@ -89,7 +89,7 @@ def _write_table(ctx, name: str, rows: list[list[str]]) -> str:
 @contextlib.contextmanager
 def _section_errors(section: ConfigSection):
     """Report a ValueError as a config error naming ``section``: bounds that tie
-    keys together (|det| = 1, a witness's block) are checked by the library."""
+    keys together (|det| = 1, a witness's block or size) are checked by the library."""
     try:
         yield
     except ValueError as exc:

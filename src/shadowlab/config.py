@@ -15,6 +15,7 @@ line number.  The (converter, description) pairs below name the value types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -23,7 +24,7 @@ KNOWN_SECTIONS = ("system", "command", "output")
 
 
 def _checked(conv, accept):
-    """``conv``, then a ValueError for a value ``accept`` rejects (NaN fails any bound)."""
+    """``conv``, then a ValueError for a value ``accept`` rejects."""
 
     def convert(text: str):
         value = conv(text)
@@ -34,12 +35,16 @@ def _checked(conv, accept):
     return convert
 
 
+# every float-valued type reads its numbers through this: nan and +-inf are rejected
+_number = _checked(float, math.isfinite)
+
+
 def _decreasing(values: list[float]) -> bool:
     return len(values) >= 3 and values[-1] > 0 and all(a > b for a, b in zip(values, values[1:]))
 
 
 def _rows(text: str) -> list[list[float]]:
-    return [[float(v) for v in r.split()] for r in text.split(";") if r.strip()]
+    return [[_number(v) for v in r.split()] for r in text.split(";") if r.strip()]
 
 
 def _square(rows: list[list[float]]) -> bool:
@@ -49,11 +54,11 @@ def _square(rows: list[list[float]]) -> bool:
 TEXT = (str, "text")
 INT = (int, "an integer")
 POSITIVE_INT = (_checked(int, lambda v: v >= 1), "a positive integer")
-FLOAT = (float, "a number")
-POSITIVE = (_checked(float, lambda v: v > 0), "a positive number")
-NONNEGATIVE = (_checked(float, lambda v: v >= 0), "a number >= 0")
-AT_LEAST_ONE = (_checked(float, lambda v: v >= 1), "a number >= 1")
-FLOATS = (lambda s: [float(v) for v in s.split()], "numbers")
+FLOAT = (_number, "a number")
+POSITIVE = (_checked(_number, lambda v: v > 0), "a positive number")
+NONNEGATIVE = (_checked(_number, lambda v: v >= 0), "a number >= 0")
+AT_LEAST_ONE = (_checked(_number, lambda v: v >= 1), "a number >= 1")
+FLOATS = (lambda s: [_number(v) for v in s.split()], "numbers")
 DECREASING = (_checked(FLOATS[0], _decreasing), "at least 3 positive, strictly decreasing numbers")
 INTS = (lambda s: [int(v) for v in s.split()], "integers")
 MATRIX = (_checked(_rows, _square), "a square matrix like '2 1; 1 1'")

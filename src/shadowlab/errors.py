@@ -115,5 +115,5 @@ class ConfigError(ShadowlabError):
         self.line = line
         where = ""
         if path is not None:
-            where = f"{path}:" if line is None else f"{path}:{line}: "
+            where = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")

@@ -12,17 +12,18 @@ nonhyperbolic fixed point of a Jordan-block model:
   coordinate to K d, then retire the coordinates one by one back to zero, so
   the period is Q = 2 K + K^2 for l = 2 with structure constants
   Z1(K) = K (K - 1) / 2 and Z2(K) = K^2;
-* the rotation-block witness drives the last 2-plane with unit impulses
-  rotated in step with the block (isometric driving), peaks at magnitude K d,
-  mirrors the driving to unwind, and retires the remaining planes pairwise;
+* the rotation-block witness is the unit-block witness in the frame that
+  turns with the block: plane p carries coefficient c_p at an angle that
+  advances by theta per step, so the last plane is driven by co-rotating
+  impulses to magnitude K d and back and the others are retired pairwise;
 * the orbit displacement (pullback) witness perturbs a hyperbolic periodic
   orbit along its unstable direction with coefficients a_i and returns through
   an n-fold inverse-monodromy pullback, staying step-wise within 2 of the
   linearized push-forward.
 
-In the exactly linear regime the real-block constructions are carried out on
-integer coefficient vectors, so the closure y_Q = y_0 is exact and every
-point equals d times an integer vector bit for bit.
+In the exactly linear regime every block construction is carried out on
+integer coefficient vectors, so the closure y_Q = y_0 is exact; on a real
+block every point equals d times an integer vector bit for bit.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ from .errors import (
     NonhyperbolicOrbitError,
     NotAnOrbitError,
     PullbackFailedError,
+    StepLimitError,
 )
 from .hyperbolicity import (
     ExpansionCertificate,
     analyze_periodic_orbit,
     expansion_certificate,
 )
-from .systems import DiscreteSystem, JordanModel, ToralAutomorphism, _frozen
+from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomorphism, _frozen
 
 Array = np.ndarray
 
@@ -144,8 +146,10 @@ def _real_block_coefficients(l: int, k_steps: int) -> tuple[Array, list[int]]:
     coordinates above a are zero and c_a moves by the impulse sign each step,
     so each coordinate below a is its start value plus the running sum of the
     one above it: one cumsum per coordinate, from a down to 0.  Every
-    coefficient is nonnegative, so a sum that would pass int64 is caught
-    before it is taken.
+    coefficient is nonnegative, so a coordinate is largest at the end of a
+    phase, and that value is a later retirement count: a StepLimitError is
+    raised once it or the period passes MAX_ITERATE_STEPS.  With every count
+    and coefficient at most 10^7 the cumsums stay below 10^15, far inside int64.
     """
     c = np.zeros(l, dtype=np.int64)
     phases: list[Array] = []
@@ -153,16 +157,21 @@ def _real_block_coefficients(l: int, k_steps: int) -> tuple[Array, list[int]]:
 
     def apply(axis: int, sign: int, count: int) -> None:
         nonlocal c
+        if sum(lengths) + count > MAX_ITERATE_STEPS:
+            raise StepLimitError(
+                f"the unit-block witness at l = {l}, K = {k_steps} has a period over "
+                f"{MAX_ITERATE_STEPS} steps"
+            )
         path = np.zeros((count + 1, l), dtype=np.int64)  # row count is the next start
         path[:, axis] = c[axis] + sign * np.arange(count + 1)
         for i in range(axis - 1, -1, -1):
-            above = path[:-1, i + 1]
-            if int(c[i]) + count * int(above.max(initial=0)) >= 2**63:
-                raise OverflowError(
-                    f"unit-block witness coefficients exceed int64 at K = {k_steps}"
-                )
             path[0, i] = c[i]
-            path[1:, i] = c[i] + np.cumsum(above)
+            path[1:, i] = c[i] + np.cumsum(path[:-1, i + 1])
+            if path[-1, i] > MAX_ITERATE_STEPS:
+                raise StepLimitError(
+                    f"the unit-block witness at l = {l}, K = {k_steps} needs a retirement "
+                    f"count over {MAX_ITERATE_STEPS} steps"
+                )
         phases.append(path[:-1])
         lengths.append(count)
         c = path[-1]
@@ -171,8 +180,6 @@ def _real_block_coefficients(l: int, k_steps: int) -> tuple[Array, list[int]]:
     apply(l - 1, -1, k_steps)
     for axis in range(l - 2, -1, -1):
         apply(axis, -1, int(c[axis]))
-    if c.any():
-        raise RuntimeError(f"witness failed to close: residual coefficients {c.tolist()}")
     return np.concatenate(phases), lengths
 
 
@@ -267,14 +274,15 @@ def witness_jordan(
 def witness_rotation(
     model: JordanModel, d: float, k_steps: int, w0: Sequence[float] = (1.0, 0.0)
 ) -> tuple[PeriodicPseudotrajectory, WitnessMeta]:
-    """Rotation-block witness: isometric unit impulses in the last 2-plane.
+    """Rotation-block witness: the real unit-block witness in the turning frame.
 
-    Phase 1 adds d R^k w for K steps (the driven plane magnitude grows exactly
-    by d per step, peaking at K d), phase 2 subtracts the mirrored impulses,
-    and the remaining planes are retired pairwise with impulses co-rotating
-    with the block.  Every step has magnitude d, so the defect is d in the
-    linear regime.  The retirement counts match the real-block case for every
-    rotation angle.
+    With l planes and c the integer unit-block path, plane p at step k is
+    d c[k, p] (cos, sin)(alpha0 + (k - l + p) theta), alpha0 the angle of w0.
+    The block rotates every plane by theta and adds the plane above it at
+    the same angle, so each step is the real block step plus one impulse of
+    magnitude d co-rotating with the block: the last plane is driven to K d
+    and back, the others are retired pairwise, and the defect is d in the
+    linear regime.  The closure is exact for every rotation angle.
     """
     if model.block != "rotation":
         raise ValueError("the rotation witness needs a rotation block model")
@@ -284,57 +292,23 @@ def witness_rotation(
     if w0.shape != (2,) or np.linalg.norm(w0) == 0:
         raise ValueError("w0 must be a nonzero 2-vector")
     w0 = w0 / np.linalg.norm(w0)
-    theta = model.theta
     planes = model.size
-    a = model.matrix
-    n = model.dim
-    alpha0 = math.atan2(w0[1], w0[0])
-
-    y = np.zeros(n)
-    pts: list[Array] = []
-    lengths: list[int] = []
-
-    def impulse(plane: int, angle: float, sign: float) -> Array:
-        step = np.zeros(n)
-        step[2 * plane] = sign * d * math.cos(angle)
-        step[2 * plane + 1] = sign * d * math.sin(angle)
-        return step
-
-    def drive(plane: int, sign: float, count: int, angle_at) -> None:
-        nonlocal y
-        for i in range(count):
-            pts.append(y.copy())
-            y = a @ y + impulse(plane, angle_at(i), sign)
-        lengths.append(count)
-
-    last = planes - 1
-    drive(last, +1.0, k_steps, lambda i: alpha0 + i * theta)
-    drive(last, -1.0, k_steps, lambda i: alpha0 + (k_steps + i) * theta)
-    for plane in range(planes - 2, -1, -1):
-        z = y[2 * plane : 2 * plane + 2]
-        rho = float(np.linalg.norm(z))
-        count = int(round(rho / d))
-        if abs(count - rho / d) > 1e-6:
-            raise RuntimeError(
-                f"retirement count for plane {plane} is not an integer multiple of d"
-            )
-        alpha = math.atan2(z[1], z[0])
-        drive(plane, -1.0, count, lambda i: alpha + (i + 1) * theta)
-    pts_arr = np.array(pts)
-    closure = float(np.linalg.norm(y))
-    scale = max(float(np.max(np.linalg.norm(pts_arr, axis=1))), d)
-    if closure > 1e-9 * (1.0 + scale):
-        raise RuntimeError(f"rotation witness failed to close: |y_Q| = {closure:.3e}")
-    _check_core_ball(model, pts_arr)
+    coeffs, lengths = _real_block_coefficients(planes, k_steps)
+    steps = np.arange(len(coeffs))[:, None] + np.arange(-planes, 0)  # k - l + p
+    angles = math.atan2(w0[1], w0[0]) + steps * model.theta
+    pts = np.zeros((len(coeffs), model.dim))
+    pts[:, 0 : 2 * planes : 2] = d * coeffs * np.cos(angles)
+    pts[:, 1 : 2 * planes : 2] = d * coeffs * np.sin(angles)
+    _check_core_ball(model, pts)
     params = {
         "d": d,
         "K": k_steps,
-        "theta": theta,
+        "theta": model.theta,
         "w0": " ".join(repr(float(c)) for c in w0),
         "phase_lengths": " ".join(str(v) for v in lengths),
     }
-    xi = make_pseudotrajectory(model.system, pts_arr, kind="rotation", params=params)
-    return xi, WitnessMeta(kind="rotation", period=len(pts), params=params)
+    xi = make_pseudotrajectory(model.system, pts, kind="rotation", params=params)
+    return xi, WitnessMeta(kind="rotation", period=len(coeffs), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -505,4 +479,9 @@ def load_pseudotrajectory(path, sys: DiscreteSystem) -> PeriodicPseudotrajectory
     points = np.array([[float(v) for v in ln.split(",")] for ln in lines[2 : 2 + q]])
     if points.shape[0] != q:
         raise ValueError(f"{path}: expected {q} points, found {points.shape[0]}")
+    if points.shape[1:] != (sys.dim,):
+        raise ValueError(
+            f"{path}: the points have {points.shape[-1]} columns, "
+            f"the system has dimension {sys.dim}"
+        )
     return make_pseudotrajectory(sys, points, kind=kind, params=params)

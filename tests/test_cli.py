@@ -634,6 +634,26 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "d-values = 1e-3 1e-4 0",
             "key 'command.d-values' must be at least 3 positive, strictly decreasing",
         ),
+        # nan and +-inf are rejected by every float-valued key
+        (
+            ROTATION_SYSTEM.replace("theta = 0.7", "theta = nan"),
+            "name = witness\ntype = rotation\nd = 1e-4\nK = 3",
+            "theta = nan",
+            "key 'system.theta' must be a number, got 'nan'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = orbit\npoint = nan 0\nperiod = 1",
+            "point = nan 0",
+            "key 'command.point' must be 2 numbers, got 'nan 0'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = scan\nfamily = perturbed-orbit\nperiod = 3\nd-values = inf 1e-3 1e-4",
+            "d-values = inf 1e-3 1e-4",
+            "key 'command.d-values' must be at least 3 positive, strictly decreasing numbers, "
+            "got 'inf 1e-3 1e-4'",
+        ),
         # bounds that tie several keys together name the [system] section
         (
             CAT_SYSTEM.replace("2 1; 1 1", "2 0; 0 1"),
@@ -733,6 +753,21 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "[command]",
             "section '[command]': this witness needs a real unit Jordan block of size 2",
         ),
+        # a witness whose period or retirement counts pass the step limit
+        (
+            JORDAN_SYSTEM,
+            "name = witness\ntype = jordan\nd = 1e-12\nK = 100000",
+            "[command]",
+            "section '[command]': the unit-block witness at l = 2, K = 100000 needs a "
+            "retirement count over 10000000 steps",
+        ),
+        (
+            JORDAN_SYSTEM.replace("l = 2", "l = 10"),
+            "name = witness\ntype = jordan-general\nd = 1e-12\nK = 2",
+            "[command]",
+            "section '[command]': the unit-block witness at l = 10, K = 2 needs a "
+            "retirement count over 10000000 steps",
+        ),
     ],
 )
 def test_unusable_value_is_a_config_error(tmp_path, capsys, system, command, bad, message):
@@ -742,6 +777,12 @@ def test_unusable_value_is_a_config_error(tmp_path, capsys, system, command, bad
     err = _run_bad_config(tmp_path, capsys, body)
     line = body.splitlines().index(bad.replace("MALFORMED", str(malformed))) + 1
     assert f":{line}:" in err and message in err
+
+
+def test_config_error_without_a_line_separates_path_and_message(tmp_path, capsys):
+    cfg = write(tmp_path / "l.cfg", CAT_SYSTEM + "[command]\nperiod = 1\n")
+    assert cli.run(cfg) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: missing required key 'command.name'\n"
 
 
 def test_missing_config_file(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadowlab as sl
-from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError
+from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError, StepLimitError
 from shadowlab.pseudo import _real_block_coefficients
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -61,6 +61,36 @@ def list_loop_block_coefficients(l, K):
     for axis in range(l - 2, -1, -1):
         apply(axis, -1, c[axis])
     return coeffs, lengths
+
+
+def rotation_step_loop(model, d, k_steps, w0=(1.0, 0.0)):
+    """The rotation witness as first implemented: the block applied to the
+    point at every step plus an impulse d (cos, sin) in the driven plane,
+    re-aimed by atan2 at each retired plane; returns (points, phase lengths)."""
+    w0 = np.asarray(w0, dtype=float) / np.linalg.norm(w0)
+    theta, planes, a = model.theta, model.size, model.matrix
+    alpha0 = math.atan2(w0[1], w0[0])
+    y = np.zeros(model.dim)
+    pts, lengths = [], []
+
+    def drive(plane, sign, count, angle_at):
+        nonlocal y
+        for i in range(count):
+            pts.append(y.copy())
+            step = np.zeros(model.dim)
+            step[2 * plane] = sign * d * math.cos(angle_at(i))
+            step[2 * plane + 1] = sign * d * math.sin(angle_at(i))
+            y = a @ y + step
+        lengths.append(count)
+
+    last = planes - 1
+    drive(last, +1.0, k_steps, lambda i: alpha0 + i * theta)
+    drive(last, -1.0, k_steps, lambda i: alpha0 + (k_steps + i) * theta)
+    for plane in range(planes - 2, -1, -1):
+        z = y[2 * plane : 2 * plane + 2]
+        alpha = math.atan2(z[1], z[0])
+        drive(plane, -1.0, int(round(np.linalg.norm(z) / d)), lambda i: alpha + (i + 1) * theta)
+    return np.array(pts), lengths
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +231,19 @@ def test_jordan_general_l3_oracle():
     assert xi.points[K][2] == K * d  # top coordinate peaks at K d
 
 
+def test_unit_block_witness_over_the_step_limit_is_a_typed_error(linear_jordan2):
+    # Q = 2 K + K^2 = 10 004 568: every coefficient is below the limit, the period is not
+    with pytest.raises(StepLimitError, match="period over"):
+        sl.witness_jordan(linear_jordan2, 1e-12, 3162)
+    with pytest.raises(StepLimitError, match="retirement count"):
+        sl.witness_jordan(linear_jordan2, 1e-12, 100000)
+    with pytest.raises(StepLimitError, match="retirement count"):
+        sl.witness_jordan_general(sl.jordan_model(block="real", size=10, c=0.0), 1e-12, 2)
+    rot = sl.jordan_model(block="rotation", size=10, theta=0.3, c=0.0)
+    with pytest.raises(StepLimitError):
+        sl.witness_rotation(rot, 1e-12, 2)
+
+
 def test_jordan_witness_rejects_wrong_block():
     rot = sl.jordan_model(block="rotation", size=1, theta=0.5, c=0.0)
     with pytest.raises(ValueError):
@@ -259,6 +302,49 @@ def test_rotation_two_planes_period(theta):
     xi, meta = sl.witness_rotation(rot, d, K)
     # retirement counts match the real-block case for every angle
     assert meta.period == 2 * K + K * K
+    assert xi.defect == pytest.approx(d, rel=1e-9)
+
+
+ROTATION_CASES = [
+    (planes, K)
+    for planes in (1, 2, 3)
+    for K in (1, 2, 5, 10, 25)
+    if planes < 3 or K <= 10
+]
+
+
+@pytest.mark.parametrize("planes,K", ROTATION_CASES)
+def test_rotation_matches_the_step_loop(planes, K):
+    d = 1e-4
+    for theta in (0.0, 0.3, 0.7, math.pi / 2, math.pi, 2.5, -1.1):
+        model = sl.jordan_model(block="rotation", size=planes, theta=theta, c=0.0)
+        for w0 in ((1.0, 0.0), (2.0, 0.0), (0.3, -0.8)):
+            xi, meta = sl.witness_rotation(model, d, K, w0)
+            oracle, lengths = rotation_step_loop(model, d, K, w0)
+            assert meta.period == xi.period == len(oracle)
+            assert meta.params["phase_lengths"] == " ".join(str(v) for v in lengths)
+            peak = np.max(np.linalg.norm(oracle, axis=1))
+            assert np.max(np.abs(xi.points - oracle)) <= 1e-10 * peak
+            assert xi.defect == pytest.approx(d, rel=1e-9)
+
+
+def test_rotation_three_plane_steps_are_exactly_d():
+    # the step loop's gaps drift by 1e-7 d here; the integer path keeps them at d
+    model = sl.jordan_model(block="rotation", size=3, theta=0.3, c=0.0)
+    d = 1e-4
+    xi, _ = sl.witness_rotation(model, d, 10)
+    gaps = np.roll(xi.points, -1, axis=0) - xi.points @ model.matrix.T
+    assert np.max(np.abs(np.linalg.norm(gaps, axis=1) - d)) <= 1e-11 * d
+
+
+def test_rotation_four_planes_close():
+    # the step loop does not close here: its float retirement leaves y_Q far from 0
+    model = sl.jordan_model(block="rotation", size=4, theta=0.3, c=0.0)
+    d = 1e-4
+    xi, meta = sl.witness_rotation(model, d, 6)
+    coeffs, lengths = _real_block_coefficients(4, 6)
+    assert meta.period == len(coeffs) == 381660
+    assert meta.params["phase_lengths"] == " ".join(str(v) for v in lengths)
     assert xi.defect == pytest.approx(d, rel=1e-9)
 
 
@@ -404,6 +490,14 @@ def test_save_load_round_trip(tmp_path, cat_sys, linear_jordan2):
     path2 = tmp_path / "w2.csv"
     sl.save_pseudotrajectory(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_rejects_a_wrong_column_count(tmp_path, cat_sys):
+    xi = sl.make_pseudotrajectory(sl.linear_system(np.eye(3), halfwidth=10.0), [[0.1, 0.2, 0.3]])
+    path = tmp_path / "xi.csv"
+    sl.save_pseudotrajectory(xi, path)
+    with pytest.raises(ValueError, match="have 3 columns, the system has dimension 2"):
+        sl.load_pseudotrajectory(path, cat_sys)
 
 
 @given(
