@@ -63,8 +63,8 @@ ratio can hold as d shrinks; 'K' controls how far they climb (peak K d).
 system kind: perturbed-toral
   matrix     (required)   integer matrix with |det| = 1
   amplitude  (default 0.05) size of the smooth sinusoidal perturbation;
-                            must stay below the smallest singular value of
-                            the matrix so the map remains invertible
+                            must stay below 0.9 times the smallest singular
+                            value of the matrix so the map remains invertible
 The system is x -> M x + amplitude * g(x) (mod 1) with g the coordinatewise
 sine field; it exercises the nonlinear solver paths on the torus.
 """,
@@ -176,8 +176,8 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
     section = ctx["command"]
     source = section.take("pseudotrajectory", *TEXT, required=True)
     options = shadow.ShadowOptions(
-        max_iterations=section.take("max-iterations", *INT, default=100),
-        tolerance=section.take("tolerance", *FLOAT, default=1e-10),
+        max_iterations=section.take("max-iterations", *POSITIVE_INT, default=100),
+        tolerance=section.take("tolerance", *POSITIVE, default=1e-10),
     )
     try:
         xi = pseudo.load_pseudotrajectory(source, sys_)

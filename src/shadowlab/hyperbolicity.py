@@ -35,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.stats import qmc, norm as _norm_dist
 
 from . import _intmat
 from .errors import (
@@ -55,8 +54,6 @@ PERIODICITY_TOL = 1e-8
 # largest |det(M^m - I)| the enumerator materialises (period 15 of the cat map
 # has 1860496 points, period 16 has 4870845)
 MAX_PERIODIC_POINTS = 2**22
-# unit vectors sampled per basis by extract_uniform_constants
-UNIFORM_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -243,19 +240,10 @@ def verify_growth_bound(data: ExpansionCertificate, constant: float) -> bool:
 class HyperbolicityConstants:
     """Empirical uniform constants: |Df^j v| <= C lam^j |v| on stable vectors
     (and symmetrically under Df^{-j} on unstable ones).  Fitted over a finite
-    horizon and finite vector sample; never a certificate."""
+    horizon and a finite set of orbits; never a certificate."""
 
     growth_constant: float  # C
     rate: float  # lam in (0, 1)
-
-
-def _unit_sphere_sample(dim: int, count: int) -> Array:
-    """Deterministic low-discrepancy sample of the unit sphere in R^dim."""
-    if dim == 1:
-        return np.array([[1.0]])
-    raw = qmc.Halton(d=dim, scramble=False).random(count + 1)[1:]  # drop the origin-ish point
-    gauss = _norm_dist.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
-    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
 def _orbit_groups(records: list[PeriodicOrbitRecord]):
@@ -282,12 +270,13 @@ def _orbit_groups(records: list[PeriodicOrbitRecord]):
 def extract_uniform_constants(
     sys: DiscreteSystem, records: list[PeriodicOrbitRecord], horizon: int
 ) -> HyperbolicityConstants:
-    """Fit the smallest (C, lam) consistent with the sampled orbit data.
+    """Fit the smallest (C, lam) consistent with the orbit data.
 
-    g(j) tracks the worst stretch of stable sample vectors under Df^j and of
-    unstable ones under Df^{-j}; then lam = max_j g(j)^(1/j) and
-    C = max_j g(j) / lam^j.  The orbits of one period and splitting
-    dimensions are pushed as one stack.
+    g(j) is the worst stretch of unit stable vectors under Df^j and of
+    unstable ones under Df^{-j}, exact over each subspace: the largest
+    singular value of the pushed basis, from the top eigenvalue of its Gram
+    matrix.  Then lam = max_j g(j)^(1/j) and C = max_j g(j) / lam^j.  The
+    orbits of one period and splitting dimensions are pushed as one stack.
     """
     if not records:
         raise ValueError("empty input: need at least one orbit record")
@@ -301,20 +290,19 @@ def extract_uniform_constants(
     for indices, jacobians, stable, unstable in _orbit_groups(records):
         m = len(jacobians)
         for basis, backward in ((stable, False), (unstable, True)):
-            k = basis.shape[-1]
-            if k == 0:
+            if basis.shape[-1] == 0:
                 continue
-            # rows: each orbit's sample of unit vectors, (N, count, n)
-            vecs = np.swapaxes(basis @ _unit_sphere_sample(k, UNIFORM_SAMPLES).T, -1, -2)
             if backward:
                 points = np.stack([records[i].points for i in indices])
                 jac_seq = np.swapaxes(sys.jacobian_inverse(points), 0, 1)[(m - 1 - steps) % m]
             else:
                 jac_seq = jacobians[steps % m]
-            current = vecs.copy()
+            current = np.swapaxes(basis, -1, -2)  # basis vectors as rows, (N, k, n)
             for j in range(1, horizon + 1):
                 current = current @ np.swapaxes(jac_seq[j - 1], -1, -2)
-                g[j] = max(g[j], float(np.max(np.linalg.norm(current, axis=-1))))
+                # summed the way a row norm is, so at k = 1 this is the vector's norm
+                gram = (current[..., :, None, :] * current[..., None, :, :]).sum(axis=-1)
+                g[j] = max(g[j], math.sqrt(np.max(np.linalg.eigvalsh(gram)[..., -1])))
     with np.errstate(divide="ignore"):
         lam = float(np.max(g[1:] ** (1.0 / np.arange(1, horizon + 1))))
     lam = min(lam, 1.0 - 1e-12)

@@ -484,4 +484,6 @@ def load_pseudotrajectory(path, sys: DiscreteSystem) -> PeriodicPseudotrajectory
             f"{path}: the points have {points.shape[-1]} columns, "
             f"the system has dimension {sys.dim}"
         )
+    if not np.isfinite(points).all():
+        raise ValueError(f"{path}: the points hold a non-finite value")
     return make_pseudotrajectory(sys, points, kind=kind, params=params)

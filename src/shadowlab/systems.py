@@ -22,13 +22,13 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import _intmat
 from .errors import OrbitEscapeError, StepLimitError
@@ -156,11 +156,23 @@ def orbit_segment(sys: DiscreteSystem, x: Array, start: int, stop: int) -> Array
     return out
 
 
+def _primes():
+    """2, 3, 5, 7, ...: every prime, in increasing order."""
+    return (p for p in itertools.count(2) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
 def low_discrepancy_sample(space: PhaseSpace, count: int) -> Array:
-    """Deterministic Halton sample of the phase space (same points every run)."""
+    """Deterministic Halton sample of the phase space (same points every run):
+    column j holds the radical inverses of 0 .. count-1 in the j-th prime, the
+    digits summed in the order of SciPy's unscrambled Halton, equal to the bit."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    unit = qmc.Halton(d=space.dim, scramble=False).random(count)
+    unit = np.zeros((count, space.dim))
+    for j, base in zip(range(space.dim), _primes()):
+        q, scale = np.arange(count), 1.0 / base
+        while q.any():
+            unit[:, j] += (q % base) * scale
+            q, scale = q // base, scale / base
     if space.kind == "torus":
         return unit
     return space.lower + unit * (space.upper - space.lower)
@@ -501,7 +513,7 @@ def perturbed_toral(matrix, amplitude: float = 0.05) -> DiscreteSystem:
     """x -> M x + amplitude * g(x) (mod 1) with g_i(x) = sin(2 pi x_{i+1}) / (2 pi).
 
     The perturbation is 1-periodic and smooth; the amplitude must stay below
-    the smallest singular value of M so the map remains a diffeomorphism.
+    0.9 times the smallest singular value of M to keep a diffeomorphism.
     """
     base = toral_automorphism(matrix)
     m = base.matrix.astype(float)

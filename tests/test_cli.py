@@ -575,6 +575,24 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
         ),
         (
             CAT_SYSTEM,
+            "name = shadow\npseudotrajectory = NONFINITE",
+            "pseudotrajectory = NONFINITE",
+            "the points hold a non-finite value",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = shadow\npseudotrajectory = MALFORMED\nmax-iterations = -3",
+            "max-iterations = -3",
+            "key 'command.max-iterations' must be a positive integer, got '-3'",
+        ),
+        (
+            CAT_SYSTEM,
+            "name = shadow\npseudotrajectory = MALFORMED\ntolerance = -1",
+            "tolerance = -1",
+            "key 'command.tolerance' must be a positive number, got '-1'",
+        ),
+        (
+            CAT_SYSTEM,
             "name = orbit\npoint = 0 0\nperiod = 1\nexpansivity-a = 0",
             "expansivity-a = 0",
             "key 'command.expansivity-a' must be a positive number, got '0'",
@@ -771,11 +789,17 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
     ],
 )
 def test_unusable_value_is_a_config_error(tmp_path, capsys, system, command, bad, message):
-    malformed = tmp_path / "malformed.csv"
-    malformed.write_text("i,x0,x1\n0,0.1,0.2\n")
-    body = (system + f"[command]\n{command}\n").replace("MALFORMED", str(malformed))
+    files = {
+        "MALFORMED": "i,x0,x1\n0,0.1,0.2\n",
+        "NONFINITE": "Q,defect,kind,params\n1,0.0,custom,\nnan,0.2\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / f"{name.lower()}.csv"
+        path.write_text(text)
+        command, bad = command.replace(name, str(path)), bad.replace(name, str(path))
+    body = system + f"[command]\n{command}\n"
     err = _run_bad_config(tmp_path, capsys, body)
-    line = body.splitlines().index(bad.replace("MALFORMED", str(malformed))) + 1
+    line = body.splitlines().index(bad) + 1
     assert f":{line}:" in err and message in err
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import schur
+from scipy.stats import norm, qmc
 
 import shadowlab as sl
 from shadowlab import _intmat
@@ -266,8 +267,19 @@ def test_constants_empty_input(cat_sys):
         sl.extract_uniform_constants(cat_sys, [], 4)
 
 
-def _loop_uniform_constants(sys, records, horizon, samples=100):
-    """The per-record fit: every record, basis and horizon step on its own."""
+def _unit_sphere_sample(dim: int, count: int):
+    """Deterministic low-discrepancy sample of the unit sphere in R^dim."""
+    if dim == 1:
+        return np.array([[1.0]])
+    raw = qmc.Halton(d=dim, scramble=False).random(count + 1)[1:]  # drop the origin-ish point
+    gauss = norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
+    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+
+
+def _loop_stretches(sys, records, horizon, samples=None):
+    """g(0..horizon) of the per-record fit: every record, basis and horizon
+    step on its own.  A step's stretch is the exact norm of the pushed basis
+    or, given ``samples``, the worst of that many pushed unit vectors."""
     g = np.zeros(horizon + 1)
     g[0] = 1.0
     steps = np.arange(horizon)
@@ -277,15 +289,28 @@ def _loop_uniform_constants(sys, records, horizon, samples=100):
             k = basis.shape[1]
             if k == 0:
                 continue
-            vecs = (basis @ hyperbolicity._unit_sphere_sample(k, samples).T).T
+            if samples:
+                rows = (basis @ _unit_sphere_sample(k, samples).T).T
+            else:
+                rows = basis.T
             if backward:
                 jac_seq = sys.jacobian_inverse(record.points)[(m - 1 - steps) % m]
             else:
                 jac_seq = record.jacobians[steps % m]
-            current = vecs.copy()
             for j in range(1, horizon + 1):
-                current = current @ jac_seq[j - 1].T
-                g[j] = max(g[j], float(np.max(np.linalg.norm(current, axis=1))))
+                rows = rows @ jac_seq[j - 1].T
+                if samples:
+                    stretch = np.max(np.linalg.norm(rows, axis=1))
+                else:
+                    gram = (rows[:, None, :] * rows[None, :, :]).sum(axis=-1)
+                    stretch = math.sqrt(np.linalg.eigvalsh(gram)[-1])
+                g[j] = max(g[j], float(stretch))
+    return g
+
+
+def _loop_uniform_constants(sys, records, horizon):
+    """The per-record fit from exact stretches."""
+    g = _loop_stretches(sys, records, horizon)
     with np.errstate(divide="ignore"):
         lam = float(np.max(g[1:] ** (1.0 / np.arange(1, horizon + 1))))
     lam = min(lam, 1.0 - 1e-12)
@@ -344,6 +369,32 @@ def test_constants_stacked_equal_the_per_record_loop():
         splits.update((r.stable_basis.shape[1], r.unstable_basis.shape[1]) for r in records)
     assert len(names) == 6
     assert splits == {(1, 1), (1, 2), (0, 2), (2, 1)}
+
+
+def test_exact_stretches_bound_the_sampled_ones():
+    """The exact stretch is a sup over the unit sphere of each subspace, so it
+    is never below the worst of 100 sampled unit vectors, and equals it where
+    every subspace is a line (the sample is then the basis vector itself)."""
+    lines = 0
+    for name, sys_, records in _uniform_constant_cases():
+        exact = _loop_stretches(sys_, records, 8)
+        sampled = _loop_stretches(sys_, records, 8, samples=100)
+        assert np.all(exact >= sampled), name
+        if all(max(r.stable_basis.shape[1], r.unstable_basis.shape[1]) == 1 for r in records):
+            assert np.array_equal(exact, sampled), name
+            lines += 1
+    assert lines == 3
+
+
+@pytest.mark.parametrize("tail", [(3.0, 0.5, 0.25), (2.0, 3.0)])
+@pytest.mark.parametrize("horizon", [1, 8])
+def test_constants_exact_rate_on_diagonal_models(tail, horizon):
+    """A diagonal map contracts its stable (or inverse-unstable) subspace by
+    exactly 0.5 per step at worst; a vector sample only reaches it from below."""
+    model = sl.jordan_model(block=None, tail=tail, c=0.0)
+    zero = np.zeros(len(tail))
+    records = [sl.analyze_periodic_orbit(model.system, zero, m) for m in (1, 2, 5)]
+    assert sl.extract_uniform_constants(model.system, records, horizon).rate == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -497,6 +498,14 @@ def test_load_rejects_a_wrong_column_count(tmp_path, cat_sys):
     path = tmp_path / "xi.csv"
     sl.save_pseudotrajectory(xi, path)
     with pytest.raises(ValueError, match="have 3 columns, the system has dimension 2"):
+        sl.load_pseudotrajectory(path, cat_sys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_a_non_finite_value(tmp_path, cat_sys, value):
+    path = tmp_path / "xi.csv"
+    path.write_text(f"Q,defect,kind,params\n2,0.0,custom,\n0.1,0.2\n{value},0.2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the points hold a non-finite")):
         sl.load_pseudotrajectory(path, cat_sys)
 
 

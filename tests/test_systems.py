@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +72,23 @@ def test_round_trip_and_jacobian(cat_sys):
     for p in pts:
         back = cat_sys.space.wrap(cat_sys.inverse(cat_sys.space.wrap(cat_sys.forward(p))))
         assert cat_sys.space.dist(back, p) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_low_discrepancy_sample_is_scipy_halton(dim):
+    for count in (1, 2, 7, 1024, 10_000):
+        ours = low_discrepancy_sample(PhaseSpace.torus(dim), count)
+        oracle = qmc.Halton(d=dim, scramble=False).random(count)
+        assert ours.tobytes() == oracle.tobytes(), count
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, shadowlab; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_norm_bound_cat(cat_sys):
