@@ -2,15 +2,17 @@
 
 The monodromy of a period-m orbit is the ordered Jacobian product
 Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space at p_0 into
-stable and unstable invariant subspaces (from one sorted real Schur form, so
-complex pairs stay together and the bases are real and orthonormal).
+stable and unstable invariant subspaces: one unsorted real Schur form from
+LAPACK's gees, reordered by trsen once for each side, so complex pairs stay
+together and the bases are real and orthonormal.
 subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
 re-orthonormalised at each step by two-pass classical Gram-Schmidt, which is
 orthogonal to working precision ("twice is enough"): the unstable basis moves
 forward from p_0 through the Jacobians, the stable one backward from
 p_m = p_0 through their inverses, taken in one batched call, so each moves
 in its numerically stable direction and the splitting gap at every point
-costs O(m) per orbit.
+costs O(m) per orbit.  When the two bases have one shape (every 2-D orbit)
+they move as one stack, each step one batched product over both.
 
 subspace_angles and extract_uniform_constants work on stacks: they group the
 records by (period, dim S, dim U) and push each group through one batched
@@ -120,30 +122,44 @@ def expansion_coefficients(rates) -> Array:
     return np.array(a[::-1])
 
 
-_GEES = get_lapack_funcs("gees", dtype=np.float64)
+_GEES, _TRSEN = get_lapack_funcs(("gees", "trsen"), dtype=np.float64)
 
 
-def _split_basis(monodromy: Array, where: str, band: float) -> Array:
-    """Orthonormal basis of the stable (or unstable) invariant subspace: the
-    leading Schur vectors after LAPACK's gees sorts the selected eigenvalues
-    to the top, as ``scipy.linalg.schur(..., sort=...)`` does."""
-    if where == "stable":
-        sort = lambda x, y: np.hypot(x, y) < 1.0 - band  # noqa: E731
-    else:
-        sort = lambda x, y: np.hypot(x, y) > 1.0 + band  # noqa: E731
-    lwork = _GEES(lambda x, y: None, monodromy, lwork=-1)[-2][0].real.astype(np.int_)
-    _, sdim, _, _, z, _, info = _GEES(sort, monodromy, lwork=lwork, sort_t=1)
+def _unsorted(wr: float, wi: float) -> bool:
+    """gees's selection callback; never called, since no sort is asked for."""
+    return False
+
+
+def _split_bases(monodromy: Array, band: float) -> tuple[Array, Array]:
+    """Orthonormal bases of the stable and unstable invariant subspaces.
+
+    One unsorted real Schur form from gees, reordered twice by trsen with the
+    selections |w| < 1 - band and |w| > 1 + band: the steps gees takes when it
+    sorts (dhseqr, dtrsen on the selection, dgebak's row permutation, which
+    commutes with trsen's column rotations), so each basis equals the leading
+    Schur vectors of ``scipy.linalg.schur(..., sort=...)`` bit for bit.
+    """
+    lwork = _GEES(_unsorted, monodromy, lwork=-1)[-2][0].real.astype(np.int_)
+    t, _, wr, wi, z, _, info = _GEES(_unsorted, monodromy, lwork=lwork)
     if info != 0:
-        raise np.linalg.LinAlgError(f"gees failed to sort the Schur form (info {info})")
-    return z[:, :sdim]
+        raise np.linalg.LinAlgError(f"gees failed to reduce the monodromy (info {info})")
+    moduli = np.hypot(wr, wi)
+    bases = []
+    for select in (moduli < 1.0 - band, moduli > 1.0 + band):
+        _, q, _, _, k, _, _, info = _TRSEN(select, t, z, job="N")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trsen failed to reorder the Schur form (info {info})")
+        bases.append(q[:, :k])
+    return bases[0], bases[1]
 
 
 def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:
     """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
 
     ``m`` need not be the minimal period.  A unit-modulus multiplier (within
-    1e-6) yields hyperbolic=False, which is a result, not an error.  Multipliers
-    lost to rounding (log-moduli off sum log|det Df(p_i)|) raise LostPrecisionError.
+    1e-6) yields hyperbolic=False, which is a result, not an error.  A monodromy
+    that overflows, or multipliers lost to rounding (log-moduli off
+    sum log|det Df(p_i)|), raise LostPrecisionError.
     """
     if m < 1:
         raise ValueError("period must be >= 1")
@@ -156,25 +172,32 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     pts = pts[:m]
     jacs = sys.jacobian(pts)
     monodromy = np.eye(sys.dim)
-    for a in jacs:
-        monodromy = a @ monodromy
-    multipliers = np.linalg.eigvals(monodromy)
-    order = np.lexsort((multipliers.imag, multipliers.real, -np.abs(multipliers)))
-    multipliers = multipliers[order]
-    moduli = np.abs(multipliers)
-    # log|det B| two ways: from the multipliers and from the Jacobians
-    drift = abs(float(np.log(moduli).sum() - np.linalg.slogdet(jacs)[1].sum()))
+    # an overflowing product or a multiplier rounded to 0 is a typed error below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a in jacs:
+            monodromy = a @ monodromy
+        try:
+            multipliers = np.linalg.eigvals(monodromy)
+        except np.linalg.LinAlgError as exc:
+            if np.isfinite(monodromy).all():
+                raise
+            raise LostPrecisionError(f"period-{m} monodromy overflows") from exc
+        order = np.lexsort((multipliers.imag, multipliers.real, -np.abs(multipliers)))
+        multipliers = multipliers[order]
+        moduli = np.abs(multipliers)
+        # log|det B| two ways: from the multipliers and from the Jacobians
+        drift = abs(float(np.log(moduli).sum() - np.linalg.slogdet(jacs)[1].sum()))
     if not (drift <= UNIT_MODULUS_BAND):
         raise LostPrecisionError(f"period-{m} multipliers lost to rounding (log drift {drift:.3g})")
     hyperbolic = bool(np.all(np.abs(moduli - 1.0) >= UNIT_MODULUS_BAND))
     band = 0.0 if hyperbolic else UNIT_MODULUS_BAND
-    stable = _split_basis(monodromy, "stable", band)
-    unstable = _split_basis(monodromy, "unstable", band)
+    stable, unstable = _split_bases(monodromy, band)
+    scale = max(1.0, np.linalg.norm(monodromy))
     for basis in (stable, unstable):
         if basis.shape[1]:
             image = monodromy @ basis
             residual = image - basis @ (basis.T @ image)
-            if np.linalg.norm(residual) > 1e-8 * max(1.0, np.linalg.norm(monodromy)):
+            if np.linalg.norm(residual) > 1e-8 * scale:
                 raise RuntimeError("invariant subspace residual too large; eigensolver failure")
     return PeriodicOrbitRecord(
         point=pts[0],
@@ -212,17 +235,18 @@ def expansion_certificate(
     if not record.hyperbolic:
         raise VectorNotUnstableError("orbit is not hyperbolic")
     v_u = np.asarray(v_u, dtype=float)
-    if np.linalg.norm(v_u) == 0.0:
+    norm = np.linalg.norm(v_u)
+    if norm == 0.0:
         raise VectorNotUnstableError("unstable vector must be nonzero")
     if unstable_projection_residual(record, v_u) > 1e-8:
         raise VectorNotUnstableError("vector does not lie in the unstable subspace")
     m = record.period
     rates = np.empty(m)
     directions = np.empty((m, len(v_u)))
-    v = v_u / np.linalg.norm(v_u)
-    for i in range(m):
+    v = v_u / norm
+    for i, a in enumerate(record.jacobians):
         directions[i] = v
-        w = record.jacobians[i] @ v
+        w = a @ v
         rates[i] = math.sqrt(w @ w)
         v = w / rates[i]
     products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
@@ -319,18 +343,18 @@ class SplittingAngles:
     minimum: float
 
 
-def _orthonormal_columns(x: Array) -> Array:
+def _orthonormal_columns(x: Array, q: Array) -> Array:
     """Orthonormal columns spanning those of ``x``, (..., n, k), batched over
-    the leading axes: two-pass classical Gram-Schmidt, each column projected
-    out against the earlier ones twice, then scaled to unit length."""
-    q = np.empty_like(x)
+    the leading axes and written into ``q`` (which must not overlap ``x``):
+    two-pass classical Gram-Schmidt, each column projected out against the
+    earlier ones twice, then scaled to unit length."""
     for j in range(x.shape[-1]):
         v = x[..., j : j + 1]
         if j:
             done = q[..., :j]
             for _ in range(2):
-                v = v - done @ (np.swapaxes(done, -1, -2) @ v)
-        q[..., j : j + 1] = v / np.sqrt(np.swapaxes(v, -1, -2) @ v)
+                v = v - done @ (done.swapaxes(-1, -2) @ v)
+        np.divide(v, np.sqrt(v.swapaxes(-1, -2) @ v), out=q[..., j : j + 1])
     return q
 
 
@@ -340,7 +364,7 @@ def _carry(maps: Array, basis: Array) -> Array:
     path = np.empty((len(maps) + 1,) + basis.shape)
     path[0] = basis
     for i, a in enumerate(maps):
-        path[i + 1] = _orthonormal_columns(a @ path[i])
+        _orthonormal_columns(a @ path[i], path[i + 1])
     return path
 
 
@@ -349,14 +373,21 @@ def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
 
     ``jacobians`` is (m, ..., n, n) with the step axis first; ``stable`` and
     ``unstable`` are the bases at p_0, (..., n, dim S) and (..., n, dim U),
-    both sides nonempty.  Returns the gaps, (m, ...).
+    both sides nonempty.  Returns the gaps, (m, ...).  Bases of one shape
+    (every 2-D orbit) are carried as one stack, the forward Jacobians beside
+    the inverses, (m - 1, 2, ..., n, n).
     """
     m = len(jacobians)
-    u_path = _carry(jacobians[: m - 1], unstable)
-    # pulled back from p_m = p_0 through p_{m-1}, ..., p_1, then put in orbit order
-    s_back = _carry(np.linalg.inv(jacobians[:0:-1]), stable)
-    s_path = np.concatenate((s_back[:1], s_back[:0:-1]))
-    sigma = np.linalg.svd(np.swapaxes(s_path, -1, -2) @ u_path, compute_uv=False)
+    forward = jacobians[: m - 1]
+    # pulled back from p_m = p_0 through p_{m-1}, ..., p_1
+    backward = np.linalg.inv(jacobians[:0:-1])
+    if stable.shape == unstable.shape:
+        paths = _carry(np.stack((forward, backward), axis=1), np.stack((unstable, stable)))
+        u_path, s_back = paths.swapaxes(0, 1)
+    else:
+        u_path, s_back = _carry(forward, unstable), _carry(backward, stable)
+    s_path = np.concatenate((s_back[:1], s_back[:0:-1]))  # in orbit order
+    sigma = np.linalg.svd(s_path.swapaxes(-1, -2) @ u_path, compute_uv=False)
     cos_min_angle = np.minimum(1.0, sigma[..., 0])
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))
 

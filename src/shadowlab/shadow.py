@@ -24,6 +24,7 @@ of A^Q, so the resolvent form is used.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -106,8 +107,8 @@ def _estimate_rcond(jacobians: Array, lu: scipy.sparse.linalg.SuperLU) -> float:
     inv_norm = 1.0
     for _ in range(RCOND_SWEEPS):
         w = lu.solve(lu.solve(u), trans="T")  # inverse power iteration on M^T M
-        inv_norm = float(np.linalg.norm(w))
-        if not np.isfinite(inv_norm):
+        inv_norm = math.sqrt(w @ w)
+        if not math.isfinite(inv_norm):
             return 0.0  # garbage from a singular factor
         if inv_norm == 0.0:
             return 1.0  # inverse annihilates u: perfectly conditioned direction

@@ -148,9 +148,10 @@ def orbit_segment(sys: DiscreteSystem, x: Array, start: int, stop: int) -> Array
     current = evaluate(sys, x, start)
     out = np.empty((stop - start + 1, sys.dim))
     out[0] = current
+    space, forward = sys.space, sys.forward
     for j in range(1, stop - start + 1):
-        current = sys.space.wrap(sys.forward(current))
-        if not sys.space.contains(current):
+        current = space.wrap(forward(current))
+        if not space.contains(current):
             raise OrbitEscapeError(start + j, current)
         out[j] = current
     return out

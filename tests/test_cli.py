@@ -296,16 +296,17 @@ def test_orbit_command(tmp_path, capsys):
 
 
 def test_orbit_command_lost_multipliers_exit_1(tmp_path, capsys):
-    cfg = write(
-        tmp_path / "orbit.cfg",
-        CAT_SYSTEM
-        + "[command]\nname = orbit\npoint = 0 0\nperiod = 40\n"
-        + f"[output]\ndirectory = {tmp_path}\n",
-    )
-    assert cli.main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error (lost-precision)") and "Traceback" not in err
-    assert not (tmp_path / "orbit.txt").exists()
+    for period in (40, 800):  # at 800 the monodromy product overflows
+        cfg = write(
+            tmp_path / f"orbit{period}.cfg",
+            CAT_SYSTEM
+            + f"[command]\nname = orbit\npoint = 0 0\nperiod = {period}\n"
+            + f"[output]\ndirectory = {tmp_path}\n",
+        )
+        assert cli.main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (lost-precision)") and "Traceback" not in err
+        assert not (tmp_path / "orbit.txt").exists()
 
 
 def test_orbit_command_step_limit_exit_1(tmp_path, capsys):

@@ -64,12 +64,23 @@ def test_not_periodic_rejected(cat_sys):
         sl.analyze_periodic_orbit(cat_sys, [0.123, 0.456], 3)
 
 
-@pytest.mark.parametrize("m", [20, 40])
+@pytest.mark.parametrize("m", [20, 40, 740, 800])
 def test_lost_multipliers_are_a_typed_error(cat_sys, m):
     # the explicit product at the cat origin carries the stable multiplier
-    # phi^-2m below its own rounding; at m = 40 it used to come out as index 2
+    # phi^-2m below its own rounding; at m = 40 it used to come out as index 2,
+    # and from m = 738 on the product itself overflows to inf
     with pytest.raises(LostPrecisionError):
         sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], m)
+
+
+def test_finite_monodromy_past_the_norm_overflow_is_analysed():
+    # entries near 3^330 ~ 1e157 overflow a Frobenius norm's sum of squares,
+    # not the product: the overflow check looks at the monodromy itself
+    model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
+    with np.errstate(over="ignore"):
+        rec = sl.analyze_periodic_orbit(model.system, np.zeros(3), 330)
+    assert rec.hyperbolic and rec.index == 1
+    assert np.abs(rec.multipliers[0]) == pytest.approx(3.0**330, rel=1e-12)
 
 
 def test_period_12_keeps_its_multipliers(cat_sys):
@@ -479,36 +490,50 @@ def _angle_records():
         yield f"linear-complex-m{m}", sl.analyze_periodic_orbit(linear, np.zeros(3), m)
 
 
-def _split_records(linear_jordan2):
+def _split_cases(linear_jordan2):
+    """(monodromy, band) pairs: orbit records with their own band, and seeded
+    random matrices of sizes 1..6 at both bands."""
     cat = sl.cat_map()
+    records = []
     for m in range(1, 9):
         points = sl.enumerate_periodic_points_toral(cat.matrix, m)
         for point in points[:: max(1, len(points) // 40)]:
-            yield sl.analyze_periodic_orbit(cat.system, point, m)
+            records.append(sl.analyze_periodic_orbit(cat.system, point, m))
     toral3 = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]])
     for m in range(1, 4):
         for point in sl.enumerate_periodic_points_toral(toral3.matrix, m):
-            yield sl.analyze_periodic_orbit(toral3.system, point, m)
+            records.append(sl.analyze_periodic_orbit(toral3.system, point, m))
     linear = sl.linear_system([[1.2, -1.5, 0.4], [1.1, 0.9, 0.2], [0.3, 0.1, 0.4]])
     for m in (1, 2, 5):
-        yield sl.analyze_periodic_orbit(linear, np.zeros(3), m)
-    yield sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)  # unit band
+        records.append(sl.analyze_periodic_orbit(linear, np.zeros(3), m))
+    records.append(sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1))  # unit band
+    assert {r.hyperbolic for r in records} == {True, False}
+    for record in records:
+        yield record.monodromy, 0.0 if record.hyperbolic else hyperbolicity.UNIT_MODULUS_BAND
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for band in (0.0, hyperbolicity.UNIT_MODULUS_BAND):
+            for _ in range(50):
+                yield rng.standard_normal((n, n)), band
 
 
-def test_split_basis_matches_scipy_schur(linear_jordan2):
-    hyperbolic = set()
-    for record in _split_records(linear_jordan2):
-        band = 0.0 if record.hyperbolic else hyperbolicity.UNIT_MODULUS_BAND
-        for where, select in (
-            ("stable", lambda x, y: np.hypot(x, y) < 1.0 - band),
-            ("unstable", lambda x, y: np.hypot(x, y) > 1.0 + band),
+def test_split_basis_matches_scipy_schur(linear_jordan2, monkeypatch):
+    callbacks = []
+    monkeypatch.setattr(hyperbolicity, "_unsorted", lambda x, y: callbacks.append((x, y)))
+    dims = set()
+    for monodromy, band in _split_cases(linear_jordan2):
+        got = hyperbolicity._split_bases(monodromy, band)
+        for basis, select in zip(
+            got,
+            (lambda x, y: np.hypot(x, y) < 1.0 - band, lambda x, y: np.hypot(x, y) > 1.0 + band),
         ):
-            got = hyperbolicity._split_basis(record.monodromy, where, band)
-            _, z, sdim = schur(record.monodromy, output="real", sort=select)
-            assert got.shape == (record.monodromy.shape[0], sdim)
-            assert got.tobytes() == z[:, :sdim].tobytes()
-        hyperbolic.add(record.hyperbolic)
-    assert hyperbolic == {True, False}
+            _, z, sdim = schur(monodromy, output="real", sort=select)
+            assert basis.shape == (monodromy.shape[0], sdim)
+            assert basis.tobytes() == z[:, :sdim].tobytes()
+            dims.add((monodromy.shape[0], sdim))
+    assert callbacks == []  # gees sorts nothing itself
+    assert {n for n, _ in dims} == set(range(1, 7))
+    assert all((n, 0) in dims and (n, n) in dims for n in range(1, 7))
 
 
 def test_angle_transport_matches_per_point_schur():
@@ -553,7 +578,7 @@ def test_orthonormal_columns_of_nearly_parallel_stacks():
     rng = np.random.default_rng(7)
     first = rng.standard_normal((64, 3, 1))
     x = np.concatenate((first, first + 1e-6 * rng.standard_normal((64, 3, 1))), axis=-1)
-    q = hyperbolicity._orthonormal_columns(x)
+    q = hyperbolicity._orthonormal_columns(x, np.empty_like(x))
     assert q.shape == x.shape
     gram = np.swapaxes(q, -1, -2) @ q
     assert np.max(np.linalg.norm(gram - np.eye(2), axis=(-2, -1))) <= 1e-14
@@ -563,9 +588,54 @@ def test_orthonormal_columns_of_nearly_parallel_stacks():
     assert np.allclose(q[..., :1] * np.linalg.norm(first, axis=-2, keepdims=True), first)
 
 
+def _separate_carry_gaps(jacobians, stable, unstable):
+    """Splitting gaps from two separate carries, each step's Gram-Schmidt
+    result in a temporary copied into the path."""
+
+    def gram_schmidt(x):
+        q = np.empty_like(x)
+        for j in range(x.shape[-1]):
+            v = x[..., j : j + 1]
+            if j:
+                done = q[..., :j]
+                for _ in range(2):
+                    v = v - done @ (np.swapaxes(done, -1, -2) @ v)
+            q[..., j : j + 1] = v / np.sqrt(np.swapaxes(v, -1, -2) @ v)
+        return q
+
+    def carry(maps, basis):
+        path = np.empty((len(maps) + 1,) + basis.shape)
+        path[0] = basis
+        for i, a in enumerate(maps):
+            path[i + 1] = gram_schmidt(a @ path[i])
+        return path
+
+    m = len(jacobians)
+    u_path = carry(jacobians[: m - 1], unstable)
+    s_back = carry(np.linalg.inv(jacobians[:0:-1]), stable)
+    s_path = np.concatenate((s_back[:1], s_back[:0:-1]))
+    sigma = np.linalg.svd(np.swapaxes(s_path, -1, -2) @ u_path, compute_uv=False)
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, sigma[..., 0])))
+
+
+def test_stacked_carry_equals_separate_carries_bit_for_bit():
+    _, records = zip(*_angle_records())
+    splits = set()
+    for record in records:
+        got = sl.subspace_angle(record).per_point
+        expected = _separate_carry_gaps(record.jacobians, record.stable_basis, record.unstable_basis)
+        assert got.tobytes() == expected.tobytes()
+        splits.add((record.stable_basis.shape[1], record.unstable_basis.shape[1]))
+    assert splits == {(1, 1), (1, 2), (2, 1)}
+    for _, jacobians, stable, unstable in hyperbolicity._orbit_groups(list(records)):
+        got = hyperbolicity._splitting_gaps(jacobians, stable, unstable)
+        assert got.tobytes() == _separate_carry_gaps(jacobians, stable, unstable).tobytes()
+
+
 def _norm_loop_certificate(record, v_u):
-    """(rates, tau, coefficients, products, directions) from a step loop
-    that measures every rate with np.linalg.norm."""
+    """(rates, tau, coefficients, products, directions) from a step loop that
+    indexes the Jacobians, normalises v_u with a second norm call and measures
+    every rate with np.linalg.norm."""
     m = record.period
     rates = np.empty(m)
     directions = np.empty((m, len(v_u)))
