@@ -59,7 +59,6 @@ from .shadow import (
     LipschitzScan,
     PerturbedOrbitFamily,
     ScanRow,
-    ShadowOptions,
     ShadowSolution,
     closed_form_linear_shadow,
     direct_shadow_lower_bound,

@@ -23,8 +23,7 @@ from . import hyperbolicity, pseudo, shadow, systems
 from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, NONNEGATIVE
 from .config import POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config, sized
 from .errors import ConfigError, ShadowlabError, TooManyPeriodicPointsError
-from .hyperbolicity import _fmt
-from .shadow import _csv_text, _table_text
+from .shadow import _csv_text, _fmt, _table_text
 
 OUTPUT_DIR_ENV = "SHADOWLAB_OUTPUT_DIR"
 
@@ -175,10 +174,8 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
     _, _, sys_ = ctx["system"]
     section = ctx["command"]
     source = section.take("pseudotrajectory", *TEXT, required=True)
-    options = shadow.ShadowOptions(
-        max_iterations=section.take("max-iterations", *POSITIVE_INT, default=100),
-        tolerance=section.take("tolerance", *POSITIVE, default=1e-10),
-    )
+    max_iterations = section.take("max-iterations", *POSITIVE_INT, default=100)
+    tolerance = section.take("tolerance", *POSITIVE, default=1e-10)
     try:
         xi = pseudo.load_pseudotrajectory(source, sys_)
     except (OSError, ValueError) as exc:
@@ -187,7 +184,9 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
             section.path,
             section.entries["pseudotrajectory"].line,
         ) from exc
-    sol = shadow.find_periodic_shadow(sys_, xi, options)
+    sol = shadow.find_periodic_shadow(
+        sys_, xi, max_iterations=max_iterations, tolerance=tolerance
+    )
     rows = [["i"] + [f"x{j}" for j in range(sys_.dim)]]
     for i, point in enumerate(sol.orbit):
         rows.append([str(i)] + [_fmt(v) for v in point])
@@ -284,15 +283,49 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
     residual = sys_.space.dist(systems.evaluate(sys_, point, period), point)
     norm_bound = systems.estimate_norm_bound(sys_, samples=1024)
-    report, rows, beta = hyperbolicity.orbit_report(record, constant)
-    report += "points\n"
-    for row in record.points:
-        report += "  " + " ".join(_fmt(v) for v in row) + "\n"
-    report += f"periodicity-residual {_fmt(residual)}\n"
-    report += f"periodicity-check {'passed' if periodic else 'failed'}\n"
-    report += f"jacobian-norm-bound {_fmt(norm_bound)}\n"
+    beta = hyperbolicity.subspace_angle(record).minimum if record.hyperbolic else float("nan")
+    # the growth check certifies the first unstable direction
+    if record.hyperbolic and record.unstable_basis.shape[1]:
+        cert = hyperbolicity.expansion_certificate(sys_, record, record.unstable_basis[:, 0])
+        verdict = "holds" if hyperbolicity.verify_growth_bound(cert, constant) else "fails"
+    else:
+        verdict = "n/a"
+    multipliers = ", ".join(
+        f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}" for z in record.multipliers
+    )
+    lines = [
+        "orbit 0",
+        f"  point      {' '.join(_fmt(c) for c in record.points[0])}",
+        f"  period     {period}",
+        f"  multipliers {multipliers}",
+        f"  index      {record.index}",
+        f"  hyperbolic {'yes' if record.hyperbolic else 'no'}",
+    ]
+    if record.hyperbolic:
+        lines.append(f"  beta_min   {_fmt(beta)}")
+    lines += [
+        f"  growth-check (constant {constant:g}) {verdict}",
+        "points",
+        *("  " + " ".join(_fmt(v) for v in row) for row in record.points),
+        f"periodicity-residual {_fmt(residual)}",
+        f"periodicity-check {'passed' if periodic else 'failed'}",
+        f"jacobian-norm-bound {_fmt(norm_bound)}",
+    ]
     txt_path = os.path.join(ctx["out_dir"], "orbit.txt")
-    _write_text(txt_path, report)
+    _write_text(txt_path, "\n".join(lines) + "\n")
+    moduli = np.abs(record.multipliers)
+    rows = [
+        ["period", "index", "hyperbolic", "modulus_max", "modulus_min", "beta_min", "growth_ok"],
+        [
+            str(period),
+            str(record.index),
+            "true" if record.hyperbolic else "false",
+            _fmt(moduli.max()),
+            _fmt(moduli.min()),
+            _fmt(beta) if record.hyperbolic else "",
+            verdict,
+        ],
+    ]
     csv_path = os.path.join(ctx["out_dir"], "orbit.csv")
     _write_text(csv_path, _csv_text(rows))
     return 0, (

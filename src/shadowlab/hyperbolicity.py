@@ -60,18 +60,17 @@ MAX_PERIODIC_POINTS = 2**22
 
 @dataclass(frozen=True)
 class PeriodicOrbitRecord:
-    """Monodromy data of a periodic orbit.
+    """Multipliers and splitting of a periodic orbit.
 
     ``index`` counts multipliers of modulus > 1 and equals the dimension of
-    the unstable subspace when the orbit is hyperbolic.  The bases are
-    orthonormal and invariant under the monodromy to within 1e-8.
+    the unstable subspace when the orbit is hyperbolic.  The bases at p_0 are
+    orthonormal and invariant, to within 1e-8, under the monodromy
+    jacobians[m-1] ... jacobians[0].
     """
 
-    point: Array
     period: int
-    points: Array  # (m, n) orbit
+    points: Array  # (m, n) orbit, p_0 first
     jacobians: Array  # (m, n, n) per-step Jacobians
-    monodromy: Array
     multipliers: Array  # complex, sorted by decreasing modulus
     index: int
     hyperbolic: bool
@@ -96,7 +95,6 @@ class ExpansionCertificate:
     products: Array  # length m
     directions: Array | None = None  # (m, n) unit vectors v_0 .. v_{m-1}
     displacement: Array | None = None
-    pullback_steps: int | None = None
 
     @property
     def period(self) -> int:
@@ -192,35 +190,28 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     hyperbolic = bool(np.all(np.abs(moduli - 1.0) >= UNIT_MODULUS_BAND))
     band = 0.0 if hyperbolic else UNIT_MODULUS_BAND
     stable, unstable = _split_bases(monodromy, band)
-    scale = max(1.0, np.linalg.norm(monodromy))
+    # the residual check runs on B 2^-e, e >= 0 the binary exponent of max|B_ij|:
+    # scaling by a power of two is exact, so it decides as on B itself, but no
+    # norm of B 2^-e overflows
+    unit = math.ldexp(1.0, -max(0, math.frexp(np.abs(monodromy).max())[1]))
+    scaled = monodromy * unit
+    scale = max(unit, np.linalg.norm(scaled))
     for basis in (stable, unstable):
         if basis.shape[1]:
-            image = monodromy @ basis
+            image = scaled @ basis
             residual = image - basis @ (basis.T @ image)
             if np.linalg.norm(residual) > 1e-8 * scale:
                 raise RuntimeError("invariant subspace residual too large; eigensolver failure")
     return PeriodicOrbitRecord(
-        point=pts[0],
         period=m,
         points=pts,
         jacobians=jacs,
-        monodromy=monodromy,
         multipliers=multipliers,
         index=int(np.sum(moduli > 1.0 + (0.0 if hyperbolic else UNIT_MODULUS_BAND))),
         hyperbolic=hyperbolic,
         stable_basis=stable,
         unstable_basis=unstable,
     )
-
-
-def unstable_projection_residual(record: PeriodicOrbitRecord, v: Array) -> float:
-    """Relative distance of v from the unstable subspace."""
-    v = np.asarray(v, dtype=float)
-    u = record.unstable_basis
-    if u.shape[1] == 0:
-        return 1.0
-    r = v - u @ (u.T @ v)
-    return float(np.linalg.norm(r) / np.linalg.norm(v))
 
 
 def expansion_certificate(
@@ -238,7 +229,8 @@ def expansion_certificate(
     norm = np.linalg.norm(v_u)
     if norm == 0.0:
         raise VectorNotUnstableError("unstable vector must be nonzero")
-    if unstable_projection_residual(record, v_u) > 1e-8:
+    u = record.unstable_basis
+    if u.shape[1] == 0 or np.linalg.norm(v_u - u @ (u.T @ v_u)) / norm > 1e-8:
         raise VectorNotUnstableError("vector does not lie in the unstable subspace")
     m = record.period
     rates = np.empty(m)
@@ -300,7 +292,11 @@ def extract_uniform_constants(
     unstable ones under Df^{-j}, exact over each subspace: the largest
     singular value of the pushed basis, from the top eigenvalue of its Gram
     matrix.  Then lam = max_j g(j)^(1/j) and C = max_j g(j) / lam^j.  The
-    orbits of one period and splitting dimensions are pushed as one stack.
+    orbits of one period and splitting dimensions are pushed as one stack,
+    backward through the batched inverse of its Jacobians.
+
+    ``sys`` is accepted for interface symmetry with the other orbit
+    operations; all data comes from the records' stored Jacobians.
     """
     if not records:
         raise ValueError("empty input: need at least one orbit record")
@@ -311,14 +307,13 @@ def extract_uniform_constants(
     g = np.zeros(horizon + 1)
     g[0] = 1.0
     steps = np.arange(horizon)
-    for indices, jacobians, stable, unstable in _orbit_groups(records):
+    for _, jacobians, stable, unstable in _orbit_groups(records):
         m = len(jacobians)
         for basis, backward in ((stable, False), (unstable, True)):
             if basis.shape[-1] == 0:
                 continue
             if backward:
-                points = np.stack([records[i].points for i in indices])
-                jac_seq = np.swapaxes(sys.jacobian_inverse(points), 0, 1)[(m - 1 - steps) % m]
+                jac_seq = np.linalg.inv(jacobians)[(m - 1 - steps) % m]
             else:
                 jac_seq = jacobians[steps % m]
             current = np.swapaxes(basis, -1, -2)  # basis vectors as rows, (N, k, n)
@@ -482,55 +477,3 @@ def enumerate_periodic_points_toral(matrix, m: int) -> Array:
     """
     k, e = _periodic_numerators(matrix, m)
     return k / e
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip text of a float; empty for None."""
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
-def orbit_report(
-    record: PeriodicOrbitRecord, growth_constant: float = 1.0
-) -> tuple[str, list[list[str]], float]:
-    """Text report and csv rows of one orbit, and its splitting gap (nan if not
-    hyperbolic).  The growth check certifies the first unstable direction."""
-    beta = subspace_angle(record).minimum if record.hyperbolic else float("nan")
-    if record.hyperbolic and record.unstable_basis.shape[1]:
-        cert = expansion_certificate(None, record, record.unstable_basis[:, 0])
-        verdict = "holds" if verify_growth_bound(cert, growth_constant) else "fails"
-    else:
-        verdict = "n/a"
-    mult = ", ".join(
-        f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}" for z in record.multipliers
-    )
-    lines = [
-        "orbit 0",
-        f"  point      {' '.join(_fmt(c) for c in record.point)}",
-        f"  period     {record.period}",
-        f"  multipliers {mult}",
-        f"  index      {record.index}",
-        f"  hyperbolic {'yes' if record.hyperbolic else 'no'}",
-    ]
-    if record.hyperbolic:
-        lines.append(f"  beta_min   {_fmt(beta)}")
-    lines.append(f"  growth-check (constant {growth_constant:g}) {verdict}")
-    moduli = np.abs(record.multipliers)
-    rows = [
-        ["period", "index", "hyperbolic", "modulus_max", "modulus_min", "beta_min", "growth_ok"],
-        [
-            str(record.period),
-            str(record.index),
-            "true" if record.hyperbolic else "false",
-            _fmt(moduli.max()),
-            _fmt(moduli.min()),
-            _fmt(beta) if record.hyperbolic else "",
-            verdict,
-        ],
-    ]
-    return "\n".join(lines) + "\n", rows, beta

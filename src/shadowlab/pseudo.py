@@ -18,8 +18,8 @@ nonhyperbolic fixed point of a Jordan-block model:
   impulses to magnitude K d and back and the others are retired pairwise;
 * the orbit displacement (pullback) witness perturbs a hyperbolic periodic
   orbit along its unstable direction with coefficients a_i and returns through
-  an n-fold inverse-monodromy pullback, staying step-wise within 2 of the
-  linearized push-forward.
+  an n-fold pullback by the monodromy restricted to the unstable subspace,
+  staying step-wise within 2 of the linearized push-forward.
 
 In the exactly linear regime every block construction is carried out on
 integer coefficient vectors, so the closure y_Q = y_0 is exact; on a real
@@ -51,7 +51,7 @@ from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomo
 Array = np.ndarray
 
 SEGMENT_GAP_TOL = 1e-8
-# most inverse-monodromy solves the pullback witness takes beyond n_pullback
+# most pullback solves the pullback witness takes beyond n_pullback
 MAX_PULLBACK_TRIES = 1000
 
 
@@ -326,10 +326,15 @@ def witness_orbit_pullback(
     """Displace a hyperbolic period-m orbit along its unstable direction.
 
     Builds the m(n+1)-periodic displacement sequence w_i (coefficients a_i on
-    the unit unstable directions for one period, then an inverse-monodromy
-    pullback B^{-n} tau e_0 pushed forward for the remaining n periods) and
-    returns the pseudotrajectory x_i = p_i + d w_i.  The pullback depth n is
-    raised from ``n_pullback`` until |B^{-n} tau e_0| < 1.
+    the unit unstable directions for one period, then the pullback
+    B^{-n} tau e_0 pushed forward for the remaining n periods) and returns the
+    pseudotrajectory x_i = p_i + d w_i.  The pullback is taken in the
+    coordinates of the orthonormal unstable basis U, through the k x k
+    restriction U^T B U of the monodromy B, so it never leaves the unstable
+    subspace.  The depth n is raised from ``n_pullback`` until
+    |B^{-n} tau e_0| < 1, by at most MAX_PULLBACK_TRIES (PullbackFailedError);
+    a period m(n+1) over MAX_ITERATE_STEPS raises StepLimitError before the
+    solve that would reach it.
 
     Every step satisfies |w_{i+1} - A_i w_i| < 2, so the measured defect is
     below 2 d in the linear regime and at most 4 d for small d in general.
@@ -345,20 +350,31 @@ def witness_orbit_pullback(
             "a hyperbolic orbit"
         )
     cert = expansion_certificate(sys, record, v_u)
-    pullback = cert.tau * cert.directions[0]
+    u = record.unstable_basis
+    image = u
+    for a in record.jacobians:
+        image = a @ image
+    restriction = u.T @ image
+    coords = u.T @ (cert.tau * cert.directions[0])
     n = 0
-    while n < n_pullback or float(np.linalg.norm(pullback)) >= 1.0:
+    while n < n_pullback or float(np.linalg.norm(coords)) >= 1.0:
         if n >= n_pullback + MAX_PULLBACK_TRIES:
             raise PullbackFailedError(
                 f"|B^-n tau e_0| stayed >= 1 after {MAX_PULLBACK_TRIES} extra pullbacks"
             )
-        pullback = np.linalg.solve(record.monodromy, pullback)
+        depth = max(n + 1, n_pullback)  # n_pullback itself before the first solve
+        if m * (depth + 1) > MAX_ITERATE_STEPS:
+            raise StepLimitError(
+                f"the pullback witness at period {m} and depth {depth} has a period over "
+                f"{MAX_ITERATE_STEPS} steps"
+            )
+        coords = np.linalg.solve(restriction, coords)
         n += 1
 
     q = m * (n + 1)
     w_seq = np.empty((q, sys.dim))
     w_seq[:m] = cert.coefficients[:m, None] * cert.directions
-    w_seq[m] = pullback
+    w_seq[m] = u @ coords
     for idx in range(m, q - 1):
         w_seq[idx + 1] = record.jacobians[(idx % m)] @ w_seq[idx]
 
@@ -366,8 +382,7 @@ def witness_orbit_pullback(
     params = {"d": d, "m": m, "n_pullback": n, "Q": q, "tau": cert.tau}
     xi = make_pseudotrajectory(sys, pts, kind="pullback", params=params)
     meta = WitnessMeta(kind="pullback", period=q, params=params)
-    full_cert = replace(cert, displacement=_frozen(w_seq), pullback_steps=n)
-    return xi, meta, full_cert
+    return xi, meta, replace(cert, displacement=_frozen(w_seq))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .hyperbolicity import (
     PERIODICITY_TOL,
-    _fmt,
     _periodic_numerators,
     enumerate_periodic_points_exact,
 )
@@ -56,15 +55,6 @@ from .systems import DiscreteSystem, JordanModel, ToralAutomorphism, orbit_segme
 Array = np.ndarray
 
 SINGULAR_BLOWUP = 1e12
-
-
-@dataclass(frozen=True)
-class ShadowOptions:
-    max_iterations: int = 100
-    tolerance: float = 1e-10
-
-
-DEFAULT_OPTIONS = ShadowOptions()
 
 
 @dataclass(frozen=True)
@@ -188,10 +178,12 @@ def _minimal_period(sys: DiscreteSystem, orbit: Array) -> int:
 def find_periodic_shadow(
     sys: DiscreteSystem,
     xi: PeriodicPseudotrajectory,
-    options: ShadowOptions = DEFAULT_OPTIONS,
+    max_iterations: int = 100,
+    tolerance: float = 1e-10,
 ) -> ShadowSolution:
     """Damped Newton search for the exact Q-periodic orbit near ``xi``: each
-    Newton step is halved until the largest cyclic gap falls.
+    Newton step is halved until the largest cyclic gap falls, for at most
+    ``max_iterations`` steps or until that gap is within ``tolerance``.
 
     Returns immediately (0 iterations) when the pseudotrajectory already
     satisfies the orbit equation.  On failure to converge the best iterate is
@@ -202,7 +194,7 @@ def find_periodic_shadow(
     gaps = cyclic_gaps(sys, z)
     residual = float(np.max(np.linalg.norm(gaps, axis=1)))
     iterations = 0
-    while residual > options.tolerance and iterations < options.max_iterations:
+    while residual > tolerance and iterations < max_iterations:
         delta = _solve_cyclic(sys.jacobian(z), -gaps)
         iterations += 1
         step = 1.0
@@ -230,7 +222,7 @@ def find_periodic_shadow(
         orbit=z,
         sup_distance=sup,
         ratio=ratio,
-        converged=bool(residual <= options.tolerance),
+        converged=bool(residual <= tolerance),
         residual=residual,
         iterations=iterations,
         minimal_period=_minimal_period(sys, z),
@@ -506,6 +498,13 @@ def _prime_divisors(q: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # scan output
+
+
+def _fmt(x) -> str:
+    """Shortest round-trip text of a float; empty for None."""
+    if x is None:
+        return ""
+    return repr(float(x))
 
 
 def _table_text(rows: list[list[str]]) -> str:

@@ -10,11 +10,11 @@ torus [0,1)^n (wrap-around metric) or a Euclidean box.  Built-in families:
 * smoothly perturbed toral automorphisms,
 * arbitrary linear maps on a box (mostly used as test oracles).
 
-Every map is batch-native: ``forward``, ``inverse``, ``jacobian`` and
-``jacobian_inverse`` take one point of shape (n,) or a batch of shape
-(..., n) and return (..., n) for points and (..., n, n) for Jacobians, row by
-row.  Linear parts are evaluated as ``x @ A.T``; a constant Jacobian is a
-read-only broadcast view of its matrix.
+Every map is batch-native: ``forward``, ``inverse`` and ``jacobian`` take one
+point of shape (n,) or a batch of shape (..., n) and return (..., n) for
+points and (..., n, n) for Jacobians, row by row.  Linear parts are evaluated
+as ``x @ A.T``; a constant Jacobian is a read-only broadcast view of its
+matrix.
 
 All systems are immutable after construction and evaluation is pure, so they
 are safe to share across threads.
@@ -106,7 +106,7 @@ class PhaseSpace:
 class DiscreteSystem:
     """Invertible map with Jacobians on a flat phase space.
 
-    The four maps act on a point (n,) or a batch (..., n) of points (see the
+    The three maps act on a point (n,) or a batch (..., n) of points (see the
     module docstring).  When the map is globally linear in chart coordinates,
     ``linear_matrix`` holds the matrix; solvers never require it.
     """
@@ -115,7 +115,6 @@ class DiscreteSystem:
     forward: Callable[[Array], Array]
     inverse: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
-    jacobian_inverse: Callable[[Array], Array]
     linear_matrix: Array | None = None
 
     @property
@@ -224,7 +223,6 @@ def linear_system(matrix, halfwidth: float = 1e6) -> DiscreteSystem:
         forward=lambda x: x @ a_t,
         inverse=lambda x: x @ a_inv_t,
         jacobian=_constant_jacobian(a),
-        jacobian_inverse=_constant_jacobian(a_inv),
         linear_matrix=a,
     )
 
@@ -262,7 +260,6 @@ class ToralAutomorphism:
             forward=lambda x: np.mod(x @ m_t, 1.0),
             inverse=lambda x: np.mod(x @ m_inv_t, 1.0),
             jacobian=_constant_jacobian(m),
-            jacobian_inverse=_constant_jacobian(m_inv),
             linear_matrix=m,
         )
 
@@ -439,7 +436,6 @@ class JordanModel:
             forward=forward,
             inverse=inverse,
             jacobian=jacobian,
-            jacobian_inverse=lambda v: np.linalg.inv(jacobian(v)),
             linear_matrix=a if self.c == 0.0 else None,
         )
 
@@ -551,6 +547,5 @@ def perturbed_toral(matrix, amplitude: float = 0.05) -> DiscreteSystem:
         forward=forward,
         inverse=inverse,
         jacobian=jacobian,
-        jacobian_inverse=lambda x: np.linalg.inv(jacobian(x)),
         linear_matrix=None if amplitude > 0 else m,
     )

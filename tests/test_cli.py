@@ -414,6 +414,40 @@ def test_certificate_command(tmp_path, capsys):
     assert cert_lines[0] == "i,lambda_i,a_i,product,bound"
 
 
+def test_certificate_command_step_limit_exit_1(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "cert.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = lemma6\npoint = 0 0\nperiod = 1\nn-pullback = 1000000000\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", cfg]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert peak < 1 << 20  # the (10^9, 2) displacement is never allocated
+    err = capsys.readouterr().err
+    assert err.startswith("error (step-limit)") and "Traceback" not in err
+    assert not (tmp_path / "certificate.csv").exists()
+
+
+def test_certificate_command_pullback_failed_exit_1(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "cert.cfg",
+        "[system]\nkind = jordan\nblock = none\ntail = 1.00001 0.5\nc = 0\n"
+        + "[command]\nname = lemma6\npoint = 0 0\nperiod = 10\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (pullback-failed)") and "Traceback" not in err
+    assert not (tmp_path / "certificate.csv").exists()
+
+
 def test_angles_command(tmp_path, capsys):
     cfg = write(
         tmp_path / "ang.cfg",

@@ -75,12 +75,38 @@ def test_lost_multipliers_are_a_typed_error(cat_sys, m):
 
 def test_finite_monodromy_past_the_norm_overflow_is_analysed():
     # entries near 3^330 ~ 1e157 overflow a Frobenius norm's sum of squares,
-    # not the product: the overflow check looks at the monodromy itself
+    # not the product: the overflow check looks at the monodromy itself, and
+    # the invariance check scales it down before taking a norm
     model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="raise"):
         rec = sl.analyze_periodic_orbit(model.system, np.zeros(3), 330)
     assert rec.hyperbolic and rec.index == 1
     assert np.abs(rec.multipliers[0]) == pytest.approx(3.0**330, rel=1e-12)
+
+
+def test_subnormal_monodromy_is_analysed():
+    # 2^-1070 is subnormal: the invariance check scales only down, since 2^1070
+    # would overflow
+    model = sl.jordan_model(block=None, tail=(0.5, 0.5), c=0)
+    with np.errstate(over="raise"):
+        rec = sl.analyze_periodic_orbit(model.system, np.zeros(2), 1070)
+    assert rec.hyperbolic and rec.index == 0
+
+
+@pytest.mark.parametrize("m", [3, 330])
+def test_invariance_check_rejects_a_tilted_basis(m, monkeypatch):
+    # at m = 330 the norm of the monodromy overflows, which once made the
+    # residual bound infinite and let any basis through
+    split = hyperbolicity._split_bases
+
+    def tilted(monodromy, band):
+        stable, unstable = split(monodromy, band)
+        return stable, (unstable + stable[:, :1]) / math.sqrt(2.0)
+
+    monkeypatch.setattr(hyperbolicity, "_split_bases", tilted)
+    model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
+    with pytest.raises(RuntimeError, match="invariant subspace residual"):
+        sl.analyze_periodic_orbit(model.system, np.zeros(3), m)
 
 
 def test_period_12_keeps_its_multipliers(cat_sys):
@@ -89,9 +115,17 @@ def test_period_12_keeps_its_multipliers(cat_sys):
     assert np.abs(rec.multipliers[0]) == pytest.approx(GOLDEN**12, rel=1e-12)
 
 
+def _monodromy(record):
+    """A_{m-1} ... A_0, multiplied in the order analyze_periodic_orbit uses."""
+    b = np.eye(record.jacobians.shape[-1])
+    for a in record.jacobians:
+        b = a @ b
+    return b
+
+
 def test_invariant_subspaces(cat_sys):
     rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
-    b = rec.monodromy
+    b = _monodromy(rec)
     for basis in (rec.stable_basis, rec.unstable_basis):
         image = b @ basis
         residual = image - basis @ (basis.T @ image)
@@ -305,7 +339,7 @@ def _loop_stretches(sys, records, horizon, samples=None):
             else:
                 rows = basis.T
             if backward:
-                jac_seq = sys.jacobian_inverse(record.points)[(m - 1 - steps) % m]
+                jac_seq = np.linalg.inv(record.jacobians)[(m - 1 - steps) % m]
             else:
                 jac_seq = record.jacobians[steps % m]
             for j in range(1, horizon + 1):
@@ -509,7 +543,7 @@ def _split_cases(linear_jordan2):
     records.append(sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1))  # unit band
     assert {r.hyperbolic for r in records} == {True, False}
     for record in records:
-        yield record.monodromy, 0.0 if record.hyperbolic else hyperbolicity.UNIT_MODULUS_BAND
+        yield _monodromy(record), 0.0 if record.hyperbolic else hyperbolicity.UNIT_MODULUS_BAND
     rng = np.random.default_rng(11)
     for n in range(1, 7):
         for band in (0.0, hyperbolicity.UNIT_MODULUS_BAND):

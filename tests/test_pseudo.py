@@ -359,7 +359,7 @@ def test_pullback_cat_fixed_point(cat_sys):
     xi, meta, cert = sl.witness_orbit_pullback(cat_sys, [0.0, 0.0], 1, v_u, 1e-5)
     assert cert.tau == pytest.approx(1.0 / GOLDEN, rel=1e-12)
     assert abs(cert.coefficients[1]) <= 1e-12
-    assert meta.period == 1 * (cert.pullback_steps + 1)
+    assert meta.period == 1 * (meta.params["n_pullback"] + 1)
     assert xi.defect <= 4e-5
 
 
@@ -421,6 +421,55 @@ def test_pullback_rejects_stable_vector(cat_sys):
     rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
     with pytest.raises(sl.VectorNotUnstableError):
         sl.witness_orbit_pullback(cat_sys, [0.0, 0.0], 1, rec.stable_basis[:, 0], 1e-5)
+
+
+def _pullback_orbits():
+    cat = sl.cat_map()
+    toral3 = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]])  # 2-D unstable
+    yield cat, np.zeros(2), 1
+    yield cat, sl.enumerate_periodic_points_toral(cat.matrix, 3)[5], 3
+    yield cat, sl.enumerate_periodic_points_toral(cat.matrix, 6)[7], 6
+    yield toral3, np.zeros(3), 1
+    yield toral3, sl.enumerate_periodic_points_toral(toral3.matrix, 3)[4], 3
+
+
+@pytest.mark.parametrize("n_pullback", [1, 14, 40, 100, 300])
+def test_pullback_stays_within_2_at_depth(n_pullback):
+    # a pullback through the whole monodromy grows the rounding in the stable
+    # direction by B^-1 until it overflows; in unstable coordinates it has none
+    d = 1e-6
+    for toral, p, m in _pullback_orbits():
+        rec = sl.analyze_periodic_orbit(toral.system, p, m)
+        xi, meta, cert = sl.witness_orbit_pullback(
+            toral.system, p, m, rec.unstable_basis[:, 0], d, n_pullback
+        )
+        assert meta.params["n_pullback"] == n_pullback
+        assert meta.period == xi.period == m * (n_pullback + 1)
+        assert xi.defect <= 2 * d
+        w = cert.displacement
+        pushed = np.einsum("qij,qj->qi", np.tile(rec.jacobians, (n_pullback + 1, 1, 1)), w)
+        assert np.max(np.linalg.norm(np.roll(w, -1, axis=0) - pushed, axis=1)) < 2.0
+
+
+def test_pullback_that_cannot_shrink_is_a_typed_error():
+    # the multiplier 1.00001^10 ~ 1.0001 is hyperbolic, but tau ~ 10 needs about
+    # 23000 pullbacks to fall below 1, far past MAX_PULLBACK_TRIES
+    weak = sl.linear_system(np.diag([1.00001, 0.5]))
+    rec = sl.analyze_periodic_orbit(weak, np.zeros(2), 10)
+    assert rec.hyperbolic
+    with pytest.raises(sl.PullbackFailedError):
+        sl.witness_orbit_pullback(weak, np.zeros(2), 10, rec.unstable_basis[:, 0], 1e-5)
+
+
+def test_pullback_period_is_bounded(cat_sys, monkeypatch):
+    v_u = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1).unstable_basis[:, 0]
+    with pytest.raises(StepLimitError, match="depth 1000000000"):
+        sl.witness_orbit_pullback(cat_sys, [0.0, 0.0], 1, v_u, 1e-5, 10**9)
+    # a depth raised past the requested one meets the limit as well
+    monkeypatch.setattr(sl.pseudo, "MAX_ITERATE_STEPS", 50)
+    weak = sl.linear_system(np.diag([1.00001, 0.5]))
+    with pytest.raises(StepLimitError, match="period 10 and depth 5 "):
+        sl.witness_orbit_pullback(weak, np.zeros(2), 10, np.array([1.0, 0.0]), 1e-5)
 
 
 # ---------------------------------------------------------------------------
