@@ -353,26 +353,18 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
     sol = shadow.find_periodic_shadow(sys_, xi)
     # the shadow's period is a multiple of the orbit's: compare period by period
     laps = sys_.space.diff(sol.orbit.reshape(-1, period, sys_.dim), record.points)
-    return_dev = float(np.max(np.linalg.norm(laps, axis=-1)))
+    # below the periodicity tolerance the deviation is rounding noise: report the tolerance
+    within = max(float(np.max(np.linalg.norm(laps, axis=-1))), hyperbolicity.PERIODICITY_TOL)
+    columns = (cert.rates, cert.coefficients, cert.products, cert.bound_curve(constant))
     rows = [["i", "lambda_i", "a_i", "product", "bound"]]
-    curve = cert.bound_curve(constant)
-    for i in range(period):
-        rows.append(
-            [
-                str(i),
-                _fmt(cert.rates[i]),
-                _fmt(cert.coefficients[i]),
-                _fmt(cert.products[i]),
-                _fmt(curve[i]),
-            ]
-        )
+    rows += [[str(i), *(_fmt(column[i]) for column in columns)] for i in range(period)]
     csv_path = _write_table(ctx, "certificate", rows)
     return 0, (
         f"Expansion certificate at the period-{period} orbit: tau {cert.tau:.6g}, closing "
         f"coefficient {cert.coefficients[period]:.3g}, growth bound with constant "
         f"{constant:.6g} {'holds' if growth_ok else 'FAILS'}; displacement witness has period "
         f"{meta.period} and defect {xi.defect:.6g} (<= 4d = {4 * d:.6g}), and its shadow "
-        f"returns to the orbit within {return_dev:.3g}. Wrote {csv_path}."
+        f"returns to the orbit within {within:.3g}. Wrote {csv_path}."
     )
 
 

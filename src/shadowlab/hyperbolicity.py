@@ -3,8 +3,9 @@
 The monodromy of a period-m orbit is the ordered Jacobian product
 Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space at p_0 into
 stable and unstable invariant subspaces: one unsorted real Schur form from
-LAPACK's gees, reordered by trsen once for each side, so complex pairs stay
-together and the bases are real and orthonormal.
+LAPACK's gees gives the multipliers, and reordered by trsen once for each
+side, the bases, so complex pairs stay together and the bases are real and
+orthonormal.
 subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
 re-orthonormalised at each step by two-pass classical Gram-Schmidt, which is
 orthogonal to working precision ("twice is enough"): the unstable basis moves
@@ -128,20 +129,26 @@ def _unsorted(wr: float, wi: float) -> bool:
     return False
 
 
-def _split_bases(monodromy: Array, band: float) -> tuple[Array, Array]:
-    """Orthonormal bases of the stable and unstable invariant subspaces.
-
-    One unsorted real Schur form from gees, reordered twice by trsen with the
-    selections |w| < 1 - band and |w| > 1 + band: the steps gees takes when it
-    sorts (dhseqr, dtrsen on the selection, dgebak's row permutation, which
-    commutes with trsen's column rotations), so each basis equals the leading
-    Schur vectors of ``scipy.linalg.schur(..., sort=...)`` bit for bit.
-    """
+def _schur(monodromy: Array) -> tuple[Array, Array, Array]:
+    """Unsorted real Schur form (T, Z) of the monodromy from gees, and its
+    eigenvalues wr + i wi, real when every wi is 0 (numpy's convention)."""
     lwork = _GEES(_unsorted, monodromy, lwork=-1)[-2][0].real.astype(np.int_)
     t, _, wr, wi, z, _, info = _GEES(_unsorted, monodromy, lwork=lwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"gees failed to reduce the monodromy (info {info})")
-    moduli = np.hypot(wr, wi)
+    # (wr, wi) pairs viewed as complex keep the sign of a zero real part
+    return t, z, np.stack((wr, wi), axis=-1).view(np.complex128)[:, 0] if wi.any() else wr
+
+
+def _split_bases(t: Array, z: Array, moduli: Array, band: float) -> tuple[Array, Array]:
+    """Orthonormal bases of the stable and unstable invariant subspaces.
+
+    The Schur form of _schur, reordered by trsen with the selections
+    |w| < 1 - band and |w| > 1 + band (``moduli`` is |w| in Schur order): the
+    steps gees takes when it sorts (dhseqr, dtrsen, dgebak's row permutation,
+    which commutes with trsen's column rotations), so each basis equals the
+    leading Schur vectors of ``scipy.linalg.schur(..., sort=...)`` bit for bit.
+    """
     bases = []
     for select in (moduli < 1.0 - band, moduli > 1.0 + band):
         _, q, _, _, k, _, _, info = _TRSEN(select, t, z, job="N")
@@ -154,19 +161,19 @@ def _split_bases(monodromy: Array, band: float) -> tuple[Array, Array]:
 def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:
     """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
 
-    ``m`` need not be the minimal period.  A unit-modulus multiplier (within
-    1e-6) yields hyperbolic=False, which is a result, not an error.  A monodromy
-    that overflows, or multipliers lost to rounding (log-moduli off
-    sum log|det Df(p_i)|), raise LostPrecisionError.
+    One unsorted Schur form of the monodromy gives the multipliers (sorted by
+    decreasing modulus, then real and imaginary part) and, reordered once per
+    side, the bases.  ``m`` need not be the minimal period.  A unit-modulus
+    multiplier (within 1e-6) yields hyperbolic=False, which is a result, not
+    an error.  A monodromy that overflows, or multipliers lost to rounding
+    (log-moduli off sum log|det Df(p_i)|), raise LostPrecisionError.
     """
     if m < 1:
         raise ValueError("period must be >= 1")
-    p = sys.space.wrap(np.asarray(p, dtype=float))
-    pts = orbit_segment(sys, p, 0, m)  # includes f^m(p) for the periodicity check
-    if sys.space.dist(pts[m], p) > PERIODICITY_TOL:
-        raise NotPeriodicError(
-            f"f^{m}(p) is {sys.space.dist(pts[m], p):.3e} away from p (tolerance {PERIODICITY_TOL})"
-        )
+    pts = orbit_segment(sys, p, 0, m)  # p wrapped first, and f^m(p) for the periodicity check
+    gap = sys.space.dist(pts[m], pts[0])
+    if gap > PERIODICITY_TOL:
+        raise NotPeriodicError(f"f^{m}(p) is {gap:.3e} away from p (tolerance {PERIODICITY_TOL})")
     pts = pts[:m]
     jacs = sys.jacobian(pts)
     monodromy = np.eye(sys.dim)
@@ -174,22 +181,18 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for a in jacs:
             monodromy = a @ monodromy
-        try:
-            multipliers = np.linalg.eigvals(monodromy)
-        except np.linalg.LinAlgError as exc:
-            if np.isfinite(monodromy).all():
-                raise
-            raise LostPrecisionError(f"period-{m} monodromy overflows") from exc
-        order = np.lexsort((multipliers.imag, multipliers.real, -np.abs(multipliers)))
-        multipliers = multipliers[order]
-        moduli = np.abs(multipliers)
+        if not np.isfinite(monodromy).all():
+            raise LostPrecisionError(f"period-{m} monodromy overflows")
+        t, z, multipliers = _schur(monodromy)
+        moduli = np.abs(multipliers)  # in Schur order
+        order = np.lexsort((multipliers.imag, multipliers.real, -moduli))
         # log|det B| two ways: from the multipliers and from the Jacobians
-        drift = abs(float(np.log(moduli).sum() - np.linalg.slogdet(jacs)[1].sum()))
+        drift = abs(float(np.log(moduli[order]).sum() - np.linalg.slogdet(jacs)[1].sum()))
     if not (drift <= UNIT_MODULUS_BAND):
         raise LostPrecisionError(f"period-{m} multipliers lost to rounding (log drift {drift:.3g})")
     hyperbolic = bool(np.all(np.abs(moduli - 1.0) >= UNIT_MODULUS_BAND))
     band = 0.0 if hyperbolic else UNIT_MODULUS_BAND
-    stable, unstable = _split_bases(monodromy, band)
+    stable, unstable = _split_bases(t, z, moduli, band)
     # the residual check runs on B 2^-e, e >= 0 the binary exponent of max|B_ij|:
     # scaling by a power of two is exact, so it decides as on B itself, but no
     # norm of B 2^-e overflows
@@ -197,17 +200,16 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     scaled = monodromy * unit
     scale = max(unit, np.linalg.norm(scaled))
     for basis in (stable, unstable):
-        if basis.shape[1]:
-            image = scaled @ basis
-            residual = image - basis @ (basis.T @ image)
-            if np.linalg.norm(residual) > 1e-8 * scale:
-                raise RuntimeError("invariant subspace residual too large; eigensolver failure")
+        image = scaled @ basis
+        residual = image - basis @ (basis.T @ image)
+        if np.linalg.norm(residual) > 1e-8 * scale:
+            raise RuntimeError("invariant subspace residual too large; eigensolver failure")
     return PeriodicOrbitRecord(
         period=m,
         points=pts,
         jacobians=jacs,
-        multipliers=multipliers,
-        index=int(np.sum(moduli > 1.0 + (0.0 if hyperbolic else UNIT_MODULUS_BAND))),
+        multipliers=multipliers[order],
+        index=int(np.sum(moduli > 1.0 + band)),
         hyperbolic=hyperbolic,
         stable_basis=stable,
         unstable_basis=unstable,
@@ -306,19 +308,16 @@ def extract_uniform_constants(
         raise ValueError("all records must be hyperbolic")
     g = np.zeros(horizon + 1)
     g[0] = 1.0
-    steps = np.arange(horizon)
     for _, jacobians, stable, unstable in _orbit_groups(records):
         m = len(jacobians)
         for basis, backward in ((stable, False), (unstable, True)):
             if basis.shape[-1] == 0:
                 continue
-            if backward:
-                jac_seq = np.linalg.inv(jacobians)[(m - 1 - steps) % m]
-            else:
-                jac_seq = jacobians[steps % m]
+            # step j applies maps[(j - 1) % m]: backward, A_{m-1}^-1 first
+            maps = np.linalg.inv(jacobians)[::-1] if backward else jacobians
             current = np.swapaxes(basis, -1, -2)  # basis vectors as rows, (N, k, n)
             for j in range(1, horizon + 1):
-                current = current @ np.swapaxes(jac_seq[j - 1], -1, -2)
+                current = current @ np.swapaxes(maps[(j - 1) % m], -1, -2)
                 # summed the way a row norm is, so at k = 1 this is the vector's norm
                 gram = (current[..., :, None, :] * current[..., None, :, :]).sum(axis=-1)
                 g[j] = max(g[j], math.sqrt(np.max(np.linalg.eigvalsh(gram)[..., -1])))

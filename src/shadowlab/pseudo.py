@@ -315,6 +315,14 @@ def witness_rotation(
 # orbit displacement (pullback) witness around a hyperbolic periodic orbit
 
 
+def _require_pullback_period(m: int, depth: int) -> None:
+    if m * (depth + 1) > MAX_ITERATE_STEPS:
+        raise StepLimitError(
+            f"the pullback witness at period {m} and depth {depth} has a period over "
+            f"{MAX_ITERATE_STEPS} steps"
+        )
+
+
 def witness_orbit_pullback(
     sys: DiscreteSystem,
     p: Array,
@@ -334,7 +342,9 @@ def witness_orbit_pullback(
     subspace.  The depth n is raised from ``n_pullback`` until
     |B^{-n} tau e_0| < 1, by at most MAX_PULLBACK_TRIES (PullbackFailedError);
     a period m(n+1) over MAX_ITERATE_STEPS raises StepLimitError before the
-    solve that would reach it.
+    solve that would reach it.  The solves stop once the coordinates c_i are
+    exactly 0.  Step j of tail period r is A_{j-1} ... A_0 U c_{n-r}, from the
+    partial products U^T B U is built from, in one batched product.
 
     Every step satisfies |w_{i+1} - A_i w_i| < 2, so the measured defect is
     below 2 d in the linear regime and at most 4 d for small d in general.
@@ -351,32 +361,31 @@ def witness_orbit_pullback(
         )
     cert = expansion_certificate(sys, record, v_u)
     u = record.unstable_basis
-    image = u
-    for a in record.jacobians:
-        image = a @ image
-    restriction = u.T @ image
-    coords = u.T @ (cert.tau * cert.directions[0])
+    # partials[j] = A_{j-1} ... A_0 U, so partials[m] = B U
+    partials = np.empty((m + 1,) + u.shape)
+    partials[0] = u
+    for j, a in enumerate(record.jacobians):
+        np.matmul(a, partials[j], out=partials[j + 1])
+    restriction = u.T @ partials[m]
+    _require_pullback_period(m, n_pullback)
+    # coords[i] = (U^T B U)^-i U^T tau e_0, left 0 past an underflow
+    coords = np.zeros((n_pullback + MAX_PULLBACK_TRIES + 1, u.shape[1]))
+    coords[0] = u.T @ (cert.tau * cert.directions[0])
     n = 0
-    while n < n_pullback or float(np.linalg.norm(coords)) >= 1.0:
+    while (n < n_pullback and coords[n].any()) or float(np.linalg.norm(coords[n])) >= 1.0:
         if n >= n_pullback + MAX_PULLBACK_TRIES:
             raise PullbackFailedError(
                 f"|B^-n tau e_0| stayed >= 1 after {MAX_PULLBACK_TRIES} extra pullbacks"
             )
-        depth = max(n + 1, n_pullback)  # n_pullback itself before the first solve
-        if m * (depth + 1) > MAX_ITERATE_STEPS:
-            raise StepLimitError(
-                f"the pullback witness at period {m} and depth {depth} has a period over "
-                f"{MAX_ITERATE_STEPS} steps"
-            )
-        coords = np.linalg.solve(restriction, coords)
+        _require_pullback_period(m, n + 1)
+        coords[n + 1] = np.linalg.solve(restriction, coords[n])
         n += 1
+    n = max(n, n_pullback)
 
     q = m * (n + 1)
     w_seq = np.empty((q, sys.dim))
     w_seq[:m] = cert.coefficients[:m, None] * cert.directions
-    w_seq[m] = u @ coords
-    for idx in range(m, q - 1):
-        w_seq[idx + 1] = record.jacobians[(idx % m)] @ w_seq[idx]
+    np.matmul(partials[:m], coords[n:0:-1, None, :, None], out=w_seq[m:].reshape(n, m, sys.dim, 1))
 
     pts = sys.space.wrap(np.tile(record.points, (n + 1, 1)) + d * w_seq)
     params = {"d": d, "m": m, "n_pullback": n, "Q": q, "tau": cert.tau}

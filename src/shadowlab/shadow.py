@@ -25,7 +25,7 @@ of A^Q, so the resolvent form is used.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     OrbitEscapeError,
     ShadowlabError,
     SingularJacobianError,
+    StepLimitError,
 )
 from .hyperbolicity import (
     PERIODICITY_TOL,
@@ -50,7 +51,8 @@ from .pseudo import (
     perturb_orbit,
     witness_jordan,
 )
-from .systems import DiscreteSystem, JordanModel, ToralAutomorphism, orbit_segment
+from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomorphism
+from .systems import orbit_segment
 
 Array = np.ndarray
 
@@ -314,15 +316,19 @@ def verify_periodicity_by_expansivity(
     """Finite-window surrogate for the expansivity argument.
 
     True iff the orbits of p and q = f^mu(p) stay within ``a`` of each other
-    for all |i| <= window AND dist(f^mu(p), p) <= 1e-8.  A finite window
-    checks, it does not prove.
+    for all |i| <= window AND dist(f^mu(p), p) <= 1e-8.  Both ways are walked
+    from p, so the rounding of f^i(p) grows over |i| steps only.  A finite
+    window checks, it does not prove.
     """
     if a <= 0:
         raise ValueError("expansivity constant must be positive")
     if window < mu:
         raise ValueError("window must be >= the candidate period")
+    if 2 * window + mu > MAX_ITERATE_STEPS:
+        raise StepLimitError(f"2 window + mu must be <= {MAX_ITERATE_STEPS}, got {2 * window + mu}")
     try:
-        pts = orbit_segment(sys, p, -window, window + mu)
+        behind = orbit_segment(replace(sys, forward=sys.inverse), p, 0, window)  # f^-i(p)
+        pts = np.concatenate((behind[:0:-1], orbit_segment(sys, p, 0, window + mu)))
     except OrbitEscapeError:
         return False
     # gaps[window + i] = dist(f^{i+mu}(p), f^i(p)) for |i| <= window

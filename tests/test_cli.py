@@ -409,7 +409,8 @@ def test_certificate_command(tmp_path, capsys):
     )
     assert cli.run(cfg) == 0
     out = capsys.readouterr().out
-    assert "holds" in out and "returns to the orbit" in out
+    # the deviation is rounding noise below the periodicity tolerance, reported as that
+    assert "holds" in out and "returns to the orbit within 1e-08." in out
     cert_lines = (tmp_path / "certificate.csv").read_text().splitlines()
     assert cert_lines[0] == "i,lambda_i,a_i,product,bound"
 

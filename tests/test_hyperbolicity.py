@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import schur
+from scipy.linalg import matrix_balance, schur
 from scipy.stats import norm, qmc
 
 import shadowlab as sl
@@ -99,8 +99,8 @@ def test_invariance_check_rejects_a_tilted_basis(m, monkeypatch):
     # residual bound infinite and let any basis through
     split = hyperbolicity._split_bases
 
-    def tilted(monodromy, band):
-        stable, unstable = split(monodromy, band)
+    def tilted(t, z, moduli, band):
+        stable, unstable = split(t, z, moduli, band)
         return stable, (unstable + stable[:, :1]) / math.sqrt(2.0)
 
     monkeypatch.setattr(hyperbolicity, "_split_bases", tilted)
@@ -524,9 +524,8 @@ def _angle_records():
         yield f"linear-complex-m{m}", sl.analyze_periodic_orbit(linear, np.zeros(3), m)
 
 
-def _split_cases(linear_jordan2):
-    """(monodromy, band) pairs: orbit records with their own band, and seeded
-    random matrices of sizes 1..6 at both bands."""
+def _split_records(linear_jordan2):
+    """Orbit records of cat, 3-D toral and linear maps, hyperbolic or not."""
     cat = sl.cat_map()
     records = []
     for m in range(1, 9):
@@ -542,7 +541,13 @@ def _split_cases(linear_jordan2):
         records.append(sl.analyze_periodic_orbit(linear, np.zeros(3), m))
     records.append(sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1))  # unit band
     assert {r.hyperbolic for r in records} == {True, False}
-    for record in records:
+    return records
+
+
+def _split_cases(linear_jordan2):
+    """(monodromy, band) pairs: orbit records with their own band, and seeded
+    random matrices of sizes 1..6 at both bands."""
+    for record in _split_records(linear_jordan2):
         yield _monodromy(record), 0.0 if record.hyperbolic else hyperbolicity.UNIT_MODULUS_BAND
     rng = np.random.default_rng(11)
     for n in range(1, 7):
@@ -556,7 +561,8 @@ def test_split_basis_matches_scipy_schur(linear_jordan2, monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_unsorted", lambda x, y: callbacks.append((x, y)))
     dims = set()
     for monodromy, band in _split_cases(linear_jordan2):
-        got = hyperbolicity._split_bases(monodromy, band)
+        t, z, eigenvalues = hyperbolicity._schur(monodromy)
+        got = hyperbolicity._split_bases(t, z, np.abs(eigenvalues), band)
         for basis, select in zip(
             got,
             (lambda x, y: np.hypot(x, y) < 1.0 - band, lambda x, y: np.hypot(x, y) > 1.0 + band),
@@ -568,6 +574,29 @@ def test_split_basis_matches_scipy_schur(linear_jordan2, monkeypatch):
     assert callbacks == []  # gees sorts nothing itself
     assert {n for n, _ in dims} == set(range(1, 7))
     assert all((n, 0) in dims and (n, n) in dims for n in range(1, 7))
+
+
+def test_multipliers_are_numpys_eigvals_bit_for_bit(linear_jordan2):
+    # the record keeps gees's eigenvalues, sorted as eigvals' once were (numpy and
+    # scipy each bundle an OpenBLAS; this assumes the two builds round alike)
+    for record in _split_records(linear_jordan2):
+        monodromy = _monodromy(record)
+        assert np.array_equal(matrix_balance(monodromy, permute=False)[0], monodromy)
+        expected = np.linalg.eigvals(monodromy)
+        expected = expected[np.lexsort((expected.imag, expected.real, -np.abs(expected)))]
+        assert record.multipliers.dtype == expected.dtype
+        assert record.multipliers.tobytes() == expected.tobytes()
+    # gees and eigvals' geev share dhseqr; geev alone also rescales the matrix by
+    # powers of two (dgebal job 'B'), so the two agree bit for bit, in Schur order,
+    # on the matrix geev balances to, which for the orbit monodromies above is B
+    rescaled = 0
+    for monodromy, _ in _split_cases(linear_jordan2):
+        balanced = matrix_balance(monodromy, permute=False)[0]
+        rescaled += not np.array_equal(balanced, monodromy)
+        got = hyperbolicity._schur(balanced)[2]
+        expected = np.linalg.eigvals(monodromy)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert rescaled > 0
 
 
 def test_angle_transport_matches_per_point_schur():

@@ -451,6 +451,59 @@ def test_pullback_stays_within_2_at_depth(n_pullback):
         assert np.max(np.linalg.norm(np.roll(w, -1, axis=0) - pushed, axis=1)) < 2.0
 
 
+def _pushed_tail(rec, cert, n):
+    """The displacement as the witness once built it: B^-n tau e_0 from n solves
+    in unstable coordinates, then pushed forward one Jacobian per step."""
+    m, u = rec.period, rec.unstable_basis
+    image = u
+    for a in rec.jacobians:
+        image = a @ image
+    restriction = u.T @ image
+    coords = u.T @ (cert.tau * cert.directions[0])
+    for _ in range(n):
+        coords = np.linalg.solve(restriction, coords)
+    w = np.empty((m * (n + 1), u.shape[0]))
+    w[:m] = cert.coefficients[:m, None] * cert.directions
+    w[m] = u @ coords
+    for i in range(m, len(w) - 1):
+        w[i + 1] = rec.jacobians[i % m] @ w[i]
+    return w
+
+
+@pytest.mark.parametrize("n_pullback", [1, 2, 5, 40])
+def test_pullback_displacement_matches_the_forward_push(n_pullback):
+    for toral, p, m in _pullback_orbits():
+        rec = sl.analyze_periodic_orbit(toral.system, p, m)
+        _, meta, cert = sl.witness_orbit_pullback(
+            toral.system, p, m, rec.unstable_basis[:, 0], 1e-6, n_pullback
+        )
+        expected = _pushed_tail(rec, cert, meta.params["n_pullback"])
+        w = cert.displacement
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-12 * np.max(np.abs(w)))
+
+
+def test_deep_pullback_stops_solving_at_underflow(cat_sys, monkeypatch):
+    v_u = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1).unstable_basis[:, 0]
+    solve, calls = np.linalg.solve, []
+
+    def counted(a, b):
+        calls.append(None)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    n = 100_000
+    xi, meta, cert = sl.witness_orbit_pullback(cat_sys, [0.0, 0.0], 1, v_u, 1e-5, n)
+    assert meta.period == xi.period == n + 1
+    # tau phi^-2i underflows to exactly 0 at the 774th pullback
+    assert 700 <= len(calls) <= 800
+    # period r of the tail holds depth n - r: the deepest rows are exactly 0, the
+    # ones the solves reached before the last (which gave 0) are not
+    w, depth = cert.displacement, len(calls) - 1
+    assert not w[1 : n - depth + 1].any()
+    assert np.all(w[n - depth + 1 :].any(axis=1))
+    assert xi.defect <= 2e-5
+
+
 def test_pullback_that_cannot_shrink_is_a_typed_error():
     # the multiplier 1.00001^10 ~ 1.0001 is hyperbolic, but tau ~ 10 needs about
     # 23000 pullbacks to fall below 1, far past MAX_PULLBACK_TRIES

@@ -370,6 +370,14 @@ def test_expansivity_rational_period2(cat_sys):
     assert sl.verify_periodicity_by_expansivity(cat_sys, [0.2, 0.4], 2, 0.5, 6)
 
 
+def test_expansivity_walks_both_ways_from_p(cat_sys):
+    # a start at f^-20(p) reached by inverse steps grows its rounding over all
+    # 2 * 20 + 10 expanding steps after it; walked from p, this period-10 point
+    # (residual 3.1e-13) stays within a at every |i| <= 20
+    p = [0.09818181818181818, 0.5054545454545455]
+    assert sl.verify_periodicity_by_expansivity(cat_sys, p, 10, 0.5, 20)
+
+
 def test_expansivity_generic_point(cat_sys):
     assert not sl.verify_periodicity_by_expansivity(
         cat_sys, [0.123456789, 0.654321987], 3, 0.01, 8
