@@ -15,13 +15,13 @@ in its numerically stable direction and the splitting gap at every point
 costs O(m) per orbit.  When the two bases have one shape (every 2-D orbit)
 they move as one stack, each step one batched product over both.
 
-subspace_angles and extract_uniform_constants work on stacks: they group the
-records by (period, dim S, dim U) and push each group through one batched
-product per step, followed by one batched Gram-Schmidt sweep in the splitting
-transport.  The Jacobians of a group are stacked with the step axis first,
-(m, N, n, n), so step i is the contiguous (N, n, n) slab jacobians[i]; a
-single record's own (m, n, n) Jacobians are the same layout without the N
-axis, and subspace_angle runs the same kernel on them.
+subspace_angles and extract_uniform_constants share that one transport: they
+group the records by (period, dim S, dim U) and carry each group as one stack,
+one batched product and Gram-Schmidt sweep per step; the fit then multiplies
+the k x k factors of Df in those frames.  A group's Jacobians are stacked step
+axis first, (m, N, n, n), so step i is the contiguous (N, n, n) slab
+jacobians[i]; a single record's own (m, n, n) Jacobians are the same layout
+without the N axis, and subspace_angle runs the same kernel on them.
 
 The expansion certificate attaches to an unstable vector the per-step growth
 rates lambda_i and the coefficients a_m = 0, a_i = (a_{i+1} + 1) / lambda_i,
@@ -45,10 +45,11 @@ from .errors import (
     LostPrecisionError,
     NonhyperbolicOrbitError,
     NotPeriodicError,
+    StepLimitError,
     TooManyPeriodicPointsError,
     VectorNotUnstableError,
 )
-from .systems import DiscreteSystem, orbit_segment
+from .systems import MAX_ITERATE_STEPS, DiscreteSystem, orbit_segment
 
 Array = np.ndarray
 
@@ -291,11 +292,13 @@ def extract_uniform_constants(
     """Fit the smallest (C, lam) consistent with the orbit data.
 
     g(j) is the worst stretch of unit stable vectors under Df^j and of
-    unstable ones under Df^{-j}, exact over each subspace: the largest
-    singular value of the pushed basis, from the top eigenvalue of its Gram
-    matrix.  Then lam = max_j g(j)^(1/j) and C = max_j g(j) / lam^j.  The
-    orbits of one period and splitting dimensions are pushed as one stack,
-    backward through the batched inverse of its Jacobians.
+    unstable ones under Df^{-j}, exact over each subspace.  On the frames B_i
+    of _frames (B_m = B_0) Df(p_i) acts as F_i = B_{i+1}^T Df(p_i) B_i, k x k,
+    so g(j) is the top singular value of F_{j-1} ... F_0 (stable side) or of
+    F_{m-j}^-1 ... F_{m-1}^-1 (unstable side, indices mod m), each product a
+    mantissa times an exact power of two.  lam = max_j g(j)^(1/j) and
+    C = max_j g(j) / lam^j are fitted in log2, one stack per period and
+    splitting dimensions.  A horizon over MAX_ITERATE_STEPS is a StepLimitError.
 
     ``sys`` is accepted for interface symmetry with the other orbit
     operations; all data comes from the records' stored Jacobians.
@@ -304,27 +307,31 @@ def extract_uniform_constants(
         raise ValueError("empty input: need at least one orbit record")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if any(not r.hyperbolic for r in records):
-        raise ValueError("all records must be hyperbolic")
-    g = np.zeros(horizon + 1)
-    g[0] = 1.0
+    if horizon > MAX_ITERATE_STEPS:
+        raise StepLimitError(f"horizon must be <= {MAX_ITERATE_STEPS}, got {horizon}")
+    _require_hyperbolic(records)
+    log_g = np.concatenate(([0.0], np.full(horizon, -np.inf)))  # log2 g(j)
     for _, jacobians, stable, unstable in _orbit_groups(records):
         m = len(jacobians)
-        for basis, backward in ((stable, False), (unstable, True)):
-            if basis.shape[-1] == 0:
+        for frames, backward in zip(_frames(jacobians, stable, unstable), (False, True)):
+            if frames.shape[-1] == 0:
                 continue
-            # step j applies maps[(j - 1) % m]: backward, A_{m-1}^-1 first
-            maps = np.linalg.inv(jacobians)[::-1] if backward else jacobians
-            current = np.swapaxes(basis, -1, -2)  # basis vectors as rows, (N, k, n)
+            factors = np.roll(frames, -1, axis=0).swapaxes(-1, -2) @ (jacobians @ frames)
+            # step j applies maps[(j - 1) % m]: backward, F_{m-1}^-1 first
+            maps = np.linalg.inv(factors)[::-1] if backward else factors
+            product, exponent = np.eye(frames.shape[-1]), 0
             for j in range(1, horizon + 1):
-                current = current @ np.swapaxes(maps[(j - 1) % m], -1, -2)
-                # summed the way a row norm is, so at k = 1 this is the vector's norm
-                gram = (current[..., :, None, :] * current[..., None, :, :]).sum(axis=-1)
-                g[j] = max(g[j], math.sqrt(np.max(np.linalg.eigvalsh(gram)[..., -1])))
-    with np.errstate(divide="ignore"):
-        lam = float(np.max(g[1:] ** (1.0 / np.arange(1, horizon + 1))))
-    lam = min(lam, 1.0 - 1e-12)
-    c = float(np.max(g / lam ** np.arange(horizon + 1)))
+                product = maps[(j - 1) % m] @ product
+                # max|product| is brought into [1/2, 1) by an exact power of two
+                shift = np.frexp(np.abs(product).max(axis=(-2, -1)))[1]
+                product = np.ldexp(product, -shift[..., None, None])
+                exponent = exponent + shift
+                # top singular value from the k x k Gram matrix; at k = 1 it is |product|
+                top = np.sqrt(np.linalg.eigvalsh(product.swapaxes(-1, -2) @ product)[..., -1])
+                log_g[j] = max(log_g[j], np.max(np.log2(top) + exponent))
+    steps = np.arange(horizon + 1)
+    lam = min(float(np.exp2(np.max(log_g[1:] / steps[1:]))), 1.0 - 1e-12)
+    c = float(np.exp2(np.max(log_g - steps * math.log2(lam))))
     return HyperbolicityConstants(growth_constant=c, rate=lam)
 
 
@@ -362,25 +369,29 @@ def _carry(maps: Array, basis: Array) -> Array:
     return path
 
 
-def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
-    """Splitting gap at every point of one orbit or of a stack of orbits.
+def _frames(jacobians: Array, stable: Array, unstable: Array) -> tuple[Array, Array]:
+    """Orthonormal stable and unstable bases at every point of one orbit or of
+    a stack of orbits, (m, ..., n, dim S) and (m, ..., n, dim U), p_0 first.
 
-    ``jacobians`` is (m, ..., n, n) with the step axis first; ``stable`` and
-    ``unstable`` are the bases at p_0, (..., n, dim S) and (..., n, dim U),
-    both sides nonempty.  Returns the gaps, (m, ...).  Bases of one shape
-    (every 2-D orbit) are carried as one stack, the forward Jacobians beside
-    the inverses, (m - 1, 2, ..., n, n).
+    ``jacobians`` is (m, ..., n, n), step axis first, and ``stable`` and
+    ``unstable`` the bases at p_0.  Bases of one shape (every 2-D orbit) are
+    carried as one stack, the forward Jacobians beside the inverses.
     """
-    m = len(jacobians)
-    forward = jacobians[: m - 1]
-    # pulled back from p_m = p_0 through p_{m-1}, ..., p_1
-    backward = np.linalg.inv(jacobians[:0:-1])
+    # the stable basis is pulled back from p_m = p_0 through p_{m-1}, ..., p_1
+    forward, backward = jacobians[:-1], jacobians[:0:-1]
     if stable.shape == unstable.shape:
-        paths = _carry(np.stack((forward, backward), axis=1), np.stack((unstable, stable)))
-        u_path, s_back = paths.swapaxes(0, 1)
+        # the inverses are written into the stack rather than held beside it
+        maps = np.stack((forward, backward), axis=1)
+        maps[:, 1] = np.linalg.inv(maps[:, 1])
+        u_path, s_back = _carry(maps, np.stack((unstable, stable))).swapaxes(0, 1)
     else:
-        u_path, s_back = _carry(forward, unstable), _carry(backward, stable)
-    s_path = np.concatenate((s_back[:1], s_back[:0:-1]))  # in orbit order
+        u_path, s_back = _carry(forward, unstable), _carry(np.linalg.inv(backward), stable)
+    return np.concatenate((s_back[:1], s_back[:0:-1])), u_path  # in orbit order
+
+
+def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
+    """Splitting gap at every point, (m, ...), from the frames of _frames."""
+    s_path, u_path = _frames(jacobians, stable, unstable)
     sigma = np.linalg.svd(s_path.swapaxes(-1, -2) @ u_path, compute_uv=False)
     cos_min_angle = np.minimum(1.0, sigma[..., 0])
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))
@@ -388,7 +399,7 @@ def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
 
 def _require_hyperbolic(records) -> None:
     if any(not r.hyperbolic for r in records):
-        raise NonhyperbolicOrbitError("splitting angle requires a hyperbolic orbit")
+        raise NonhyperbolicOrbitError("the splitting requires a hyperbolic orbit")
 
 
 def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:

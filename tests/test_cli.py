@@ -1,6 +1,7 @@
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,36 @@ def test_angles_command(tmp_path, capsys):
     assert "beta in [" in out and "fitted uniform constants" in out
     lines = (tmp_path / "angles.csv").read_text().splitlines()
     assert len(lines) == 1 + 1 + 5 + 16
+
+
+def test_angles_fit_holds_at_long_horizons(tmp_path, capsys):
+    for matrix, horizon, summary in (
+        ("3 2; 1 1", 40, "C = 1, rate = 0.267949 (horizon 40)"),
+        ("2 1; 1 1", 800, "C = 1, rate = 0.381966 (horizon 800)"),
+    ):
+        cfg = write(
+            tmp_path / "ang.cfg",
+            CAT_SYSTEM.replace("2 1; 1 1", matrix)
+            + f"[command]\nname = angles\nmax-period = 4\nhorizon = {horizon}\n"
+            + f"[output]\ndirectory = {tmp_path}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", cfg]) == 0
+        assert summary in capsys.readouterr().out
+
+
+def test_angles_horizon_is_step_limited(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "a.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = angles\nmax-period = 2\nhorizon = 1000000000\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    start = time.perf_counter()
+    assert cli.main(["run", cfg]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert "error (step-limit)" in capsys.readouterr().err
 
 
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from shadowlab.errors import (
     DegenerateMatrixError,
     LostPrecisionError,
     NotPeriodicError,
+    StepLimitError,
     TooManyPeriodicPointsError,
 )
 from shadowlab.hyperbolicity import (
@@ -321,10 +322,10 @@ def _unit_sphere_sample(dim: int, count: int):
     return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 
-def _loop_stretches(sys, records, horizon, samples=None):
-    """g(0..horizon) of the per-record fit: every record, basis and horizon
-    step on its own.  A step's stretch is the exact norm of the pushed basis
-    or, given ``samples``, the worst of that many pushed unit vectors."""
+def _sampled_stretches(records, horizon, samples):
+    """g(0..horizon) from ``samples`` unit vectors of each subspace, every
+    record and step on its own: stable vectors pushed forward through the
+    Jacobians, unstable ones back through their inverses."""
     g = np.zeros(horizon + 1)
     g[0] = 1.0
     steps = np.arange(horizon)
@@ -334,32 +335,43 @@ def _loop_stretches(sys, records, horizon, samples=None):
             k = basis.shape[1]
             if k == 0:
                 continue
-            if samples:
-                rows = (basis @ _unit_sphere_sample(k, samples).T).T
-            else:
-                rows = basis.T
+            rows = (basis @ _unit_sphere_sample(k, samples).T).T
             if backward:
                 jac_seq = np.linalg.inv(record.jacobians)[(m - 1 - steps) % m]
             else:
                 jac_seq = record.jacobians[steps % m]
             for j in range(1, horizon + 1):
                 rows = rows @ jac_seq[j - 1].T
-                if samples:
-                    stretch = np.max(np.linalg.norm(rows, axis=1))
-                else:
-                    gram = (rows[:, None, :] * rows[None, :, :]).sum(axis=-1)
-                    stretch = math.sqrt(np.linalg.eigvalsh(gram)[-1])
-                g[j] = max(g[j], float(stretch))
+                g[j] = max(g[j], float(np.max(np.linalg.norm(rows, axis=1))))
     return g
 
 
-def _loop_uniform_constants(sys, records, horizon):
-    """The per-record fit from exact stretches."""
-    g = _loop_stretches(sys, records, horizon)
-    with np.errstate(divide="ignore"):
-        lam = float(np.max(g[1:] ** (1.0 / np.arange(1, horizon + 1))))
-    lam = min(lam, 1.0 - 1e-12)
-    c = float(np.max(g / lam ** np.arange(horizon + 1)))
+def _loop_uniform_constants(records, horizon):
+    """The per-record fit: each record's frames from the unbatched _frames,
+    its k x k factors one step at a time and their products kept as a
+    mantissa times a power of two."""
+    log_g = np.full(horizon + 1, -np.inf)
+    log_g[0] = 0.0
+    for record in records:
+        m, jacobians = record.period, record.jacobians
+        frames = hyperbolicity._frames(jacobians, record.stable_basis, record.unstable_basis)
+        for basis, backward in zip(frames, (False, True)):
+            if basis.shape[-1] == 0:
+                continue
+            factors = [basis[(i + 1) % m].T @ (jacobians[i] @ basis[i]) for i in range(m)]
+            if backward:
+                factors = [np.linalg.inv(f) for f in factors[::-1]]
+            product, exponent = np.eye(basis.shape[-1]), 0
+            for j in range(1, horizon + 1):
+                product = factors[(j - 1) % m] @ product
+                shift = math.frexp(np.abs(product).max())[1]
+                product = product * math.ldexp(1.0, -shift)
+                exponent += shift
+                top = math.sqrt(np.linalg.eigvalsh(product.T @ product)[-1])
+                log_g[j] = max(log_g[j], np.log2(top) + exponent)
+    steps = np.arange(horizon + 1)
+    lam = min(float(np.exp2(np.max(log_g[1:] / steps[1:]))), 1.0 - 1e-12)
+    c = float(np.exp2(np.max(log_g - steps * math.log2(lam))))
     return sl.HyperbolicityConstants(growth_constant=c, rate=lam)
 
 
@@ -408,7 +420,7 @@ def test_constants_stacked_equal_the_per_record_loop():
     for name, sys_, records in _uniform_constant_cases():
         assert len(records) > 1, name
         for horizon in (1, 8):
-            expected = _loop_uniform_constants(sys_, records, horizon)
+            expected = _loop_uniform_constants(records, horizon)
             assert sl.extract_uniform_constants(sys_, records, horizon) == expected, name
         names.append(name)
         splits.update((r.stable_basis.shape[1], r.unstable_basis.shape[1]) for r in records)
@@ -417,22 +429,23 @@ def test_constants_stacked_equal_the_per_record_loop():
 
 
 def test_exact_stretches_bound_the_sampled_ones():
-    """The exact stretch is a sup over the unit sphere of each subspace, so it
-    is never below the worst of 100 sampled unit vectors, and equals it where
-    every subspace is a line (the sample is then the basis vector itself)."""
+    """The fitted C lam^j bounds the stretch of every unit vector, so also the
+    worst of 100 sampled ones; where every subspace is a line the sample is
+    the basis vector itself, and the bound is reached."""
     lines = 0
     for name, sys_, records in _uniform_constant_cases():
-        exact = _loop_stretches(sys_, records, 8)
-        sampled = _loop_stretches(sys_, records, 8, samples=100)
-        assert np.all(exact >= sampled), name
+        const = sl.extract_uniform_constants(sys_, records, 8)
+        bound = const.growth_constant * const.rate ** np.arange(9)
+        ratio = _sampled_stretches(records, 8, 100) / bound
+        assert np.all(ratio <= 1.0 + 1e-12), name
         if all(max(r.stable_basis.shape[1], r.unstable_basis.shape[1]) == 1 for r in records):
-            assert np.array_equal(exact, sampled), name
+            assert np.max(ratio) == pytest.approx(1.0, rel=1e-9), name
             lines += 1
     assert lines == 3
 
 
 @pytest.mark.parametrize("tail", [(3.0, 0.5, 0.25), (2.0, 3.0)])
-@pytest.mark.parametrize("horizon", [1, 8])
+@pytest.mark.parametrize("horizon", [1, 8, 40, 800])
 def test_constants_exact_rate_on_diagonal_models(tail, horizon):
     """A diagonal map contracts its stable (or inverse-unstable) subspace by
     exactly 0.5 per step at worst; a vector sample only reaches it from below."""
@@ -440,6 +453,49 @@ def test_constants_exact_rate_on_diagonal_models(tail, horizon):
     zero = np.zeros(len(tail))
     records = [sl.analyze_periodic_orbit(model.system, zero, m) for m in (1, 2, 5)]
     assert sl.extract_uniform_constants(model.system, records, horizon).rate == 0.5
+
+
+def test_constants_hold_at_long_horizons(cat_sys):
+    """Products of the k x k factors neither overflow nor lose the contraction,
+    so the fit does not drift with the horizon."""
+    cat = sl.cat_map()
+    records = [
+        sl.analyze_periodic_orbit(cat_sys, point, m)
+        for m in range(1, 5)
+        for point in sl.enumerate_periodic_points_toral(cat.matrix, m)
+    ]
+    for horizon in (20, 24, 40, 60, 800):
+        const = sl.extract_uniform_constants(cat_sys, records, horizon)
+        assert const.rate == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-14), horizon
+        assert const.growth_constant == pytest.approx(1.0, rel=1e-12), horizon
+    toral3 = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]])
+    records = [
+        sl.analyze_periodic_orbit(toral3.system, point, m)
+        for m in range(1, 4)
+        for point in sl.enumerate_periodic_points_toral(toral3.matrix, m)
+    ]
+    expected = sl.extract_uniform_constants(toral3.system, records, 1)
+    for horizon in (20, 60, 800):
+        assert sl.extract_uniform_constants(toral3.system, records, horizon) == expected, horizon
+
+
+def test_constants_reject_nonhyperbolic(linear_jordan2):
+    record = sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)
+    with pytest.raises(sl.NonhyperbolicOrbitError, match="requires a hyperbolic orbit"):
+        sl.extract_uniform_constants(linear_jordan2.system, [record], 4)
+
+
+def test_constants_horizon_is_step_limited_before_transport(cat_sys, monkeypatch):
+    record = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
+    monkeypatch.setattr(sl.hyperbolicity, "MAX_ITERATE_STEPS", 50)
+    assert sl.extract_uniform_constants(cat_sys, [record], 50).rate == pytest.approx(1.0 / GOLDEN)
+
+    def transport(*args):
+        raise AssertionError("transported before the horizon check")
+
+    monkeypatch.setattr(hyperbolicity, "_frames", transport)
+    with pytest.raises(StepLimitError, match="horizon must be <= 50, got 51"):
+        sl.extract_uniform_constants(cat_sys, [record], 51)
 
 
 # ---------------------------------------------------------------------------
