@@ -35,7 +35,6 @@ from .hyperbolicity import (
     expansion_certificate,
     extract_uniform_constants,
     subspace_angle,
-    subspace_angles,
     verify_growth_bound,
 )
 from .pseudo import (
@@ -110,7 +109,6 @@ PUBLIC_OPERATIONS = (
     verify_growth_bound,
     extract_uniform_constants,
     subspace_angle,
-    subspace_angles,
     enumerate_periodic_points_toral,
 )
 

@@ -27,8 +27,8 @@ from .shadow import _csv_text, _fmt, _table_text
 
 OUTPUT_DIR_ENV = "SHADOWLAB_OUTPUT_DIR"
 
-# most periodic orbits the angles command analyses (about a minute at ~1 ms each)
-MAX_ANALYSED_ORBITS = 2**16
+# most periodic points the angles command lists, one row each in angles.csv
+MAX_LISTED_POINTS = 2**16
 
 COMMANDS = ("witness", "shadow", "scan", "orbit", "lemma6", "angles", "enumerate", "splice")
 
@@ -247,9 +247,11 @@ def _cmd_scan(ctx) -> tuple[int, str]:
             deviation = np.max(
                 np.linalg.norm(sys_.space.diff(oracle_orbit, solved.orbit), axis=1)
             )
+            # below the periodicity tolerance the deviation is rounding noise: report the tolerance
+            within = max(float(deviation), hyperbolicity.PERIODICITY_TOL)
             ceiling = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
             notes.append(
-                f"linear oracle deviation {deviation:.3g}, theoretical ratio ceiling "
+                f"linear oracle deviation within {within:.3g}, theoretical ratio ceiling "
                 f"{ceiling:.6g}"
             )
         except ShadowlabError as exc:
@@ -381,21 +383,25 @@ def _cmd_angles(ctx) -> tuple[int, str]:
         for m in range(max_period, 0, -1)
     ][::-1]
     total = sum(len(points) for points in point_sets)
-    if total > MAX_ANALYSED_ORBITS:
+    if total > MAX_LISTED_POINTS:
         raise TooManyPeriodicPointsError(
             f"periods 1..{max_period} have {total} periodic points, more than the "
-            f"{MAX_ANALYSED_ORBITS} that are analysed"
+            f"{MAX_LISTED_POINTS} that are listed"
         )
-    periodic = [(m, point) for m, points in enumerate(point_sets, start=1) for point in points]
-    records = [hyperbolicity.analyze_periodic_orbit(sys_, point, m) for m, point in periodic]
-    betas = [angle.minimum for angle in hyperbolicity.subspace_angles(records)]
+    # Df = M at every point, so the origin, fixed by every automorphism, stands
+    # for all points of each period: one analysis, one beta per period
+    records = [
+        hyperbolicity.analyze_periodic_orbit(sys_, np.zeros(sys_.dim), m)
+        for m in range(1, max_period + 1)
+    ]
+    betas = [hyperbolicity.subspace_angle(record).minimum for record in records]
     rows = [["period", "point", "beta_min"]]
-    for (m, point), beta in zip(periodic, betas):
-        rows.append([str(m), " ".join(_fmt(c) for c in point), _fmt(beta)])
+    for m, (points, beta) in enumerate(zip(point_sets, betas), start=1):
+        rows += [[str(m), " ".join(_fmt(c) for c in point), _fmt(beta)] for point in points]
     constants = hyperbolicity.extract_uniform_constants(sys_, records, horizon)
     path = _write_table(ctx, "angles", rows)
     return 0, (
-        f"Splitting angles over {len(betas)} periodic points up to period {max_period}: "
+        f"Splitting angles over {total} periodic points up to period {max_period}: "
         f"beta in [{min(betas):.9g}, {max(betas):.9g}]; fitted uniform constants "
         f"C = {constants.growth_constant:.6g}, rate = {constants.rate:.6g} "
         f"(horizon {horizon}). Wrote {path}."

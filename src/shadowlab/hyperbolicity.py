@@ -15,13 +15,13 @@ in its numerically stable direction and the splitting gap at every point
 costs O(m) per orbit.  When the two bases have one shape (every 2-D orbit)
 they move as one stack, each step one batched product over both.
 
-subspace_angles and extract_uniform_constants share that one transport: they
-group the records by (period, dim S, dim U) and carry each group as one stack,
-one batched product and Gram-Schmidt sweep per step; the fit then multiplies
-the k x k factors of Df in those frames.  A group's Jacobians are stacked step
-axis first, (m, N, n, n), so step i is the contiguous (N, n, n) slab
-jacobians[i]; a single record's own (m, n, n) Jacobians are the same layout
-without the N axis, and subspace_angle runs the same kernel on them.
+extract_uniform_constants runs that one transport on many records: it groups
+them by (period, dim S, dim U) and carries each group as one stack, one
+batched product and Gram-Schmidt sweep per step, then multiplies the k x k
+factors of Df in those frames.  A group's Jacobians are stacked step axis
+first, (m, N, n, n), so step i is the contiguous (N, n, n) slab jacobians[i];
+a single record's own (m, n, n) Jacobians are the same layout without the N
+axis, and subspace_angle runs the same kernel on them.
 
 The expansion certificate attaches to an unstable vector the per-step growth
 rates lambda_i and the coefficients a_m = 0, a_i = (a_{i+1} + 1) / lambda_i,
@@ -389,14 +389,6 @@ def _frames(jacobians: Array, stable: Array, unstable: Array) -> tuple[Array, Ar
     return np.concatenate((s_back[:1], s_back[:0:-1])), u_path  # in orbit order
 
 
-def _splitting_gaps(jacobians: Array, stable: Array, unstable: Array) -> Array:
-    """Splitting gap at every point, (m, ...), from the frames of _frames."""
-    s_path, u_path = _frames(jacobians, stable, unstable)
-    sigma = np.linalg.svd(s_path.swapaxes(-1, -2) @ u_path, compute_uv=False)
-    cos_min_angle = np.minimum(1.0, sigma[..., 0])
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * cos_min_angle))
-
-
 def _require_hyperbolic(records) -> None:
     if any(not r.hyperbolic for r in records):
         raise NonhyperbolicOrbitError("the splitting requires a hyperbolic orbit")
@@ -408,23 +400,10 @@ def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
     if s.shape[1] == 0 or u.shape[1] == 0:
         # one side empty: the minimum over pairs is vacuous
         return SplittingAngles(per_point=np.full(record.period, 2.0), minimum=2.0)
-    betas = _splitting_gaps(record.jacobians, s, u)
+    s_path, u_path = _frames(record.jacobians, s, u)
+    sigma = np.linalg.svd(s_path.swapaxes(-1, -2) @ u_path, compute_uv=False)
+    betas = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, sigma[:, 0])))
     return SplittingAngles(per_point=betas, minimum=float(np.min(betas)))
-
-
-def subspace_angles(records: list[PeriodicOrbitRecord]) -> list[SplittingAngles]:
-    """subspace_angle of every record, each group of one period and splitting
-    dimensions transported as one stack."""
-    _require_hyperbolic(records)
-    angles: list[SplittingAngles | None] = [None] * len(records)
-    for indices, jacobians, stable, unstable in _orbit_groups(records):
-        if stable.shape[-1] == 0 or unstable.shape[-1] == 0:
-            betas = np.full((len(indices), len(jacobians)), 2.0)
-        else:
-            betas = np.ascontiguousarray(_splitting_gaps(jacobians, stable, unstable).T)
-        for i, per_point in zip(indices, betas):
-            angles[i] = SplittingAngles(per_point=per_point, minimum=float(np.min(per_point)))
-    return angles
 
 
 # ---------------------------------------------------------------------------

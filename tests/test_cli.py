@@ -219,9 +219,25 @@ def test_scan_command_bounded_exit0(tmp_path, capsys):
     assert cli.run(cfg) == 0
     out = capsys.readouterr().out
     assert "verdict bounded" in out
-    assert "linear oracle deviation" in out
+    assert "linear oracle deviation within 1e-08, " in out
     assert (tmp_path / "scan.csv").exists()
     assert (tmp_path / "scan.txt").exists()
+
+
+def test_scan_oracle_note_prints_a_deviation_over_the_tolerance(tmp_path, capsys, monkeypatch):
+    oracle = sl.shadow.closed_form_linear_shadow
+    monkeypatch.setattr(
+        sl.shadow, "closed_form_linear_shadow", lambda a, gaps: oracle(a, gaps) + [1e-6, 0.0]
+    )
+    cfg = write(
+        tmp_path / "scan.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
+        + "d-values = 1e-3 1e-4 1e-5\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    assert "linear oracle deviation within 1e-06, " in capsys.readouterr().out
 
 
 def test_scan_command_perturbed_toral(tmp_path, capsys):
@@ -352,26 +368,51 @@ def test_orbit_command_analyses_once(tmp_path, capsys, monkeypatch):
     assert len(angles) == 1 and len(certificates) == 1
 
 
-def test_angles_command_stacks_each_period(tmp_path, capsys, monkeypatch):
-    cat = sl.cat_map()
+@pytest.mark.parametrize(
+    "matrix, max_period, fmt",
+    [
+        ("2 1; 1 1", 4, "csv"),
+        # unequal split dims (1, 2): the frames are carried unstacked
+        ("-1 -1 -1; 2 0 -1; 2 1 0", 3, "csv"),
+        ("2 1; 1 1", 4, "table"),
+    ],
+)
+def test_angles_command_analyses_each_period_once(
+    tmp_path, capsys, monkeypatch, matrix, max_period, fmt
+):
+    toral = sl.toral_automorphism([[int(x) for x in row.split()] for row in matrix.split(";")])
     rows = ["period,point,beta_min"]
-    for m in range(1, 5):
-        for point in sl.enumerate_periodic_points_toral(cat.matrix, m):
-            beta = sl.subspace_angle(sl.analyze_periodic_orbit(cat.system, point, m)).minimum
+    for m in range(1, max_period + 1):
+        for point in sl.enumerate_periodic_points_toral(toral.matrix, m):
+            beta = sl.subspace_angle(sl.analyze_periodic_orbit(toral.system, point, m)).minimum
             rows.append(f"{m},{' '.join(repr(float(c)) for c in point)},{beta!r}")
-    single = _count_calls(monkeypatch, sl.hyperbolicity, "subspace_angle")
-    stacked = _count_calls(monkeypatch, sl.hyperbolicity, "subspace_angles")
+    analyses = _count_calls(monkeypatch, sl.hyperbolicity, "analyze_periodic_orbit")
+    angles = _count_calls(monkeypatch, sl.hyperbolicity, "subspace_angle")
     fits = _count_calls(monkeypatch, sl.hyperbolicity, "extract_uniform_constants")
     cfg = write(
         tmp_path / "angles.cfg",
-        CAT_SYSTEM
-        + "[command]\nname = angles\nmax-period = 4\n"
-        + f"[output]\ndirectory = {tmp_path}\n",
+        f"[system]\nkind = toral\nmatrix = {matrix}\n"
+        + f"[command]\nname = angles\nmax-period = {max_period}\n"
+        + f"[output]\ndirectory = {tmp_path}\nformat = {fmt}\n",
     )
     assert cli.run(cfg) == 0
-    capsys.readouterr()
-    assert (len(single), len(stacked), len(fits)) == (0, 1, 1)
+    assert f"over {len(rows) - 1} periodic points" in capsys.readouterr().out
+    assert (len(analyses), len(angles), len(fits)) == (max_period, max_period, 1)
     assert (tmp_path / "angles.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+    if fmt == "csv":
+        assert not (tmp_path / "angles.txt").exists()
+        return
+    cells = [row.split(",") for row in rows]
+    lines = (tmp_path / "angles.txt").read_text().splitlines()
+    assert len(lines) == len(cells)
+    # each column starts where its header cell does, two spaces past the widest cell before it
+    starts = [lines[0].index(name) for name in cells[0]] + [None]
+    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    assert starts[0] == 0 and all(starts[j + 1] == starts[j] + widths[j] + 2 for j in range(2))
+    for line, row in zip(lines, cells):
+        assert line == line.rstrip()
+        for j, cell in enumerate(row):
+            assert line[starts[j] : starts[j + 1]].rstrip() == cell
 
 
 def test_scan_oracle_note_when_a_solve_raises(tmp_path, capsys, monkeypatch):

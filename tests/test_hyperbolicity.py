@@ -707,9 +707,9 @@ def test_orthonormal_columns_of_nearly_parallel_stacks():
     assert np.allclose(q[..., :1] * np.linalg.norm(first, axis=-2, keepdims=True), first)
 
 
-def _separate_carry_gaps(jacobians, stable, unstable):
-    """Splitting gaps from two separate carries, each step's Gram-Schmidt
-    result in a temporary copied into the path."""
+def _separate_carry_frames(jacobians, stable, unstable):
+    """Stable and unstable frames, p_0 first, from two separate carries, each
+    step's Gram-Schmidt result in a temporary copied into the path."""
 
     def gram_schmidt(x):
         q = np.empty_like(x)
@@ -732,7 +732,12 @@ def _separate_carry_gaps(jacobians, stable, unstable):
     m = len(jacobians)
     u_path = carry(jacobians[: m - 1], unstable)
     s_back = carry(np.linalg.inv(jacobians[:0:-1]), stable)
-    s_path = np.concatenate((s_back[:1], s_back[:0:-1]))
+    return np.concatenate((s_back[:1], s_back[:0:-1])), u_path
+
+
+def _separate_carry_gaps(jacobians, stable, unstable):
+    """Splitting gaps from the frames of _separate_carry_frames."""
+    s_path, u_path = _separate_carry_frames(jacobians, stable, unstable)
     sigma = np.linalg.svd(np.swapaxes(s_path, -1, -2) @ u_path, compute_uv=False)
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, sigma[..., 0])))
 
@@ -747,8 +752,10 @@ def test_stacked_carry_equals_separate_carries_bit_for_bit():
         splits.add((record.stable_basis.shape[1], record.unstable_basis.shape[1]))
     assert splits == {(1, 1), (1, 2), (2, 1)}
     for _, jacobians, stable, unstable in hyperbolicity._orbit_groups(list(records)):
-        got = hyperbolicity._splitting_gaps(jacobians, stable, unstable)
-        assert got.tobytes() == _separate_carry_gaps(jacobians, stable, unstable).tobytes()
+        stacked = hyperbolicity._frames(jacobians, stable, unstable)
+        separate = _separate_carry_frames(jacobians, stable, unstable)
+        for got, expected in zip(stacked, separate):
+            assert got.tobytes() == expected.tobytes()
 
 
 def _norm_loop_certificate(record, v_u):
@@ -793,37 +800,6 @@ def test_angle_rejects_nonhyperbolic(linear_jordan2):
     record = sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)
     with pytest.raises(sl.NonhyperbolicOrbitError):
         sl.subspace_angle(record)
-
-
-def test_angles_stacked_equal_the_per_record_calls():
-    _, records = zip(*_angle_records())
-    repeller = sl.jordan_model(block=None, tail=(2.0, 3.0), c=0.0)
-    records = list(records) + [
-        sl.analyze_periodic_orbit(repeller.system, np.zeros(2), m) for m in (1, 3)
-    ]
-    order = np.random.default_rng(4).permutation(len(records))
-    records = [records[i] for i in order]
-    stacked = sl.subspace_angles(records)
-    assert len(stacked) == len(records)
-    for record, got in zip(records, stacked):
-        expected = sl.subspace_angle(record)
-        assert got.per_point.shape == (record.period,)
-        assert got.per_point.tobytes() == expected.per_point.tobytes()
-        assert got.minimum == expected.minimum
-    assert sl.subspace_angles([]) == []
-
-
-def test_angles_stacked_reject_nonhyperbolic_before_transport(cat_sys, linear_jordan2, monkeypatch):
-    def transport(*args):
-        raise AssertionError("transported before the hyperbolicity check")
-
-    monkeypatch.setattr(hyperbolicity, "_splitting_gaps", transport)
-    records = [
-        sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1),
-        sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1),
-    ]
-    with pytest.raises(sl.NonhyperbolicOrbitError, match="requires a hyperbolic orbit"):
-        sl.subspace_angles(records)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 import shadowlab as sl
-from shadowlab.errors import NonhyperbolicMonodromyError, SingularJacobianError
+from shadowlab import shadow
+from shadowlab.errors import NonhyperbolicMonodromyError, OrbitEscapeError, SingularJacobianError
 from shadowlab.shadow import _cyclic_matrix
 
 from conftest import random_hyperbolic_matrix
@@ -267,6 +268,32 @@ def test_solver_nonlinear_jordan(nonlinear_jordan2):
     assert sol.sup_distance <= 5e-3
 
 
+def _linear_pseudotrajectory():
+    lin = sl.linear_system([[2.0, 1.0], [1.0, 1.0]])
+    pts = np.random.default_rng(11).normal(scale=1e-3, size=(5, 2))
+    return lin, sl.make_pseudotrajectory(lin, pts)
+
+
+def test_solver_halves_an_overlong_step(monkeypatch):
+    # on a linear map the gaps after step s * delta are (1 - s) times the old
+    # ones: at 3 delta the full step doubles the residual, the half step halves it
+    lin, xi = _linear_pseudotrajectory()
+    expected = sl.find_periodic_shadow(lin, xi)
+    solve = shadow._solve_cyclic
+    monkeypatch.setattr(shadow, "_solve_cyclic", lambda jacobians, rhs: 3.0 * solve(jacobians, rhs))
+    sol = sl.find_periodic_shadow(lin, xi)
+    assert sol.converged and sol.iterations > 1
+    assert np.max(np.abs(sol.orbit - expected.orbit)) <= 1e-9
+
+
+def test_solver_stops_when_no_step_lowers_the_residual(monkeypatch):
+    lin, xi = _linear_pseudotrajectory()
+    monkeypatch.setattr(shadow, "_solve_cyclic", lambda jacobians, rhs: np.zeros_like(rhs))
+    sol = sl.find_periodic_shadow(lin, xi)
+    assert not sol.converged and sol.iterations == 1
+    assert sol.orbit.tobytes() == xi.points.tobytes()
+
+
 def test_solver_weak_saddle_at_2000_unknowns():
     # a normal saddle with multipliers -0.25 and -1.2: the cyclic system is
     # well conditioned, but LU of its dense form grows like 1.2^Q
@@ -382,6 +409,14 @@ def test_expansivity_generic_point(cat_sys):
     assert not sl.verify_periodicity_by_expansivity(
         cat_sys, [0.123456789, 0.654321987], 3, 0.01, 8
     )
+
+
+def test_expansivity_false_when_the_orbit_leaves_the_box():
+    # the first backward step from (0, 0.9) reaches (0, 1.8), outside the box
+    lin = sl.linear_system(np.diag([2.0, 0.5]), halfwidth=1.0)
+    with pytest.raises(OrbitEscapeError):
+        sl.orbit_segment(replace(lin, forward=lin.inverse), [0.0, 0.9], 0, 2)
+    assert not sl.verify_periodicity_by_expansivity(lin, [0.0, 0.9], 1, 0.5, 2)
 
 
 # ---------------------------------------------------------------------------
