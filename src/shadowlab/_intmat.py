@@ -1,8 +1,8 @@
 """Exact integer matrix utilities (Python ints, no overflow).
 
 Used by the periodic-point enumerator and the toral automorphism check:
-Smith normal form with unimodular transforms, integer determinants and
-integer matrix powers.
+Smith normal form with unimodular transforms, echelon lattice bases,
+integer determinants and integer matrix powers.
 """
 
 from __future__ import annotations
@@ -61,6 +61,46 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def echelon_basis(rows: IntMatrix, modulus: int) -> IntMatrix:
+    """Upper-triangular basis b_0 .. b_{n-1} of the lattice spanned by ``rows``
+    and modulus * Z^n (``modulus`` > 0).
+
+    b_j[j] = h_j > 0 divides ``modulus``, b_j[k] = 0 for k < j and
+    0 <= b_j[k] < modulus for k > j.  Column j is cleared by folding every
+    pending row into the pivot modulus * e_j through unimodular 2 x 2 steps
+    [[x, y], [-b/g, a/g]] (x a + y b = g = gcd(a, b)), so the span never
+    changes and the rows left after column n - 1 are zero.  Entries are kept
+    reduced mod modulus by the generators modulus * e_k, k > j, that no step
+    has used yet; a folded pivot h_j < modulus is left as it is.
+    """
+    n = len(rows[0])
+    pending = [[x % modulus for x in row] for row in rows]
+    basis = []
+    for j in range(n):
+        pivot = [modulus if k == j else 0 for k in range(n)]
+        for i, row in enumerate(pending):
+            a, b = pivot[j], row[j]
+            if b == 0:
+                continue
+            g, x, y = _extended_gcd(a, b)
+            pivot, pending[i] = (
+                [(x * p + y * r) % modulus for p, r in zip(pivot, row)],
+                [((a // g) * r - (b // g) * p) % modulus for p, r in zip(pivot, row)],
+            )
+        basis.append(pivot)
+    return basis
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b) > 0, for a > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -376,18 +376,20 @@ def _cmd_angles(ctx) -> tuple[int, str]:
     toral = _require(ctx, "toral")
     max_period = section.take("max-period", *POSITIVE_INT, required=True)
     horizon = section.take("horizon", *POSITIVE_INT, default=8)
-    # largest period first, so a count over the enumeration cap fails before
-    # any orbit is analysed
-    point_sets = [
-        hyperbolicity.enumerate_periodic_points_toral(toral.matrix, m)
-        for m in range(max_period, 0, -1)
-    ][::-1]
-    total = sum(len(points) for points in point_sets)
+    # the exact counts, largest period first, decide both caps before any
+    # point is enumerated or orbit analysed
+    total = sum(
+        hyperbolicity._periodic_count(toral.matrix, m)[1] for m in range(max_period, 0, -1)
+    )
     if total > MAX_LISTED_POINTS:
         raise TooManyPeriodicPointsError(
             f"periods 1..{max_period} have {total} periodic points, more than the "
             f"{MAX_LISTED_POINTS} that are listed"
         )
+    point_sets = [
+        hyperbolicity.enumerate_periodic_points_toral(toral.matrix, m)
+        for m in range(1, max_period + 1)
+    ]
     # Df = M at every point, so the origin, fixed by every automorphism, stands
     # for all points of each period: one analysis, one beta per period
     records = [

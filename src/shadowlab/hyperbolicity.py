@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eig, get_lapack_funcs
 
 from . import _intmat
 from .errors import (
@@ -410,29 +410,87 @@ def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
 # exact enumeration of periodic points of toral automorphisms
 
 
+def _log_count_lower_bound(a: _intmat.IntMatrix, m: int) -> float:
+    """ln of prod_{|w|>1} (|w|^m - 1) prod_{|w|<1} (1 - |w|^m) <= |det(M^m - I)|
+    over the eigenvalues w of M, or the trivial bound -inf when one may lie
+    within UNIT_MODULUS_BAND of the unit circle, where |w|^m - 1 has no
+    reliable sign or size.
+
+    Each float modulus is first moved toward 1 by 1000 n eps ||M||_F kappa,
+    kappa = 1 / |y^H x| the condition number of w (unit left and right
+    eigenvectors y, x): many times its first-order rounding error.  A
+    defective w, whose error grows like eps^(1/k), has a kappa near
+    eps^(1/k - 1), so its slack covers that error too.
+    """
+    matrix = np.array(a, dtype=float)
+    w, left, right = eig(matrix, left=True, right=True)
+    with np.errstate(divide="ignore"):
+        kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+    slack = 1000.0 * len(a) * np.finfo(float).eps * np.linalg.norm(matrix) * kappa
+    moduli = np.abs(w)
+    gap = np.abs(moduli - 1.0) - slack
+    if not np.all(gap >= UNIT_MODULUS_BAND):
+        return -math.inf
+    big, small = 1.0 + gap[moduli > 1.0], 1.0 - gap[moduli < 1.0]
+    return float(m * np.log(big).sum() + np.log1p(-(big**-m)).sum() + np.log1p(-(small**m)).sum())
+
+
+def _magnitude(log_count: float) -> str:
+    """10^x for a count of natural log ``log_count``, x rounded down to 0.1."""
+    return f"10^{math.floor(log_count / math.log(10) * 10) / 10:.1f}"
+
+
+def _periodic_count(matrix, m: int) -> tuple[_intmat.IntMatrix, int]:
+    """M^m - I and N = |det(M^m - I)|, the number of points of period m.
+
+    Raises DegenerateMatrixError when N = 0 and TooManyPeriodicPointsError
+    when N > MAX_PERIODIC_POINTS.  A float lower bound on ln N that passes
+    2 ln MAX_PERIODIC_POINTS decides the second before the exact power M^m
+    (over a million digits at cat period 10^7) is formed; the bound's
+    eigenvalue slack and the further factor MAX_PERIODIC_POINTS keep that
+    decision clear of rounding.  Counts past 20 digits are written as a
+    power of ten.
+    """
+    a = _intmat.int_matrix(matrix)
+    if m < 1:
+        raise ValueError("period must be >= 1")
+    cap = f"more than the {MAX_PERIODIC_POINTS} that are enumerated"
+    margin = 2 * math.log(MAX_PERIODIC_POINTS)
+    # the bound is below n m ln max(||M||_inf, 1), so short periods skip it
+    norm = max(1, *(sum(abs(x) for x in row) for row in a))
+    bound = _log_count_lower_bound(a, m) if len(a) * m * math.log(norm) > margin else -math.inf
+    if bound > margin:
+        raise TooManyPeriodicPointsError(
+            f"period {m} has at least {_magnitude(bound)} periodic points, {cap}"
+        )
+    d = _intmat.mat_sub(_intmat.mat_power(a, m), _intmat.identity(len(a)))
+    count = abs(_intmat.det(d))
+    if count == 0:
+        raise DegenerateMatrixError("det(M^m - I) = 0: the periodic-point set is degenerate")
+    if count > MAX_PERIODIC_POINTS:
+        text = str(count) if count < 10**20 else f"about {_magnitude(math.log(count))}"
+        raise TooManyPeriodicPointsError(f"period {m} has {text} periodic points, {cap}")
+    return d, count
+
+
 def _periodic_numerators(matrix, m: int) -> tuple[Array, int]:
     """Integer numerators k of the points x = k / e with M^m x = x (mod 1).
 
     With S = U (M^m - I) V the Smith normal form, the solutions are
     x = V y (mod 1) for y_i = c_i / s_i, 0 <= c_i < s_i.  Over the largest
-    invariant factor e every such x is k / e with k = V (c * e / s) mod e,
-    computed in int64 from V reduced mod e (each entry of the product stays
-    below n e^2).  Returns the (N, n) numerators in lexicographic order,
-    N = |det(M^m - I)|, and e.
+    invariant factor e every such x is k / e with k in [0, e)^n a point of
+    the lattice L spanned by the columns (e / s_i) V_i and e Z^n.  An
+    upper-triangular basis b_0 .. b_{n-1} of L (pivots h_j dividing e) walks
+    L one coordinate at a time: under a prefix k_0 .. k_{j-1}, reached with
+    coefficients c_0 .. c_{j-1}, k_j runs over r + h_j t, t = 0 .. e / h_j - 1,
+    with r the residue mod h_j of sum_{i<j} c_i b_i[j].  The prefixes stay
+    in order and each progression rises, so the (N, n) int64 numerators,
+    N = |det(M^m - I)|, come out in lexicographic order with no sort.  Every
+    intermediate is below e + e^2 (below e when n = 1), within the guard
+    n e^2 < 2^63.  Returns the numerators and e.
     """
-    a = _intmat.int_matrix(matrix)
-    if m < 1:
-        raise ValueError("period must be >= 1")
-    n = len(a)
-    d = _intmat.mat_sub(_intmat.mat_power(a, m), _intmat.identity(n))
-    count = abs(_intmat.det(d))
-    if count == 0:
-        raise DegenerateMatrixError("det(M^m - I) = 0: the periodic-point set is degenerate")
-    if count > MAX_PERIODIC_POINTS:
-        raise TooManyPeriodicPointsError(
-            f"period {m} has {count} periodic points, more than the "
-            f"{MAX_PERIODIC_POINTS} that are enumerated"
-        )
+    d, _ = _periodic_count(matrix, m)
+    n = len(d)
     _, s, v = _intmat.smith_normal_form(d)
     orders = [s[i][i] for i in range(n)]
     e = orders[-1]
@@ -440,11 +498,23 @@ def _periodic_numerators(matrix, m: int) -> tuple[Array, int]:
         raise TooManyPeriodicPointsError(
             f"period {m} needs numerators over {e}, beyond int64 arithmetic"
         )
-    axes = [np.arange(order, dtype=np.int64) * (e // order) for order in orders]
-    scaled = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    v_mod = np.array([[x % e for x in row] for row in v], dtype=np.int64)
-    k = (scaled @ v_mod.T) % e
-    return k[np.lexsort(k.T[::-1])], e
+    generators = [[v[i][j] * (e // orders[j]) for i in range(n)] for j in range(n)]
+    # a row of k holds its numerators in columns < j and the running sums
+    # sum_{i<j} c_i b_i mod e in columns >= j
+    k = np.zeros((1, n), dtype=np.int64)
+    for j, b in enumerate(_intmat.echelon_basis(generators, e)):
+        h, tail = b[j], np.array(b[j + 1 :], dtype=np.int64)
+        t = np.arange(e // h, dtype=np.int64)
+        walked = np.empty((len(k), len(t), n), dtype=np.int64)
+        walked[:, :, :j] = k[:, None, :j]
+        np.remainder(k[:, j, None], h, out=walked[:, :, j])
+        walked[:, :, j] += h * t
+        # c_j = t - k_j // h adds c_j b_j past column j
+        base = (k[:, j + 1 :] - k[:, j, None] // h * tail) % e
+        np.add(base[:, None, :], t[:, None] * tail, out=walked[:, :, j + 1 :])
+        np.remainder(walked[:, :, j + 1 :], e, out=walked[:, :, j + 1 :])
+        k = walked.reshape(-1, n)
+    return k, e
 
 
 def enumerate_periodic_points_exact(matrix, m: int) -> list[tuple[Fraction, ...]]:

@@ -474,7 +474,10 @@ def toral_orbit_with_period(toral: ToralAutomorphism, period: int) -> Array:
     A period-``period`` point has a smaller minimal period exactly when it is
     periodic with period ``period / p`` for a prime p dividing ``period``;
     those few points are excluded, so the answer lies within the first
-    (number excluded + 1) rows of the sorted numerators.
+    (number excluded + 1) rows of the numerators.  The echelon walk of
+    _periodic_numerators emits them in lexicographic order with no sort:
+    each coordinate rises through an arithmetic progression under prefixes
+    that are already in order.
     """
     numerators, e = _periodic_numerators(toral.matrix, period)
     excluded = {

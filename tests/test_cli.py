@@ -128,7 +128,8 @@ def test_enumerate_command(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command", ["name = enumerate\nperiod = 20", "name = enumerate\nperiod = 30",
-                "name = angles\nmax-period = 20"]
+                # the exact count has over 4300 digits, past Python's int-to-string limit
+                "name = enumerate\nperiod = 20000", "name = angles\nmax-period = 20"]
 )
 def test_periodic_point_cap_exits_1(tmp_path, capsys, command):
     cfg = write(
@@ -148,9 +149,10 @@ def test_periodic_point_cap_exits_1(tmp_path, capsys, command):
 
 def test_angles_orbit_cap_fails_before_analysis(tmp_path, capsys, monkeypatch):
     def never(*args):
-        raise AssertionError("an orbit was analysed")
+        raise AssertionError("a period was enumerated or an orbit analysed")
 
     monkeypatch.setattr(sl.hyperbolicity, "analyze_periodic_orbit", never)
+    monkeypatch.setattr(sl.hyperbolicity, "enumerate_periodic_points_toral", never)
     cfg = write(
         tmp_path / "a.cfg",
         CAT_SYSTEM
@@ -160,7 +162,9 @@ def test_angles_orbit_cap_fails_before_analysis(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", cfg]) == 1
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert "error (too-many-points)" in err and "167736" in err
+    assert "error (too-many-points)" in err
+    message = "periods 1..12 have 167736 periodic points, more than the 65536 that are listed"
+    assert message in err
     assert not (tmp_path / "angles.csv").exists()
 
 

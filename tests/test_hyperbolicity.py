@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -893,12 +894,19 @@ def minimal_period_start_oracle(matrix, m, points):
 # 3x3 unimodular and hyperbolic; the first invariant factor of M^m - I is 2
 # at m = 2, 4, 6 (for m = 2 the Smith diagonal is 2, 2, 8)
 UNIMODULAR_3 = [[-1, -1, -1], [2, 0, -1], [2, 1, 0]]
+# companion of the Salem polynomial x^4 - x^3 - x^2 - x + 1: two eigenvalues
+# on the unit circle, so the count cap is always decided exactly
+SALEM_4 = [[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+# block sum of 2 1; 1 1 and 3 2; 1 1: Z/2 x Z/2 points at period 1
+BLOCK_SUM_4 = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 2], [0, 0, 1, 1]]
 ENUMERATION_CASES = [
     pytest.param(matrix, m, id=f"{name}-m{m}")
     for name, matrix, periods in (
         ("cat", [[2, 1], [1, 1]], range(1, 10)),
         ("3121", [[3, 1], [2, 1]], range(1, 7)),
         ("unimodular3", UNIMODULAR_3, range(1, 6)),
+        ("salem4", SALEM_4, range(1, 7)),
+        ("blocksum4", BLOCK_SUM_4, range(1, 3)),
     )
     for m in periods
 ]
@@ -912,8 +920,53 @@ def test_enumeration_matches_fraction_oracle(matrix, m):
     toral = sl.enumerate_periodic_points_toral(matrix, m)
     assert toral.dtype == floats.dtype and toral.tobytes() == floats.tobytes()
     start = minimal_period_start_oracle(matrix, m, oracle)
+    if start is None:  # salem4 at period 3 has only the fixed point
+        with pytest.raises(ValueError, match="no orbit of minimal period"):
+            sl.toral_orbit_with_period(sl.toral_automorphism(matrix), m)
+        return
     orbit = sl.toral_orbit_with_period(sl.toral_automorphism(matrix), m)
     assert orbit[0].tobytes() == np.array([float(c) for c in start]).tobytes()
+
+
+def sorted_lattice_reference(matrix, m):
+    """(k, e) as first built in int64: every Smith counter vector scaled by
+    e / s_i through a meshgrid, mapped through V mod e by one int64 matmul,
+    then sorted by lexsort."""
+    a = _intmat.int_matrix(matrix)
+    n = len(a)
+    d = _intmat.mat_sub(_intmat.mat_power(a, m), _intmat.identity(n))
+    _, s, v = _intmat.smith_normal_form(d)
+    orders = [s[i][i] for i in range(n)]
+    e = orders[-1]
+    axes = [np.arange(order, dtype=np.int64) * (e // order) for order in orders]
+    scaled = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    v_mod = np.array([[x % e for x in row] for row in v], dtype=np.int64)
+    k = (scaled @ v_mod.T) % e
+    return k[np.lexsort(k.T[::-1])], e
+
+
+@pytest.mark.parametrize(
+    "matrix,m",
+    [
+        pytest.param(matrix, m, id=f"{name}-m{m}")
+        for name, matrix, periods in (
+            ("cat", [[2, 1], [1, 1]], range(1, 14)),
+            ("3211", [[3, 2], [1, 1]], range(1, 10)),
+            ("5221", [[5, 2], [2, 1]], range(1, 9)),  # period 9 passes the cap
+            ("unimodular3", UNIMODULAR_3, range(1, 9)),
+            ("211110100", [[2, 1, 1], [1, 1, 0], [1, 0, 0]], range(1, 9)),
+            ("salem4", SALEM_4, range(1, 16)),
+            ("blocksum4", BLOCK_SUM_4, range(1, 6)),
+        )
+        for m in periods
+    ],
+)
+def test_echelon_walk_matches_sorted_lattice(matrix, m):
+    k, e = hyperbolicity._periodic_numerators(matrix, m)
+    want, want_e = sorted_lattice_reference(matrix, m)
+    assert e == want_e
+    assert k.dtype == want.dtype and k.shape == want.shape
+    assert np.array_equal(k, want)
 
 
 def test_unimodular_3_smith_factor():
@@ -946,6 +999,50 @@ def test_enumeration_count_cap(m, enumerate_points):
     peak, err = _peak_bytes(lambda: enumerate_points(sl.cat_map().matrix, m))
     assert peak < 1 << 20  # far below one int64 row per point: nothing allocated
     assert err.code == "too-many-points" and f"period {m} has" in str(err)
+
+
+@pytest.mark.parametrize("m", [10300, 10**7])
+def test_enumeration_cap_is_fast_at_huge_periods(m):
+    # the exact count at period 10300 has over 4300 digits, past Python's
+    # int-to-string limit, and M^m alone takes over a minute at 10^7
+    start = time.perf_counter()
+    with pytest.raises(TooManyPeriodicPointsError) as err:
+        sl.enumerate_periodic_points_toral(sl.cat_map().matrix, m)
+    assert time.perf_counter() - start < 1.0
+    assert f"period {m} has at least 10^" in str(err.value)
+
+
+def test_enumeration_cap_writes_long_exact_counts_as_a_magnitude():
+    # eigenvalues on the unit circle: no float bound, the exact count decides
+    with pytest.raises(TooManyPeriodicPointsError) as err:
+        sl.enumerate_periodic_points_toral(SALEM_4, 20000)
+    assert "period 20000 has about 10^4720.8 periodic points" in str(err.value)
+
+
+def test_enumeration_keeps_exact_counts_for_defective_unit_eigenvalues():
+    # companion of (x^2 + 1)^3: the float eigenvalues +-i miss the unit circle
+    # by about 2e-6, which without their condition-number slack would claim
+    # over 10^33 points at this period; |det(M^m - I)| = |i^m - 1|^6 = 8
+    matrix = [[0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, -3],
+              [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, -3], [0, 0, 0, 0, 1, 0]]
+    m = 10**7 + 1
+    points = sl.enumerate_periodic_points_exact(matrix, m)
+    power = _intmat.mat_power(matrix, m)
+    assert len(points) == 8
+    for point in points:
+        assert all(sum(c * x for c, x in zip(row, point)) % 1 == x for row, x in zip(power, point))
+
+
+def test_enumeration_memory_at_period_15():
+    n_points = 1860496
+    tracemalloc.start()
+    try:
+        points = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (n_points, 2)
+    assert peak < 3 * n_points * 2 * 8
 
 
 def test_enumeration_cap_admits_period_15():

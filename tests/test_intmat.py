@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,3 +54,36 @@ def test_mat_power():
     m = [[2, 1], [1, 1]]
     assert _intmat.mat_power(m, 0) == [[1, 0], [0, 1]]
     assert _intmat.mat_power(m, 4) == [[34, 21], [21, 13]]
+
+
+def _coefficients(vec, basis):
+    """Coefficients of ``vec`` over an upper-triangular basis, or None when
+    they are not all integers."""
+    rest, coefficients = list(vec), []
+    for j, b in enumerate(basis):
+        c, r = divmod(rest[j], b[j])
+        if r:
+            return None
+        rest = [x - c * y for x, y in zip(rest, b)]
+        coefficients.append(c)
+    return coefficients
+
+
+@given(square_int_matrices(), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_echelon_basis_spans_the_lattice(rows, modulus):
+    n = len(rows)
+    basis = _intmat.echelon_basis(rows, modulus)
+    for j, b in enumerate(basis):
+        assert all(x == 0 for x in b[:j])
+        assert b[j] > 0 and modulus % b[j] == 0
+        assert all(0 <= x < modulus for x in b[j + 1 :])
+    # the input rows and modulus * Z^n lie in the span of the basis ...
+    generators = [list(r) for r in rows] + [
+        [modulus if k == i else 0 for k in range(n)] for i in range(n)
+    ]
+    assert all(_coefficients(g, basis) is not None for g in generators)
+    # ... and both spans have the same index in Z^n, so they are equal and
+    # each basis row is an integer combination of the generators
+    _, s, _ = _intmat.smith_normal_form(generators)
+    assert abs(_intmat.det(basis)) == math.prod(s[i][i] for i in range(n))
