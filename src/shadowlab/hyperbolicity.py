@@ -6,6 +6,14 @@ stable and unstable invariant subspaces: one unsorted real Schur form from
 LAPACK's gees gives the multipliers, and reordered by trsen once for each
 side, the bases, so complex pairs stay together and the bases are real and
 orthonormal.
+That splitting depends on the Jacobian stack alone, so it is memoised on it:
+the key is the stack's dtype and shape and a 256-bit blake2b digest of its
+bytes, and a least-recently-used memo keeps the last SPLITTING_MEMO_SIZE
+stacks, each entry O(n^2) whatever m (no copy of the stack is kept).  On a toral
+automorphism Df = M everywhere, so all orbits of one period share an entry.
+Errors are raised again on every call, never stored, and the memoised
+multipliers and bases are read-only arrays that records may share.
+
 subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
 re-orthonormalised at each step by two-pass classical Gram-Schmidt, which is
 orthogonal to working precision ("twice is enough"): the unstable basis moves
@@ -32,7 +40,9 @@ uniform lower bound curve (1 / (16 L)) (1 + 1 / (8 L))^i.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +68,8 @@ PERIODICITY_TOL = 1e-8
 # largest |det(M^m - I)| the enumerator materialises (period 15 of the cat map
 # has 1860496 points, period 16 has 4870845)
 MAX_PERIODIC_POINTS = 2**22
+# distinct Jacobian stacks whose splitting is kept, least recently used dropped first
+SPLITTING_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,10 @@ class PeriodicOrbitRecord:
     ``index`` counts multipliers of modulus > 1 and equals the dimension of
     the unstable subspace when the orbit is hyperbolic.  The bases at p_0 are
     orthonormal and invariant, to within 1e-8, under the monodromy
-    jacobians[m-1] ... jacobians[0].
+    jacobians[m-1] ... jacobians[0].  ``multipliers`` and both bases come
+    from the splitting memo, keyed on the bytes of ``jacobians`` and bounded
+    (see the module docstring): they are read-only and may be the same
+    arrays as in another record with an equal Jacobian stack.
     """
 
     period: int
@@ -159,25 +174,43 @@ def _split_bases(t: Array, z: Array, moduli: Array, band: float) -> tuple[Array,
     return bases[0], bases[1]
 
 
-def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:
-    """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
+_splittings: OrderedDict[tuple, tuple] = OrderedDict()
 
-    One unsorted Schur form of the monodromy gives the multipliers (sorted by
-    decreasing modulus, then real and imaginary part) and, reordered once per
-    side, the bases.  ``m`` need not be the minimal period.  A unit-modulus
-    multiplier (within 1e-6) yields hyperbolic=False, which is a result, not
-    an error.  A monodromy that overflows, or multipliers lost to rounding
-    (log-moduli off sum log|det Df(p_i)|), raise LostPrecisionError.
+
+def _stack_key(jacs: Array) -> tuple:
+    """The stack's dtype, its shape and a 256-bit blake2b digest of its bytes."""
+    digest = hashlib.blake2b(np.ascontiguousarray(jacs), digest_size=32).digest()
+    return jacs.dtype.str, jacs.shape, digest
+
+
+def _splitting(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
+    """Sorted multipliers, index, hyperbolic flag and the stable and unstable
+    bases of the monodromy jacs[m-1] ... jacs[0], memoised per stack.
+
+    The memo is keyed on _stack_key and keeps the last SPLITTING_MEMO_SIZE
+    stacks used; errors are raised again on every call, never stored.
     """
-    if m < 1:
-        raise ValueError("period must be >= 1")
-    pts = orbit_segment(sys, p, 0, m)  # p wrapped first, and f^m(p) for the periodicity check
-    gap = sys.space.dist(pts[m], pts[0])
-    if gap > PERIODICITY_TOL:
-        raise NotPeriodicError(f"f^{m}(p) is {gap:.3e} away from p (tolerance {PERIODICITY_TOL})")
-    pts = pts[:m]
-    jacs = sys.jacobian(pts)
-    monodromy = np.eye(sys.dim)
+    key = _stack_key(jacs)
+    found = _splittings.get(key)
+    if found is None:
+        found = _split_monodromy(jacs)
+        _splittings[key] = found
+        if len(_splittings) > SPLITTING_MEMO_SIZE:
+            _splittings.popitem(last=False)
+    else:
+        # each OrderedDict call is atomic, so threads need no lock; another
+        # thread may have dropped the key since the lookup
+        try:
+            _splittings.move_to_end(key)
+        except KeyError:
+            pass
+    return found
+
+
+def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
+    """The uncached body of _splitting; its arrays are made read-only."""
+    m = len(jacs)
+    monodromy = np.eye(jacs.shape[-1])
     # an overflowing product or a multiplier rounded to 0 is a typed error below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for a in jacs:
@@ -205,12 +238,40 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
         residual = image - basis @ (basis.T @ image)
         if np.linalg.norm(residual) > 1e-8 * scale:
             raise RuntimeError("invariant subspace residual too large; eigensolver failure")
+    multipliers = multipliers[order]
+    for shared in (multipliers, stable, unstable):
+        shared.setflags(write=False)
+    return multipliers, int(np.sum(moduli > 1.0 + band)), hyperbolic, stable, unstable
+
+
+def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:
+    """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
+
+    One unsorted Schur form of the monodromy gives the multipliers (sorted by
+    decreasing modulus, then real and imaginary part) and, reordered once per
+    side, the bases.  ``m`` need not be the minimal period.  A unit-modulus
+    multiplier (within 1e-6) yields hyperbolic=False, which is a result, not
+    an error.  A monodromy that overflows, or multipliers lost to rounding
+    (log-moduli off sum log|det Df(p_i)|), raise LostPrecisionError.  The
+    splitting depends on the Jacobian stack alone and is memoised on it (see
+    the module docstring), so orbits with equal stacks share its read-only
+    arrays.
+    """
+    if m < 1:
+        raise ValueError("period must be >= 1")
+    pts = orbit_segment(sys, p, 0, m)  # p wrapped first, and f^m(p) for the periodicity check
+    gap = sys.space.dist(pts[m], pts[0])
+    if gap > PERIODICITY_TOL:
+        raise NotPeriodicError(f"f^{m}(p) is {gap:.3e} away from p (tolerance {PERIODICITY_TOL})")
+    pts = pts[:m]
+    jacs = sys.jacobian(pts)
+    multipliers, index, hyperbolic, stable, unstable = _splitting(jacs)
     return PeriodicOrbitRecord(
         period=m,
         points=pts,
         jacobians=jacs,
-        multipliers=multipliers[order],
-        index=int(np.sum(moduli > 1.0 + band)),
+        multipliers=multipliers,
+        index=index,
         hyperbolic=hyperbolic,
         stable_basis=stable,
         unstable_basis=unstable,

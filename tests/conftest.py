@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 import shadowlab as sl
+from shadowlab import hyperbolicity
+
+
+@pytest.fixture(autouse=True)
+def cold_splitting_memo():
+    """Each test starts with no memoised orbit splitting, so a test that
+    patches the linear algebra reaches it and no test sees another's stacks."""
+    hyperbolicity._splittings.clear()
 
 
 @pytest.fixture(scope="session")

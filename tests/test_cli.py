@@ -539,6 +539,22 @@ def test_angles_horizon_is_step_limited(tmp_path, capsys):
     assert "error (step-limit)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["name = angles\nmax-period = 4", "name = lemma6\npoint = 0.5 0\nperiod = 3"]
+)
+def test_memoised_splittings_write_the_same_bytes(tmp_path, capsys, command):
+    # the first run fills the splitting memo, the second reads every splitting from it
+    outputs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        cfg = write(tmp_path / f"{run}.cfg", CAT_SYSTEM + f"[command]\n{command}\n"
+                    + f"[output]\ndirectory = {out}\n")
+        assert cli.run(cfg) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1] and outputs[0][1]
+
+
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(override))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -132,6 +134,148 @@ def test_invariant_subspaces(cat_sys):
         image = b @ basis
         residual = image - basis @ (basis.T @ image)
         assert np.linalg.norm(residual) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the splitting memo
+
+
+def _count_schur(monkeypatch):
+    calls = []
+    schur_form = hyperbolicity._schur
+
+    def counted(monodromy):
+        calls.append(len(monodromy))
+        return schur_form(monodromy)
+
+    monkeypatch.setattr(hyperbolicity, "_schur", counted)
+    return calls
+
+
+def test_one_schur_reduction_per_jacobian_stack(cat_sys, monkeypatch):
+    calls = _count_schur(monkeypatch)
+    points = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 8)
+    records = [sl.analyze_periodic_orbit(cat_sys, p, 8) for p in points]
+    assert len(records) == 2205 and len(calls) == 1
+    assert all(r.unstable_basis is records[0].unstable_basis for r in records)
+
+
+# the period-3 cat orbit through (1/2, 0) stays an orbit of the perturbed map,
+# whose g vanishes (to rounding) on coordinates 0 and 1/2
+@pytest.mark.parametrize("amplitude", [None, 0.1])
+def test_pullback_after_analysis_reduces_nothing(amplitude, monkeypatch):
+    cat = sl.cat_map()
+    sys_ = cat.system if amplitude is None else sl.perturbed_toral(cat.matrix, amplitude)
+    point = np.array([0.5, 0.0])
+    record = sl.analyze_periodic_orbit(sys_, point, 3)
+    calls = _count_schur(monkeypatch)
+    sl.witness_orbit_pullback(sys_, point, 3, record.unstable_basis[:, 0], 1e-5)
+    assert calls == []
+
+
+def test_shared_record_arrays_are_read_only(cat_sys):
+    record = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
+    for shared in (record.multipliers, record.stable_basis, record.unstable_basis):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
+def test_lost_precision_is_raised_on_every_call(cat_sys, monkeypatch):
+    calls = _count_schur(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(LostPrecisionError):
+            sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 40)
+    assert calls == [2, 2] and len(hyperbolicity._splittings) == 0
+
+
+def test_memo_holds_its_bound(monkeypatch):
+    size = hyperbolicity.SPLITTING_MEMO_SIZE
+    model = sl.jordan_model(block=None, tail=(2.0, 0.5), c=0.0)
+    periods = range(1, size + 6)  # each period one distinct stack
+    for m in periods:
+        sl.analyze_periodic_orbit(model.system, np.zeros(2), m)
+    assert len(hyperbolicity._splittings) == size
+    calls = _count_schur(monkeypatch)
+    sl.analyze_periodic_orbit(model.system, np.zeros(2), periods[-1])  # kept
+    assert calls == []
+    sl.analyze_periodic_orbit(model.system, np.zeros(2), periods[0])  # dropped first
+    assert len(calls) == 1 and len(hyperbolicity._splittings) == size
+
+
+def _memo_cases():
+    """(system, point, period) over toral, perturbed and Jordan-tail orbits."""
+    for matrix, periods in (([[2, 1], [1, 1]], 5), ([[3, 2], [1, 1]], 3),
+                            ([[-1, -1, -1], [2, 0, -1], [2, 1, 0]], 3)):
+        toral = sl.toral_automorphism(matrix)
+        for m in range(1, periods + 1):
+            for point in sl.enumerate_periodic_points_toral(matrix, m):
+                yield toral.system, point, m
+    cat = sl.cat_map()
+    pert = sl.perturbed_toral(cat.matrix, 0.1)
+    for record in _continued_orbits(cat, 0.1, range(1, 5), 6):
+        yield pert, record.points[0], record.period
+    model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
+    yield model.system, np.zeros(3), 330
+
+
+def _record_bytes(record):
+    fields = []
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            fields.append((value.dtype.str, value.shape, value.tobytes()))
+        else:
+            fields.append(repr(value))
+    return fields
+
+
+def test_warm_records_equal_cold_ones_bit_for_bit():
+    cases = list(_memo_cases())
+    cold = []
+    for sys_, point, m in cases:
+        hyperbolicity._splittings.clear()
+        cold.append(_record_bytes(sl.analyze_periodic_orbit(sys_, point, m)))
+    for sys_, point, m in cases:  # fills the memo; fewer stacks than its bound
+        sl.analyze_periodic_orbit(sys_, point, m)
+    warm = [_record_bytes(sl.analyze_periodic_orbit(sys_, p, m)) for sys_, p, m in cases]
+    assert warm == cold
+
+
+def test_threads_share_the_memo(monkeypatch):
+    # more threads than cores, switching every microsecond, over one stack
+    # more than a shrunken memo holds: lookups race evictions and inserts race
+    # each other
+    size = 3
+    monkeypatch.setattr(hyperbolicity, "SPLITTING_MEMO_SIZE", size)
+    model = sl.jordan_model(block=None, tail=(2.0, 0.5), c=0.0)
+    periods = range(1, size + 2)
+    expected = {m: _record_bytes(sl.analyze_periodic_orbit(model.system, np.zeros(2), m))
+                for m in periods}
+    results, errors = [], []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for m in rng.choice(periods, size=400).tolist():
+                record = sl.analyze_periodic_orbit(model.system, np.zeros(2), m)
+                results.append((m, _record_bytes(record)))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(results) == 8 * 400
+    assert all(got == expected[m] for m, got in results)
+    assert len(hyperbolicity._splittings) <= size
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,10 +60,23 @@ def test_closed_form_rejects_nonhyperbolic():
 
 
 def test_closed_form_names_the_singular_mode_when_the_power_overflows():
-    # A^Q overflows, so the I - A^Q guard is skipped and the mode solve must
-    # find the unit multiplier itself: omega_0 I - A = diag(0, 1 - 1e200)
+    # A^Q overflows, so no guard on I - A^Q could see the unit multiplier; the
+    # resolvent omega_0 I - A = diag(0, 1 - 1e200) is singular and is named
     with pytest.raises(NonhyperbolicMonodromyError, match="at angle 2 pi 0/2"):
         sl.closed_form_linear_shadow(np.diag([1.0, 1e200]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "tail,q,constant",
+    # A^Q overflows at Q = 400, and at Q = 100 ||(I - A^Q)^-1|| ~ 1e11 is
+    # below the bound, yet the mode at omega_0 = 1 has constant ~ 1e14 / 1e13
+    [((1.0 + 1e-14, 10.0), 400, "1.00e+14"), ((1.0 + 1e-13, 2.0), 100, "1.00e+13")],
+)
+def test_closed_form_guards_every_mode(tail, q, constant):
+    gaps = np.random.default_rng(0).normal(scale=1e-3, size=(q, 2))
+    message = re.escape(f"{constant} exceeds 1e12 at angle 2 pi 0/{q}")
+    with pytest.raises(NonhyperbolicMonodromyError, match=message):
+        sl.closed_form_linear_shadow(np.diag(tail), gaps)
 
 
 def test_closed_form_survives_monodromy_overflow():
