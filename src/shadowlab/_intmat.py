@@ -106,44 +106,18 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, S, V) with S = U a V diagonal, U and V unimodular.
 
-    The diagonal of S is nonnegative with s_i dividing s_{i+1}.
+    The diagonal of S is nonnegative with s_i dividing s_{i+1}.  Row i of U
+    follows row i of S, so a row operation is one list operation on [S | U];
+    a column operation touches the first m entries of its rows and of V's.
     """
-    s = [row[:] for row in a]
-    n = len(s)
-    m = len(s[0])
-    u = identity(n)
+    n, m = len(a), len(a[0])
+    s = [list(row) + e for row, e in zip(a, identity(n))]
     v = identity(m)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        # row[dst] += factor * row[src]
-        s[dst] = [x + factor * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in s:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
+    rows = s + v  # rows are updated in place, so this list stays valid
     for t in range(min(n, m)):
         while True:
             # move a minimal-magnitude nonzero entry of the trailing block to the pivot
-            pivot = None
-            best = None
+            pivot = best = None
             for i in range(t, n):
                 for j in range(t, m):
                     val = abs(s[i][j])
@@ -151,34 +125,30 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         best, pivot = val, (i, j)
             if pivot is None:
                 break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-            reduced = True
+            i, j = pivot
+            if i != t:
+                s[t], s[i] = s[i], s[t]
+            if j != t:
+                for row in rows:
+                    row[t], row[j] = row[j], row[t]
             for i in range(t + 1, n):
                 q = s[i][t] // s[t][t]
                 if q:
-                    add_row(t, i, -q)
-                if s[i][t]:
-                    reduced = False
+                    s[i][:] = [x - q * y for x, y in zip(s[i], s[t])]
             for j in range(t + 1, m):
                 q = s[t][j] // s[t][t]
                 if q:
-                    add_col(t, j, -q)
-                if s[t][j]:
-                    reduced = False
-            if not reduced:
+                    for row in rows:
+                        row[j] -= q * row[t]
+            if any(s[i][t] for i in range(t + 1, n)) or any(s[t][t + 1 : m]):
                 continue
             # enforce that the pivot divides the whole trailing block
-            offender = None
             for i in range(t + 1, n):
                 if any(s[i][j] % s[t][t] for j in range(t + 1, m)):
-                    offender = i
+                    s[t][:] = [x + y for x, y in zip(s[t], s[i])]
                     break
-            if offender is None:
+            else:
                 break
-            add_row(offender, t, 1)
-        if t < n and t < m and s[t][t] < 0:
-            negate_row(t)
-    return u, s, v
+        if s[t][t] < 0:
+            s[t][:] = [-x for x in s[t]]
+    return [row[m:] for row in s], [row[:m] for row in s], v

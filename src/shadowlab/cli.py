@@ -39,7 +39,7 @@ system kind: toral
                          example: matrix = 2 1; 1 1
 The system is x -> M x (mod 1) on the unit torus, hyperbolic when no
 eigenvalue has modulus 1.  Hyperbolic automorphisms are the bounded-ratio
-reference family: scans of perturbed orbits stay below the linear ceiling,
+reference family: scans of perturbed orbits keep bounded ratios,
 periodic points can be enumerated exactly, and expansion certificates hold
 uniformly along them.
 """,
@@ -249,10 +249,10 @@ def _cmd_scan(ctx) -> tuple[int, str]:
             )
             # below the periodicity tolerance the deviation is rounding noise: report the tolerance
             within = max(float(deviation), hyperbolicity.PERIODICITY_TOL)
-            ceiling = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
+            l2_constant = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
             notes.append(
-                f"linear oracle deviation within {within:.3g}, theoretical ratio ceiling "
-                f"{ceiling:.6g}"
+                f"linear oracle deviation within {within:.3g}, l2 resolvent constant "
+                f"{l2_constant:.6g}"
             )
         except ShadowlabError as exc:
             notes.append(f"linear oracle inapplicable ({exc.code})")
@@ -283,7 +283,9 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     constant = section.take("L", *AT_LEAST_ONE, default=1.0)
     periodic = shadow.verify_periodicity_by_expansivity(sys_, point, period, a_const, window)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
-    residual = sys_.space.dist(systems.evaluate(sys_, point, period), point)
+    # the step evaluate(sys_, point, period) ends with; the stored point is not
+    # wrapped again, since a wrapped input coordinate may be 1.0 and rewrap to 0.0
+    residual = sys_.space.dist(sys_.space.wrap(sys_.forward(record.points[-1])), point)
     norm_bound = systems.estimate_norm_bound(sys_, samples=1024)
     beta = hyperbolicity.subspace_angle(record).minimum if record.hyperbolic else float("nan")
     # the growth check certifies the first unstable direction

@@ -2,11 +2,11 @@
 
 Grammar (one statement per line):
 
-    # comment                     blank lines and #-comments are ignored
+    # comment                     blank lines and comments are ignored
     seed = 42                     top-level keys come before any section
     [system]                      sections: system, command, output
-    kind = toral
-    matrix = 2 1; 1 1
+    kind = toral    # a comment   '#' starts a comment at the start of a line
+    matrix = 2 1; 1 1             or after whitespace: 'out#1' keeps its '#'
 
 Values are raw strings; typed access goes through ConfigSection.take, which
 records consumption so unknown keys can be rejected with their exact path and
@@ -16,11 +16,13 @@ line number.  The (converter, description) pairs below name the value types.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 KNOWN_SECTIONS = ("system", "command", "output")
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 
 def _checked(conv, accept):
@@ -147,8 +149,8 @@ def parse_config(path) -> Config:
     sections: dict[str, ConfigSection] = {}
     current = top
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()

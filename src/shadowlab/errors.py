@@ -82,7 +82,8 @@ class SingularJacobianError(ShadowlabError):
 
 
 class NonhyperbolicMonodromyError(ShadowlabError):
-    """I - A^Q is numerically singular in the closed-form cyclic solve."""
+    """A resolvent omega_j I - A of the closed-form cyclic solve is singular
+    or its inverse exceeds 1e12 in norm."""
 
     code = "nonhyperbolic-monodromy"
 

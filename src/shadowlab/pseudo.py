@@ -488,7 +488,8 @@ def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:
 
 
 def load_pseudotrajectory(path, sys: DiscreteSystem) -> PeriodicPseudotrajectory:
-    """Read the format written by save_pseudotrajectory; the defect is recomputed."""
+    """Read the format written by save_pseudotrajectory, exactly Q non-blank
+    point rows; the defect is recomputed."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if len(lines) < 3 or lines[0] != "Q,defect,kind,params":
@@ -500,9 +501,10 @@ def load_pseudotrajectory(path, sys: DiscreteSystem) -> PeriodicPseudotrajectory
         for item in header.split(";"):
             key, _, value = item.partition("=")
             params[key] = value
-    points = np.array([[float(v) for v in ln.split(",")] for ln in lines[2 : 2 + q]])
-    if points.shape[0] != q:
-        raise ValueError(f"{path}: expected {q} points, found {points.shape[0]}")
+    rows = [ln for ln in lines[2:] if ln.strip()]
+    if len(rows) != q:
+        raise ValueError(f"{path}: expected {q} points, found {len(rows)}")
+    points = np.array([[float(v) for v in ln.split(",")] for ln in rows])
     if points.shape[1:] != (sys.dim,):
         raise ValueError(
             f"{path}: the points have {points.shape[-1]} columns, "

@@ -2,6 +2,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,28 @@ def test_parse_basic(tmp_path):
     cfg = parse_config(path)
     assert cfg.top.take("seed", *INT) == 7
     assert cfg.section("system").take("kind", *TEXT) == "toral"
+
+
+def test_parse_strips_comments_after_whitespace(tmp_path):
+    path = write(
+        tmp_path / "a.cfg",
+        "seed = 7 # seven\n[system]\t# the map\nkind = toral\t# tab\n"
+        + "[output]\ndirectory = out#1\nformat = csv #\n",
+    )
+    cfg = parse_config(path)
+    assert cfg.top.take("seed", *INT) == 7
+    assert cfg.section("system").take("kind", *TEXT) == "toral"
+    assert cfg.section("output").take("directory", *TEXT) == "out#1"
+    assert cfg.section("output").take("format", *TEXT) == "csv"
+
+
+def test_readme_config_example_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    monkeypatch.setenv("SHADOWLAB_OUTPUT_DIR", str(tmp_path / "out"))
+    assert cli.run(write(tmp_path / "readme.cfg", example)) == 0
+    assert "verdict bounded" in capsys.readouterr().out
+    assert (tmp_path / "out" / "scan.csv").exists()
 
 
 def test_parse_reports_line_numbers(tmp_path):
@@ -270,8 +293,8 @@ def test_scan_command_diverging_exit2(tmp_path, capsys):
 
 
 # seed 833 at period 5: the converged ratios rise monotonically and more
-# than double under the seeded noise, yet every one is below the cat-map
-# ceiling 1.618; the verdict rests on certified lower bounds only
+# than double under the seeded noise, yet every one is below the cat-map l2
+# resolvent constant 1.618; the verdict rests on certified lower bounds only
 SCAN_833_CSV = """\
 d,epsilon_star,ratio,converged,lower_bound
 0.002720379468038002,0.0009715643326186257,0.35714294422290266,true,
@@ -370,6 +393,45 @@ def test_orbit_command_analyses_once(tmp_path, capsys, monkeypatch):
     assert cli.run(cfg) == 0
     assert "splitting gap 1.41421" in capsys.readouterr().out
     assert len(angles) == 1 and len(certificates) == 1
+
+
+THREE_BY_THREE = "-1 -1 -1; 2 0 -1; 2 1 0"
+
+
+@pytest.mark.parametrize(
+    "system,point,period",
+    [
+        (CAT_SYSTEM, "0.2 0.4", 2),
+        (CAT_SYSTEM, "1.0 0.5", 3),  # wraps to (0, 0.5)
+        # a wrapped coordinate of exactly 1.0, which a second wrap would send to 0.0
+        (CAT_SYSTEM.replace("2 1; 1 1", "4 1; 3 1"), "0.3333333333333333 -1e-20", 1),
+        (CAT_SYSTEM.replace("2 1; 1 1", THREE_BY_THREE), None, 3),
+        (
+            "[system]\nkind = jordan\nblock = rotation\nl = 1\ntheta = 2.0943951023931953\nc = 0\n",
+            "0.3 0.1",
+            3,
+        ),
+    ],
+    ids=["cat", "cat-unwrapped", "wrapped-to-one", "toral-3x3", "rotation"],
+)
+def test_orbit_residual_is_the_walk_of_period_steps(tmp_path, capsys, system, point, period):
+    cfg = parse_config(write(tmp_path / "s.cfg", system))
+    sys_ = cli._build_system(cfg.section("system"))[2]
+    if point is None:
+        matrix = [[int(v) for v in r.split()] for r in THREE_BY_THREE.split(";")]
+        point = " ".join(map(repr, sl.enumerate_periodic_points_toral(matrix, period)[7].tolist()))
+    cfg = write(
+        tmp_path / "orbit.cfg",
+        system
+        + f"[command]\nname = orbit\npoint = {point}\nperiod = {period}\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    capsys.readouterr()
+    p = np.array([float(v) for v in point.split()])
+    residual = sys_.space.dist(sl.evaluate(sys_, p, period), p)
+    report = (tmp_path / "orbit.txt").read_text().splitlines()
+    assert f"periodicity-residual {residual!r}" in report
 
 
 @pytest.mark.parametrize(
@@ -709,6 +771,12 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
         ),
         (
             CAT_SYSTEM,
+            "name = shadow\npseudotrajectory = EXTRA",
+            "pseudotrajectory = EXTRA",
+            "expected 2 points, found 4",
+        ),
+        (
+            CAT_SYSTEM,
             "name = shadow\npseudotrajectory = MALFORMED\nmax-iterations = -3",
             "max-iterations = -3",
             "key 'command.max-iterations' must be a positive integer, got '-3'",
@@ -920,6 +988,7 @@ def test_unusable_value_is_a_config_error(tmp_path, capsys, system, command, bad
     files = {
         "MALFORMED": "i,x0,x1\n0,0.1,0.2\n",
         "NONFINITE": "Q,defect,kind,params\n1,0.0,custom,\nnan,0.2\n",
+        "EXTRA": "Q,defect,kind,params\n2,0.0,custom,\n0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n",
     }
     for name, text in files.items():
         path = tmp_path / f"{name.lower()}.csv"

@@ -7,21 +7,29 @@ from hypothesis import strategies as st
 from shadowlab import _intmat
 
 
+def _matrices(n, m, max_entry):
+    row = st.lists(st.integers(-max_entry, max_entry), min_size=m, max_size=m)
+    return st.lists(row, min_size=n, max_size=n)
+
+
 def square_int_matrices(max_dim=4, max_entry=9):
-    return st.integers(1, max_dim).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
+    return st.integers(1, max_dim).flatmap(lambda n: _matrices(n, n, max_entry))
 
 
-@given(square_int_matrices())
+def int_matrices(max_dim=4, max_entry=9):
+    """n x m integer matrices, n and m drawn independently from 1..max_dim."""
+    dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
+    return dims.flatmap(lambda nm: _matrices(*nm, max_entry))
+
+
+@given(int_matrices())
 @settings(max_examples=150, deadline=None)
 def test_smith_normal_form_invariants(mat):
     u, s, v = _intmat.smith_normal_form(mat)
-    n = len(mat)
+    n, m = len(mat), len(mat[0])
+    # U is n x n and V is m x m
+    assert len(u) == n and all(len(row) == n for row in u)
+    assert len(v) == m and all(len(row) == m for row in v)
     # S = U * mat * V
     assert _intmat.mat_mul(_intmat.mat_mul(u, mat), v) == s
     # U, V unimodular
@@ -29,10 +37,10 @@ def test_smith_normal_form_invariants(mat):
     assert abs(_intmat.det(v)) == 1
     # S diagonal, nonnegative, divisibility chain
     for i in range(n):
-        for j in range(n):
+        for j in range(m):
             if i != j:
                 assert s[i][j] == 0
-    diag = [s[i][i] for i in range(n)]
+    diag = [s[i][i] for i in range(min(n, m))]
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         if a != 0:

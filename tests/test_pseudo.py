@@ -603,6 +603,15 @@ def test_load_rejects_a_wrong_column_count(tmp_path, cat_sys):
         sl.load_pseudotrajectory(path, cat_sys)
 
 
+def test_load_rejects_rows_past_q(tmp_path, cat_sys):
+    path = tmp_path / "xi.csv"
+    path.write_text("Q,defect,kind,params\n2,0.0,custom,\n0.1,0.2\n0.3,0.4\n\n\n")
+    assert sl.load_pseudotrajectory(path, cat_sys).points.shape == (2, 2)  # trailing blanks
+    path.write_text("Q,defect,kind,params\n2,0.0,custom,\n0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n")
+    with pytest.raises(ValueError, match="expected 2 points, found 4"):
+        sl.load_pseudotrajectory(path, cat_sys)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_rejects_a_non_finite_value(tmp_path, cat_sys, value):
     path = tmp_path / "xi.csv"
