@@ -21,7 +21,8 @@ import numpy as np
 
 from . import hyperbolicity, pseudo, shadow, systems
 from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, NONNEGATIVE
-from .config import POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config, sized
+from .config import NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
+from .config import sized
 from .errors import ConfigError, ShadowlabError, TooManyPeriodicPointsError
 from .shadow import _csv_text, _fmt, _table_text
 
@@ -469,7 +470,7 @@ def run(config_path: str) -> int:
     """Execute one experiment config; prints a one-paragraph summary."""
     try:
         cfg = parse_config(config_path)
-        seed = cfg.top.take("seed", *INT, default=0)
+        seed = cfg.top.take("seed", *NONNEGATIVE_INT, default=0)
         system_section = cfg.section("system")
         command_section = cfg.section("command")
         output_section = cfg.section("output")
@@ -493,7 +494,16 @@ def run(config_path: str) -> int:
             "format": fmt,
             "seed": seed,
         }
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            if OUTPUT_DIR_ENV in os.environ:
+                source, line = OUTPUT_DIR_ENV, None
+            else:
+                entry = output_section.entries.get("directory")
+                source, line = "key 'output.directory'", entry and entry.line
+            message = f"{source} = {out_dir!r} is not a usable directory ({exc.strerror})"
+            raise ConfigError(message, cfg.path, line) from exc
         code, summary = _HANDLERS[name](ctx)
         cfg.reject_unused()
     except ConfigError as exc:

@@ -56,6 +56,7 @@ def _square(rows: list[list[float]]) -> bool:
 TEXT = (str, "text")
 INT = (int, "an integer")
 POSITIVE_INT = (_checked(int, lambda v: v >= 1), "a positive integer")
+NONNEGATIVE_INT = (_checked(int, lambda v: v >= 0), "a non-negative integer")
 FLOAT = (_number, "a number")
 POSITIVE = (_checked(_number, lambda v: v > 0), "a positive number")
 NONNEGATIVE = (_checked(_number, lambda v: v >= 0), "a number >= 0")

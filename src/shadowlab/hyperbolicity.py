@@ -23,13 +23,10 @@ in its numerically stable direction and the splitting gap at every point
 costs O(m) per orbit.  When the two bases have one shape (every 2-D orbit)
 they move as one stack, each step one batched product over both.
 
-extract_uniform_constants runs that one transport on many records: it groups
-them by (period, dim S, dim U) and carries each group as one stack, one
-batched product and Gram-Schmidt sweep per step, then multiplies the k x k
-factors of Df in those frames.  A group's Jacobians are stacked step axis
-first, (m, N, n, n), so step i is the contiguous (N, n, n) slab jacobians[i];
-a single record's own (m, n, n) Jacobians are the same layout without the N
-axis, and subspace_angle runs the same kernel on them.
+extract_uniform_constants runs that transport once per distinct Jacobian
+stack among its records, keyed as the memo is, and multiplies the k x k
+factors of Df in those frames.  Its stretches depend on the stack alone, so
+records with equal stacks add nothing to the fit.
 
 The expansion certificate attaches to an unstable vector the per-step growth
 rates lambda_i and the coefficients a_m = 0, a_i = (a_{i+1} + 1) / lambda_i,
@@ -283,12 +280,13 @@ def expansion_certificate(
 ) -> ExpansionCertificate:
     """Growth rates along the orbit for an unstable vector, with the
     coefficient sequence of expansion_coefficients (a_m = 0 by construction).
+    A nonhyperbolic record raises NonhyperbolicOrbitError, a zero vector or
+    one off the unstable subspace VectorNotUnstableError.
 
     ``sys`` is accepted for interface symmetry with the other orbit
     operations; all data comes from the record's stored Jacobians.
     """
-    if not record.hyperbolic:
-        raise VectorNotUnstableError("orbit is not hyperbolic")
+    _require_hyperbolic([record])
     v_u = np.asarray(v_u, dtype=float)
     norm = np.linalg.norm(v_u)
     if norm == 0.0:
@@ -326,27 +324,6 @@ class HyperbolicityConstants:
     rate: float  # lam in (0, 1)
 
 
-def _orbit_groups(records: list[PeriodicOrbitRecord]):
-    """Records grouped by (period, dim S, dim U), in order of first appearance.
-
-    Yields for each group its indices into ``records``, the step-first
-    Jacobian stack (m, N, n, n) and the bases at p_0, (N, n, dim S) and
-    (N, n, dim U).
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, r in enumerate(records):
-        key = (r.period, r.stable_basis.shape, r.unstable_basis.shape)
-        groups.setdefault(key, []).append(i)
-    for indices in groups.values():
-        group = [records[i] for i in indices]
-        yield (
-            indices,
-            np.stack([r.jacobians for r in group], axis=1),
-            np.stack([r.stable_basis for r in group]),
-            np.stack([r.unstable_basis for r in group]),
-        )
-
-
 def extract_uniform_constants(
     sys: DiscreteSystem, records: list[PeriodicOrbitRecord], horizon: int
 ) -> HyperbolicityConstants:
@@ -358,8 +335,8 @@ def extract_uniform_constants(
     so g(j) is the top singular value of F_{j-1} ... F_0 (stable side) or of
     F_{m-j}^-1 ... F_{m-1}^-1 (unstable side, indices mod m), each product a
     mantissa times an exact power of two.  lam = max_j g(j)^(1/j) and
-    C = max_j g(j) / lam^j are fitted in log2, one stack per period and
-    splitting dimensions.  A horizon over MAX_ITERATE_STEPS is a StepLimitError.
+    C = max_j g(j) / lam^j are fitted in log2, one transport per distinct
+    Jacobian stack.  A horizon over MAX_ITERATE_STEPS is a StepLimitError.
 
     ``sys`` is accepted for interface symmetry with the other orbit
     operations; all data comes from the records' stored Jacobians.
@@ -372,9 +349,11 @@ def extract_uniform_constants(
         raise StepLimitError(f"horizon must be <= {MAX_ITERATE_STEPS}, got {horizon}")
     _require_hyperbolic(records)
     log_g = np.concatenate(([0.0], np.full(horizon, -np.inf)))  # log2 g(j)
-    for _, jacobians, stable, unstable in _orbit_groups(records):
-        m = len(jacobians)
-        for frames, backward in zip(_frames(jacobians, stable, unstable), (False, True)):
+    # records with equal stacks share their splitting, so one of each is fitted
+    for record in {_stack_key(r.jacobians): r for r in records}.values():
+        jacobians, m = record.jacobians, record.period
+        frame_pair = _frames(jacobians, record.stable_basis, record.unstable_basis)
+        for frames, backward in zip(frame_pair, (False, True)):
             if frames.shape[-1] == 0:
                 continue
             factors = np.roll(frames, -1, axis=0).swapaxes(-1, -2) @ (jacobians @ frames)
@@ -384,12 +363,12 @@ def extract_uniform_constants(
             for j in range(1, horizon + 1):
                 product = maps[(j - 1) % m] @ product
                 # max|product| is brought into [1/2, 1) by an exact power of two
-                shift = np.frexp(np.abs(product).max(axis=(-2, -1)))[1]
-                product = np.ldexp(product, -shift[..., None, None])
+                shift = np.frexp(np.abs(product).max())[1]
+                product = np.ldexp(product, -shift)
                 exponent = exponent + shift
                 # top singular value from the k x k Gram matrix; at k = 1 it is |product|
-                top = np.sqrt(np.linalg.eigvalsh(product.swapaxes(-1, -2) @ product)[..., -1])
-                log_g[j] = max(log_g[j], np.max(np.log2(top) + exponent))
+                top = np.sqrt(np.linalg.eigvalsh(product.T @ product)[-1])
+                log_g[j] = max(log_g[j], np.log2(top) + exponent)
     steps = np.arange(horizon + 1)
     lam = min(float(np.exp2(np.max(log_g[1:] / steps[1:]))), 1.0 - 1e-12)
     c = float(np.exp2(np.max(log_g - steps * math.log2(lam))))
@@ -431,10 +410,10 @@ def _carry(maps: Array, basis: Array) -> Array:
 
 
 def _frames(jacobians: Array, stable: Array, unstable: Array) -> tuple[Array, Array]:
-    """Orthonormal stable and unstable bases at every point of one orbit or of
-    a stack of orbits, (m, ..., n, dim S) and (m, ..., n, dim U), p_0 first.
+    """Orthonormal stable and unstable bases at every point of one orbit,
+    (m, n, dim S) and (m, n, dim U), p_0 first.
 
-    ``jacobians`` is (m, ..., n, n), step axis first, and ``stable`` and
+    ``jacobians`` is the orbit's (m, n, n) stack and ``stable`` and
     ``unstable`` the bases at p_0.  Bases of one shape (every 2-D orbit) are
     carried as one stack, the forward Jacobians beside the inverses.
     """

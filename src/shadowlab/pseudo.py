@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     ConstraintViolatedError,
-    NonhyperbolicOrbitError,
     NotAnOrbitError,
     PullbackFailedError,
     StepLimitError,
@@ -354,11 +353,6 @@ def witness_orbit_pullback(
     if n_pullback < 1:
         raise ValueError("n_pullback must be >= 1")
     record = analyze_periodic_orbit(sys, p, m)
-    if not record.hyperbolic:
-        raise NonhyperbolicOrbitError(
-            "the monodromy has a unit-modulus multiplier; the displacement witness needs "
-            "a hyperbolic orbit"
-        )
     cert = expansion_certificate(sys, record, v_u)
     u = record.unstable_basis
     # partials[j] = A_{j-1} ... A_0 U, so partials[m] = B U

@@ -319,7 +319,7 @@ def verify_periodicity_by_expansivity(
     """Finite-window surrogate for the expansivity argument.
 
     True iff the orbits of p and q = f^mu(p) stay within ``a`` of each other
-    for all |i| <= window AND dist(f^mu(p), p) <= 1e-8.  Both ways are walked
+    for all |i| <= window AND dist(f^mu(p), p) <= PERIODICITY_TOL.  Both ways are walked
     from p, so the rounding of f^i(p) grows over |i| steps only.  A finite
     window checks, it does not prove.
     """
@@ -336,7 +336,7 @@ def verify_periodicity_by_expansivity(
         return False
     # gaps[window + i] = dist(f^{i+mu}(p), f^i(p)) for |i| <= window
     gaps = np.linalg.norm(sys.space.diff(pts[mu:], pts[: 2 * window + 1]), axis=1)
-    return not (gaps[window] > 1e-8 or np.any(gaps > a))
+    return not (gaps[window] > PERIODICITY_TOL or np.any(gaps > a))
 
 
 # ---------------------------------------------------------------------------

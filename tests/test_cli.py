@@ -74,6 +74,36 @@ def test_readme_config_example_runs(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "scan.csv").exists()
 
 
+def test_readme_library_examples_run(capsys):
+    """README's python blocks run in order in one namespace."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    namespace = {}
+    for block in readme.split("```python\n")[1:]:
+        exec(block.split("```", 1)[0], namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0]) == pytest.approx(0.464, abs=5e-4)
+    assert float(lines[1]) == 25.0
+
+
+@pytest.mark.parametrize(
+    "directory,from_env", [("blocker/out", False), ("blocker", False), ("blocker", True)]
+)
+def test_unusable_output_directory_is_a_config_error(
+    tmp_path, capsys, monkeypatch, directory, from_env
+):
+    (tmp_path / "blocker").write_text("a regular file\n")
+    target = tmp_path / directory
+    if from_env:
+        monkeypatch.setenv("SHADOWLAB_OUTPUT_DIR", str(target))
+    body = CAT_SYSTEM + "[command]\nname = enumerate\nperiod = 2\n"
+    named = tmp_path if from_env else target
+    cfg = write(tmp_path / "run.cfg", body + f"[output]\ndirectory = {named}\n")
+    source = f"{cfg}: SHADOWLAB_OUTPUT_DIR" if from_env else f"{cfg}:8: key 'output.directory'"
+    assert cli.run(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {source} = '{target}' is not a usable directory (")
+
+
 def test_parse_reports_line_numbers(tmp_path):
     path = write(tmp_path / "bad.cfg", "[system]\nkind toral\n")
     with pytest.raises(ConfigError) as err:
@@ -867,6 +897,12 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "d-values = inf 1e-3 1e-4",
             "key 'command.d-values' must be at least 3 positive, strictly decreasing numbers, "
             "got 'inf 1e-3 1e-4'",
+        ),
+        (
+            "seed = -3\n" + CAT_SYSTEM,
+            "name = scan\nfamily = perturbed-orbit\nperiod = 5\nd-values = 1e-3 1e-4 1e-5",
+            "seed = -3",
+            "key 'seed' must be a non-negative integer, got '-3'",
         ),
         # bounds that tie several keys together name the [system] section
         (

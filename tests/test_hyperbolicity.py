@@ -372,6 +372,12 @@ def test_certificate_telescopes_everywhere(cat_sys):
             assert np.all(cert.coefficients[:m] > 0.0)
 
 
+def test_certificate_rejects_nonhyperbolic(linear_jordan2):
+    record = sl.analyze_periodic_orbit(linear_jordan2.system, np.zeros(2), 1)
+    with pytest.raises(sl.NonhyperbolicOrbitError, match="requires a hyperbolic orbit"):
+        sl.expansion_certificate(linear_jordan2.system, record, np.array([1.0, 0.0]))
+
+
 def test_certificate_rejects_stable_vector(cat_sys):
     rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
     with pytest.raises(sl.VectorNotUnstableError):
@@ -492,8 +498,8 @@ def _sampled_stretches(records, horizon, samples):
 
 
 def _loop_uniform_constants(records, horizon):
-    """The per-record fit: each record's frames from the unbatched _frames,
-    its k x k factors one step at a time and their products kept as a
+    """The per-record fit: each record's frames from _frames, with no record
+    skipped, its k x k factors one step at a time and their products kept as a
     mantissa times a power of two."""
     log_g = np.full(horizon + 1, -np.inf)
     log_g[0] = 0.0
@@ -891,16 +897,13 @@ def test_stacked_carry_equals_separate_carries_bit_for_bit():
     _, records = zip(*_angle_records())
     splits = set()
     for record in records:
+        args = record.jacobians, record.stable_basis, record.unstable_basis
         got = sl.subspace_angle(record).per_point
-        expected = _separate_carry_gaps(record.jacobians, record.stable_basis, record.unstable_basis)
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == _separate_carry_gaps(*args).tobytes()
+        for got, expected in zip(hyperbolicity._frames(*args), _separate_carry_frames(*args)):
+            assert got.tobytes() == expected.tobytes()
         splits.add((record.stable_basis.shape[1], record.unstable_basis.shape[1]))
     assert splits == {(1, 1), (1, 2), (2, 1)}
-    for _, jacobians, stable, unstable in hyperbolicity._orbit_groups(list(records)):
-        stacked = hyperbolicity._frames(jacobians, stable, unstable)
-        separate = _separate_carry_frames(jacobians, stable, unstable)
-        for got, expected in zip(stacked, separate):
-            assert got.tobytes() == expected.tobytes()
 
 
 def _norm_loop_certificate(record, v_u):
