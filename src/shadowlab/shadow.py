@@ -13,6 +13,18 @@ holds 2n entries in increasing row order (an identity column and a column of
 numerically singular cyclic linearization signals nonhyperbolicity along the
 pseudotrajectory and raises SingularJacobianError.
 
+The part of a solve that depends on the Jacobian stack alone (the cyclic
+matrix, its LU factor and the rcond estimate) is memoised for the last stack
+seen, keyed on hyperbolicity._stack_key, so consecutive solves on an equal
+stack (Newton steps on a linear map, the rows of a scan, the pullback
+witnesses of one period) reuse one factor and one estimate.  One entry is
+kept, alive until the next solve on another stack: a factor holds the LU fill
+of Qn unknowns, and a 64-entry LRU kept the large oracle factors alive and
+raised the shadow-solve benchmark's peak RSS from 82 to 95-96 MB.  An exactly
+singular verdict is stored as SuperLU's message and raised as a fresh error on
+every call (the splitting memo stores no errors); the rcond floor and the
+checks on the Newton step run on every call.
+
 For globally linear maps the unique periodic solution of z_{i+1} = A z_i + e_i
 is also computed in closed form by diagonalizing the cyclic shift with the
 DFT: (w_j I - A) zhat_j = ehat_j over the Q-th roots of unity w_j.  This is
@@ -43,6 +55,7 @@ from .errors import (
 from .hyperbolicity import (
     PERIODICITY_TOL,
     _periodic_numerators,
+    _stack_key,
     enumerate_periodic_points_exact,
 )
 from .pseudo import (
@@ -136,6 +149,34 @@ def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
     return m
 
 
+_factor_memo: tuple | None = None
+
+
+def _cyclic_factor(jacobians: Array) -> tuple[scipy.sparse.linalg.SuperLU, float] | str:
+    """The LU factor of the cyclic matrix of ``jacobians`` and its rcond
+    estimate, or SuperLU's message when the matrix is exactly singular.
+
+    Memoised for the last stack seen as one (key, result) tuple, read and
+    replaced in single steps, so threads need no lock and never pair one
+    stack's key with another stack's factor.
+    """
+    global _factor_memo
+    key = _stack_key(jacobians)
+    memo = _factor_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    m = _cyclic_matrix(jacobians)
+    try:
+        lu = scipy.sparse.linalg.splu(m)
+    except RuntimeError as exc:  # exactly singular factor
+        found = str(exc)
+    else:
+        with np.errstate(all="ignore"):
+            found = (lu, _estimate_rcond(jacobians, lu))
+    _factor_memo = (key, found)
+    return found
+
+
 def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     """Solve delta_{i+1 mod Q} - A_i delta_i = rhs_i for all i.
 
@@ -143,18 +184,16 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     singular (estimated sigma_min over its norm bound below 1e-13), which for a
     pseudotrajectory signals a unit-modulus direction of the linearization.
     """
-    m = _cyclic_matrix(jacobians)
-    try:
-        lu = scipy.sparse.linalg.splu(m)
-    except RuntimeError as exc:  # exactly singular factor
-        raise SingularJacobianError(str(exc)) from exc
-    with np.errstate(all="ignore"):
-        rcond = _estimate_rcond(jacobians, lu)
-        delta = lu.solve(rhs.ravel())
+    factor = _cyclic_factor(jacobians)
+    if isinstance(factor, str):
+        raise SingularJacobianError(factor)
+    lu, rcond = factor
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularJacobianError(
             f"cyclic linearization is numerically singular (rcond ~ {rcond:.1e})"
         )
+    with np.errstate(all="ignore"):
+        delta = lu.solve(rhs.ravel())
     if not np.all(np.isfinite(delta)):
         raise SingularJacobianError("cyclic linearization produced non-finite Newton step")
     scale = max(1.0, float(np.max(np.abs(rhs))))

@@ -2,14 +2,28 @@ import numpy as np
 import pytest
 
 import shadowlab as sl
-from shadowlab import hyperbolicity
+from shadowlab import hyperbolicity, shadow
 
 
 @pytest.fixture(autouse=True)
-def cold_splitting_memo():
-    """Each test starts with no memoised orbit splitting, so a test that
-    patches the linear algebra reaches it and no test sees another's stacks."""
+def cold_memos():
+    """Each test starts with no memoised orbit splitting and no memoised cyclic
+    factor, so a test that patches the linear algebra reaches it and no test
+    sees another's stacks."""
     hyperbolicity._splittings.clear()
+    shadow._factor_memo = None
+
+
+def field_bytes(record):
+    """Each field of a dataclass record: an array as its dtype, shape and
+    bytes, anything else as its repr."""
+    fields = []
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            fields.append((value.dtype.str, value.shape, value.tobytes()))
+        else:
+            fields.append(repr(value))
+    return fields
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,8 @@ from shadowlab.hyperbolicity import (
     expansion_coefficients,
 )
 
+from conftest import field_bytes
+
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -219,25 +221,15 @@ def _memo_cases():
     yield model.system, np.zeros(3), 330
 
 
-def _record_bytes(record):
-    fields = []
-    for value in vars(record).values():
-        if isinstance(value, np.ndarray):
-            fields.append((value.dtype.str, value.shape, value.tobytes()))
-        else:
-            fields.append(repr(value))
-    return fields
-
-
 def test_warm_records_equal_cold_ones_bit_for_bit():
     cases = list(_memo_cases())
     cold = []
     for sys_, point, m in cases:
         hyperbolicity._splittings.clear()
-        cold.append(_record_bytes(sl.analyze_periodic_orbit(sys_, point, m)))
+        cold.append(field_bytes(sl.analyze_periodic_orbit(sys_, point, m)))
     for sys_, point, m in cases:  # fills the memo; fewer stacks than its bound
         sl.analyze_periodic_orbit(sys_, point, m)
-    warm = [_record_bytes(sl.analyze_periodic_orbit(sys_, p, m)) for sys_, p, m in cases]
+    warm = [field_bytes(sl.analyze_periodic_orbit(sys_, p, m)) for sys_, p, m in cases]
     assert warm == cold
 
 
@@ -249,7 +241,7 @@ def test_threads_share_the_memo(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "SPLITTING_MEMO_SIZE", size)
     model = sl.jordan_model(block=None, tail=(2.0, 0.5), c=0.0)
     periods = range(1, size + 2)
-    expected = {m: _record_bytes(sl.analyze_periodic_orbit(model.system, np.zeros(2), m))
+    expected = {m: field_bytes(sl.analyze_periodic_orbit(model.system, np.zeros(2), m))
                 for m in periods}
     results, errors = [], []
 
@@ -258,7 +250,7 @@ def test_threads_share_the_memo(monkeypatch):
         try:
             for m in rng.choice(periods, size=400).tolist():
                 record = sl.analyze_periodic_orbit(model.system, np.zeros(2), m)
-                results.append((m, _record_bytes(record)))
+                results.append((m, field_bytes(record)))
         except Exception as exc:
             errors.append(exc)
 

@@ -1,17 +1,20 @@
 import math
 import re
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import shadowlab as sl
-from shadowlab import shadow
+from shadowlab import cli, hyperbolicity, shadow
 from shadowlab.errors import NonhyperbolicMonodromyError, OrbitEscapeError, SingularJacobianError
 from shadowlab.shadow import _cyclic_matrix
 
-from conftest import random_hyperbolic_matrix
+from conftest import field_bytes, random_hyperbolic_matrix
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -372,6 +375,180 @@ def test_cyclic_norm_bound_covers_the_cyclic_matrix(q):
     for jacobians in _jacobian_stacks(q):
         bound = 1.0 + np.sqrt(np.max(np.sum(jacobians * jacobians, axis=(-2, -1))))
         assert bound >= np.linalg.norm(_cyclic_matrix(jacobians).toarray(), 2)
+
+
+# ---------------------------------------------------------------------------
+# the factor memo
+
+
+def _count_splu(monkeypatch):
+    """Record the size of each SuperLU factorisation made from now on."""
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return calls
+
+
+def test_scan_rows_and_oracle_note_share_one_factor(tmp_path, capsys, monkeypatch):
+    calls = _count_splu(monkeypatch)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        "[system]\nkind = toral\nmatrix = 2 1; 1 1\n"
+        + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
+        + "d-values = 1e-3 1e-4 1e-5 1e-6\n"
+        + f"[output]\ndirectory = {tmp_path}\n"
+    )
+    assert cli.run(str(cfg)) == 0
+    out = capsys.readouterr().out
+    assert "4/4 rows converged" in out and "linear oracle deviation" in out
+    assert calls == [10]  # four rows and the oracle note solve one cat stack
+
+
+def test_memo_keeps_the_last_stack_only(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    a, b = _jacobian_stacks(5)[:2]
+    rhs = np.random.default_rng(0).normal(size=(5, 2))
+    for stack in (a, b, a):
+        shadow._solve_cyclic(stack, rhs)
+    assert len(calls) == 3
+    key, (lu, _) = shadow._factor_memo
+    assert key == hyperbolicity._stack_key(a) and lu.shape == (10, 10)
+
+
+def test_distinct_newton_stacks_are_factored_once_each(monkeypatch):
+    pert = sl.perturbed_toral([[2, 1], [1, 1]], 0.1)
+    xi = sl.make_pseudotrajectory(pert, sl.toral_orbit_with_period(sl.cat_map(), 2))
+    calls = _count_splu(monkeypatch)
+    sol = sl.find_periodic_shadow(pert, xi)
+    assert sol.converged and sol.iterations == 2
+    assert calls == [4, 4]
+
+
+def _memo_corpus():
+    """(system, pseudotrajectory) pairs whose solves reuse stacks in runs."""
+    cat = sl.cat_map()
+    # both at period 5: equal shapes, distinct stacks
+    for matrix, period in (([[2, 1], [1, 1]], 5), ([[3, 2], [1, 1]], 5)):
+        toral = sl.toral_automorphism(matrix)
+        family = shadow.PerturbedOrbitFamily(
+            toral.system, sl.toral_orbit_with_period(toral, period), seed=3
+        )
+        for row, d in enumerate((1e-3, 1e-4, 1e-5, 1e-6)):
+            yield toral.system, family.generate(d, row)
+    pert = sl.perturbed_toral(cat.matrix, 0.1)
+    for m in (2, 3, 5):
+        yield pert, sl.make_pseudotrajectory(pert, sl.toral_orbit_with_period(cat, m))
+    double = sl.linear_system(2.0 * np.eye(2))
+    yield double, sl.make_pseudotrajectory(double, [[2e-4, 5e-4]])  # Q = 1
+    rng = np.random.default_rng(4242)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        lin = sl.linear_system(random_hyperbolic_matrix(rng, n))
+        q = int(rng.integers(1, 33))
+        yield lin, sl.make_pseudotrajectory(lin, rng.normal(scale=0.01, size=(q, n)))
+    c, s = math.cos(0.5), math.sin(0.5)
+    turn = np.array([[c, -s], [s, c]])
+    saddle = sl.linear_system(turn @ np.diag([-0.25, -1.2]) @ turn.T)
+    pts = np.random.default_rng(7).normal(scale=0.01, size=(1000, 2))
+    yield saddle, sl.make_pseudotrajectory(saddle, pts)
+    jordan = sl.jordan_model(block="real", size=2, eigenvalue=1, c=0.0)
+    yield jordan.system, sl.witness_jordan(jordan, 1e-4, 5)[0]
+
+
+def _solve_bytes(sys_, xi):
+    """Every ShadowSolution field, or the error's type and message."""
+    try:
+        return field_bytes(sl.find_periodic_shadow(sys_, xi))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_warm_solves_equal_cold_ones_bit_for_bit():
+    cases = list(_memo_corpus())
+    cold = []
+    for sys_, xi in cases:
+        shadow._factor_memo = None
+        cold.append(_solve_bytes(sys_, xi))
+    shadow._factor_memo = None
+    # each case solved twice in a row: the first may reuse the previous case's
+    # factor, the second starts on its own last one
+    warm = [[_solve_bytes(sys_, xi) for _ in range(2)] for sys_, xi in cases]
+    assert warm == [[c, c] for c in cold]
+    assert any(isinstance(c, tuple) for c in cold)  # the Jordan witness raised
+
+
+def test_threads_share_the_factor_memo(cat_sys):
+    # more threads than cores, switching every microsecond, over three stacks
+    # of one shape in turn: every lookup races a replacement by another thread
+    pts = np.random.default_rng(5).normal(scale=0.01, size=(7, 2))
+    other = sl.linear_system([[3.0, 2.0], [1.0, 1.0]])
+    resonant = sl.linear_system(_rotation(2 * math.pi / 7))  # R^7 = I: rcond error
+    cases = [
+        (cat_sys, sl.perturb_orbit(cat_sys, np.zeros((7, 2)), 1e-4, seed=3)),
+        (other, sl.make_pseudotrajectory(other, pts)),
+        (resonant, sl.make_pseudotrajectory(resonant, pts)),
+    ]
+    expected = [_solve_bytes(sys_, xi) for sys_, xi in cases]
+    results, errors = [], []
+
+    def work(offset):
+        try:
+            for k in range(400):
+                j = (k + offset) % len(cases)
+                results.append((j, _solve_bytes(*cases[j])))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(results) == 8 * 400
+    assert all(got == expected[j] for j, got in results)
+
+
+def test_exact_singularity_is_raised_on_every_call(linear_jordan2, monkeypatch):
+    xi, _ = sl.witness_jordan(linear_jordan2, 1e-4, 5)
+    calls = _count_splu(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(SingularJacobianError, match="exactly singular"):
+            sl.find_periodic_shadow(linear_jordan2.system, xi)
+    assert calls == [70]  # 35 points of 2 unknowns
+
+
+def test_rcond_floor_is_checked_on_every_call(monkeypatch):
+    lin = sl.linear_system(_rotation(2 * math.pi / 7))  # R^7 = I
+    xi = sl.make_pseudotrajectory(lin, np.random.default_rng(0).normal(scale=0.01, size=(7, 2)))
+    calls = _count_splu(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SingularJacobianError, match=r"rcond ~") as info:
+            sl.find_periodic_shadow(lin, xi)
+        messages.append(str(info.value))
+    assert calls == [14] and messages[0] == messages[1]
+
+
+def test_step_checks_run_on_a_reused_factor(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    stack = _jacobian_stacks(5)[0]
+    rhs = np.random.default_rng(0).normal(size=(5, 2))
+    shadow._solve_cyclic(stack, rhs)
+    rhs[2, 1] = np.nan
+    with pytest.raises(SingularJacobianError, match="non-finite Newton step"):
+        shadow._solve_cyclic(stack, rhs)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
