@@ -425,8 +425,7 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
         raise ShadowlabError(f"enumerated point failed the periodicity check ({worst:.3e})")
     rows = [[f"x{j}" for j in range(sys_.dim)]]
     rows += [[_fmt(c) for c in p] for p in points]
-    path = os.path.join(ctx["out_dir"], "periodic_points.csv")
-    _write_text(path, _csv_text(rows))
+    path = _write_table(ctx, "periodic_points", rows)
     return 0, (
         f"Enumerated {len(points)} points with f^{period}(x) = x (worst float residual "
         f"{worst:.3g}). Wrote {path}."

@@ -6,13 +6,13 @@ stable and unstable invariant subspaces: one unsorted real Schur form from
 LAPACK's gees gives the multipliers, and reordered by trsen once for each
 side, the bases, so complex pairs stay together and the bases are real and
 orthonormal.
-That splitting depends on the Jacobian stack alone, so it is memoised on it:
-the key is the stack's dtype and shape and a 256-bit blake2b digest of its
-bytes, and a least-recently-used memo keeps the last SPLITTING_MEMO_SIZE
-stacks, each entry O(n^2) whatever m (no copy of the stack is kept).  On a toral
-automorphism Df = M everywhere, so all orbits of one period share an entry.
-Errors are raised again on every call, never stored, and the memoised
-multipliers and bases are read-only arrays that records may share.
+That splitting depends on the Jacobian stack alone, so it is memoised for the
+last stack seen by _LastStack, keyed on the stack's dtype and shape and a
+256-bit blake2b digest of its bytes (no copy of the stack is kept); the cyclic
+factor of the shadow module uses the same memo.  Callers analyse one stack in
+runs: on a toral automorphism Df = M everywhere, so all orbits of one period
+share an entry.  Errors are raised again on every call, never stored, and the
+memoised multipliers and bases are read-only arrays that records may share.
 
 subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
 re-orthonormalised at each step by two-pass classical Gram-Schmidt, which is
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,8 +64,6 @@ PERIODICITY_TOL = 1e-8
 # largest |det(M^m - I)| the enumerator materialises (period 15 of the cat map
 # has 1860496 points, period 16 has 4870845)
 MAX_PERIODIC_POINTS = 2**22
-# distinct Jacobian stacks whose splitting is kept, least recently used dropped first
-SPLITTING_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,9 @@ class PeriodicOrbitRecord:
     the unstable subspace when the orbit is hyperbolic.  The bases at p_0 are
     orthonormal and invariant, to within 1e-8, under the monodromy
     jacobians[m-1] ... jacobians[0].  ``multipliers`` and both bases come
-    from the splitting memo, keyed on the bytes of ``jacobians`` and bounded
-    (see the module docstring): they are read-only and may be the same
-    arrays as in another record with an equal Jacobian stack.
+    from the splitting memo, keyed on the bytes of ``jacobians`` (see the
+    module docstring): they are read-only and may be the same arrays as in
+    another record with an equal Jacobian stack.
     """
 
     period: int
@@ -171,41 +168,36 @@ def _split_bases(t: Array, z: Array, moduli: Array, band: float) -> tuple[Array,
     return bases[0], bases[1]
 
 
-_splittings: OrderedDict[tuple, tuple] = OrderedDict()
-
-
 def _stack_key(jacs: Array) -> tuple:
     """The stack's dtype, its shape and a 256-bit blake2b digest of its bytes."""
     digest = hashlib.blake2b(np.ascontiguousarray(jacs), digest_size=32).digest()
     return jacs.dtype.str, jacs.shape, digest
 
 
-def _splitting(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
-    """Sorted multipliers, index, hyperbolic flag and the stable and unstable
-    bases of the monodromy jacs[m-1] ... jacs[0], memoised per stack.
+class _LastStack:
+    """``compute(jacs)`` memoised for the last Jacobian stack seen.
 
-    The memo is keyed on _stack_key and keeps the last SPLITTING_MEMO_SIZE
-    stacks used; errors are raised again on every call, never stored.
+    ``last`` is one (_stack_key, value) tuple, read once and replaced in one
+    assignment, so threads need no lock and never pair one stack's key with
+    another stack's value.  An exception from ``compute`` propagates and is
+    never stored.
     """
-    key = _stack_key(jacs)
-    found = _splittings.get(key)
-    if found is None:
-        found = _split_monodromy(jacs)
-        _splittings[key] = found
-        if len(_splittings) > SPLITTING_MEMO_SIZE:
-            _splittings.popitem(last=False)
-    else:
-        # each OrderedDict call is atomic, so threads need no lock; another
-        # thread may have dropped the key since the lookup
-        try:
-            _splittings.move_to_end(key)
-        except KeyError:
-            pass
-    return found
+
+    __slots__ = ("compute", "last")
+
+    def __init__(self, compute):
+        self.compute, self.last = compute, None
+
+    def __call__(self, jacs: Array):
+        key, last = _stack_key(jacs), self.last
+        if last is None or last[0] != key:
+            last = self.last = (key, self.compute(jacs))
+        return last[1]
 
 
 def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
-    """The uncached body of _splitting; its arrays are made read-only."""
+    """Sorted multipliers, index, hyperbolic flag and the stable and unstable
+    bases of the monodromy jacs[m-1] ... jacs[0]; the arrays are read-only."""
     m = len(jacs)
     monodromy = np.eye(jacs.shape[-1])
     # an overflowing product or a multiplier rounded to 0 is a typed error below
@@ -239,6 +231,9 @@ def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
     for shared in (multipliers, stable, unstable):
         shared.setflags(write=False)
     return multipliers, int(np.sum(moduli > 1.0 + band)), hyperbolic, stable, unstable
+
+
+_splitting = _LastStack(_split_monodromy)
 
 
 def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:

@@ -469,9 +469,12 @@ def _format_param(value) -> str:
 def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:
     """Write the CSV-like text format: header names, header values, one point per row."""
     params = xi.params or {}
+    # a line break ends the header line, a comma the kind field, a semicolon a
+    # parameter and the first "=" its key
+    if any(ch in xi.kind for ch in ",\r\n"):
+        raise ValueError(f"kind {xi.kind!r} contains a reserved character")
     for key, value in params.items():
-        text = _format_param(value)
-        if any(ch in f"{key}{text}" for ch in ",;\n"):
+        if "=" in f"{key}" or any(ch in f"{key}{_format_param(value)}" for ch in ",;\r\n"):
             raise ValueError(f"parameter {key!r} contains a reserved character")
     header = ";".join(f"{k}={_format_param(v)}" for k, v in params.items())
     lines = ["Q,defect,kind,params", f"{xi.period},{xi.defect!r},{xi.kind},{header}"]

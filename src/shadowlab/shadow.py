@@ -15,15 +15,12 @@ pseudotrajectory and raises SingularJacobianError.
 
 The part of a solve that depends on the Jacobian stack alone (the cyclic
 matrix, its LU factor and the rcond estimate) is memoised for the last stack
-seen, keyed on hyperbolicity._stack_key, so consecutive solves on an equal
-stack (Newton steps on a linear map, the rows of a scan, the pullback
-witnesses of one period) reuse one factor and one estimate.  One entry is
-kept, alive until the next solve on another stack: a factor holds the LU fill
-of Qn unknowns, and a 64-entry LRU kept the large oracle factors alive and
-raised the shadow-solve benchmark's peak RSS from 82 to 95-96 MB.  An exactly
-singular verdict is stored as SuperLU's message and raised as a fresh error on
-every call (the splitting memo stores no errors); the rcond floor and the
-checks on the Newton step run on every call.
+seen by hyperbolicity._LastStack, the memo of the orbit splitting, so
+consecutive solves on an equal stack (Newton steps on a linear map, the rows
+of a scan, the pullback witnesses of one period) reuse one factor and one
+estimate.  An exactly singular verdict is stored as SuperLU's message and
+raised as a fresh error on every call; the rcond floor and the checks on the
+Newton step run on every call.
 
 For globally linear maps the unique periodic solution of z_{i+1} = A z_i + e_i
 is also computed in closed form by diagonalizing the cyclic shift with the
@@ -54,8 +51,8 @@ from .errors import (
 )
 from .hyperbolicity import (
     PERIODICITY_TOL,
+    _LastStack,
     _periodic_numerators,
-    _stack_key,
     enumerate_periodic_points_exact,
 )
 from .pseudo import (
@@ -149,32 +146,19 @@ def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
     return m
 
 
-_factor_memo: tuple | None = None
-
-
-def _cyclic_factor(jacobians: Array) -> tuple[scipy.sparse.linalg.SuperLU, float] | str:
+def _factor_cyclic(jacobians: Array) -> tuple[scipy.sparse.linalg.SuperLU, float] | str:
     """The LU factor of the cyclic matrix of ``jacobians`` and its rcond
-    estimate, or SuperLU's message when the matrix is exactly singular.
-
-    Memoised for the last stack seen as one (key, result) tuple, read and
-    replaced in single steps, so threads need no lock and never pair one
-    stack's key with another stack's factor.
-    """
-    global _factor_memo
-    key = _stack_key(jacobians)
-    memo = _factor_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    estimate, or SuperLU's message when the matrix is exactly singular."""
     m = _cyclic_matrix(jacobians)
     try:
         lu = scipy.sparse.linalg.splu(m)
     except RuntimeError as exc:  # exactly singular factor
-        found = str(exc)
-    else:
-        with np.errstate(all="ignore"):
-            found = (lu, _estimate_rcond(jacobians, lu))
-    _factor_memo = (key, found)
-    return found
+        return str(exc)
+    with np.errstate(all="ignore"):
+        return lu, _estimate_rcond(jacobians, lu)
+
+
+_cyclic_factor = _LastStack(_factor_cyclic)
 
 
 def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:

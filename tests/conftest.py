@@ -5,13 +5,19 @@ import shadowlab as sl
 from shadowlab import hyperbolicity, shadow
 
 
+def reset_memos(monkeypatch):
+    """Empty the orbit splitting and cyclic factor memos; setattr raises on a
+    missing attribute, so a renamed memo fails here rather than passing."""
+    for memo in (hyperbolicity._splitting, shadow._cyclic_factor):
+        monkeypatch.setattr(memo, "last", None, raising=True)
+
+
 @pytest.fixture(autouse=True)
-def cold_memos():
+def cold_memos(monkeypatch):
     """Each test starts with no memoised orbit splitting and no memoised cyclic
     factor, so a test that patches the linear algebra reaches it and no test
     sees another's stacks."""
-    hyperbolicity._splittings.clear()
-    shadow._factor_memo = None
+    reset_memos(monkeypatch)
 
 
 def field_bytes(record):

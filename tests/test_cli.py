@@ -179,6 +179,25 @@ def test_enumerate_command(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_enumerate_table_format_also_writes_txt(tmp_path, capsys):
+    written = {}
+    for fmt in ("csv", "table"):
+        cfg = write(
+            tmp_path / f"{fmt}.cfg",
+            CAT_SYSTEM + "[command]\nname = enumerate\nperiod = 2\n"
+            + f"[output]\ndirectory = {tmp_path / fmt}\nformat = {fmt}\n",
+        )
+        assert cli.run(cfg) == 0
+        written[fmt] = {p.name: p.read_text() for p in (tmp_path / fmt).iterdir()}
+    capsys.readouterr()
+    assert sorted(written["csv"]) == ["periodic_points.csv"]
+    assert sorted(written["table"]) == ["periodic_points.csv", "periodic_points.txt"]
+    assert written["table"]["periodic_points.csv"] == written["csv"]["periodic_points.csv"]
+    csv_rows = [line.split(",") for line in written["csv"]["periodic_points.csv"].splitlines()]
+    txt_rows = [line.split() for line in written["table"]["periodic_points.txt"].splitlines()]
+    assert txt_rows == csv_rows and len(txt_rows) == 6
+
+
 @pytest.mark.parametrize(
     "command", ["name = enumerate\nperiod = 20", "name = enumerate\nperiod = 30",
                 # the exact count has over 4300 digits, past Python's int-to-string limit
@@ -634,8 +653,9 @@ def test_angles_horizon_is_step_limited(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command", ["name = angles\nmax-period = 4", "name = lemma6\npoint = 0.5 0\nperiod = 3"]
 )
-def test_memoised_splittings_write_the_same_bytes(tmp_path, capsys, command):
-    # the first run fills the splitting memo, the second reads every splitting from it
+def test_memoised_splitting_writes_the_same_bytes(tmp_path, capsys, command):
+    # the second run starts with the splitting memo holding the first run's last
+    # stack, and writes the same bytes whether or not it reuses that stack
     outputs = []
     for run in ("cold", "warm"):
         out = tmp_path / run

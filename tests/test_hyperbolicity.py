@@ -27,7 +27,7 @@ from shadowlab.hyperbolicity import (
     expansion_coefficients,
 )
 
-from conftest import field_bytes
+from conftest import field_bytes, reset_memos
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -188,21 +188,17 @@ def test_lost_precision_is_raised_on_every_call(cat_sys, monkeypatch):
     for _ in range(2):
         with pytest.raises(LostPrecisionError):
             sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 40)
-    assert calls == [2, 2] and len(hyperbolicity._splittings) == 0
+    assert calls == [2, 2] and hyperbolicity._splitting.last is None
 
 
-def test_memo_holds_its_bound(monkeypatch):
-    size = hyperbolicity.SPLITTING_MEMO_SIZE
+def test_splitting_memo_keeps_the_last_stack_only(monkeypatch):
     model = sl.jordan_model(block=None, tail=(2.0, 0.5), c=0.0)
-    periods = range(1, size + 6)  # each period one distinct stack
-    for m in periods:
-        sl.analyze_periodic_orbit(model.system, np.zeros(2), m)
-    assert len(hyperbolicity._splittings) == size
     calls = _count_schur(monkeypatch)
-    sl.analyze_periodic_orbit(model.system, np.zeros(2), periods[-1])  # kept
-    assert calls == []
-    sl.analyze_periodic_orbit(model.system, np.zeros(2), periods[0])  # dropped first
-    assert len(calls) == 1 and len(hyperbolicity._splittings) == size
+    for m in (2, 3, 2):  # stacks A, B, A: B replaced A
+        sl.analyze_periodic_orbit(model.system, np.zeros(2), m)
+    assert len(calls) == 3
+    sl.analyze_periodic_orbit(model.system, np.zeros(2), 2)  # A is the last stack
+    assert len(calls) == 3
 
 
 def _memo_cases():
@@ -221,26 +217,25 @@ def _memo_cases():
     yield model.system, np.zeros(3), 330
 
 
-def test_warm_records_equal_cold_ones_bit_for_bit():
+def test_warm_records_equal_cold_ones_bit_for_bit(monkeypatch):
     cases = list(_memo_cases())
     cold = []
     for sys_, point, m in cases:
-        hyperbolicity._splittings.clear()
+        reset_memos(monkeypatch)
         cold.append(field_bytes(sl.analyze_periodic_orbit(sys_, point, m)))
-    for sys_, point, m in cases:  # fills the memo; fewer stacks than its bound
-        sl.analyze_periodic_orbit(sys_, point, m)
-    warm = [field_bytes(sl.analyze_periodic_orbit(sys_, p, m)) for sys_, p, m in cases]
-    assert warm == cold
+    reset_memos(monkeypatch)
+    # each case analysed twice in a row: the first may reuse the previous
+    # case's splitting, the second reads its own
+    warm = [[field_bytes(sl.analyze_periodic_orbit(sys_, p, m)) for _ in range(2)]
+            for sys_, p, m in cases]
+    assert warm == [[c, c] for c in cold]
 
 
-def test_threads_share_the_memo(monkeypatch):
-    # more threads than cores, switching every microsecond, over one stack
-    # more than a shrunken memo holds: lookups race evictions and inserts race
-    # each other
-    size = 3
-    monkeypatch.setattr(hyperbolicity, "SPLITTING_MEMO_SIZE", size)
+def test_threads_share_the_memo():
+    # more threads than cores, switching every microsecond, over four stacks
+    # of the last-stack memo: every lookup races a replacement by another thread
     model = sl.jordan_model(block=None, tail=(2.0, 0.5), c=0.0)
-    periods = range(1, size + 2)
+    periods = range(1, 5)
     expected = {m: field_bytes(sl.analyze_periodic_orbit(model.system, np.zeros(2), m))
                 for m in periods}
     results, errors = [], []
@@ -267,7 +262,6 @@ def test_threads_share_the_memo(monkeypatch):
     assert not any(thread.is_alive() for thread in threads) and errors == []
     assert len(results) == 8 * 400
     assert all(got == expected[m] for m, got in results)
-    assert len(hyperbolicity._splittings) <= size
 
 
 # ---------------------------------------------------------------------------

@@ -595,6 +595,19 @@ def test_save_load_round_trip(tmp_path, cat_sys, linear_jordan2):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("a,b", {}), ("a\nb", {}), ("a\rb", {}), ("custom", {"k=v": 1.0}),
+     ("custom", {"k": "a;b"}), ("custom", {"k,": 1}), ("custom", {"k": "a\nb"})],
+)
+def test_save_rejects_what_would_not_load_back(tmp_path, cat_sys, kind, params):
+    xi = sl.make_pseudotrajectory(cat_sys, [[0.1, 0.2]], kind=kind, params=params)
+    path = tmp_path / "xi.csv"
+    with pytest.raises(ValueError, match="contains a reserved character"):
+        sl.save_pseudotrajectory(xi, path)
+    assert not path.exists()
+
+
 def test_load_rejects_a_wrong_column_count(tmp_path, cat_sys):
     xi = sl.make_pseudotrajectory(sl.linear_system(np.eye(3), halfwidth=10.0), [[0.1, 0.2, 0.3]])
     path = tmp_path / "xi.csv"

@@ -14,7 +14,7 @@ from shadowlab import cli, hyperbolicity, shadow
 from shadowlab.errors import NonhyperbolicMonodromyError, OrbitEscapeError, SingularJacobianError
 from shadowlab.shadow import _cyclic_matrix
 
-from conftest import field_bytes, random_hyperbolic_matrix
+from conftest import field_bytes, random_hyperbolic_matrix, reset_memos
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -416,7 +416,7 @@ def test_memo_keeps_the_last_stack_only(monkeypatch):
     for stack in (a, b, a):
         shadow._solve_cyclic(stack, rhs)
     assert len(calls) == 3
-    key, (lu, _) = shadow._factor_memo
+    key, (lu, _) = shadow._cyclic_factor.last
     assert key == hyperbolicity._stack_key(a) and lu.shape == (10, 10)
 
 
@@ -468,13 +468,13 @@ def _solve_bytes(sys_, xi):
         return type(exc), str(exc)
 
 
-def test_warm_solves_equal_cold_ones_bit_for_bit():
+def test_warm_solves_equal_cold_ones_bit_for_bit(monkeypatch):
     cases = list(_memo_corpus())
     cold = []
     for sys_, xi in cases:
-        shadow._factor_memo = None
+        reset_memos(monkeypatch)
         cold.append(_solve_bytes(sys_, xi))
-    shadow._factor_memo = None
+    reset_memos(monkeypatch)
     # each case solved twice in a row: the first may reuse the previous case's
     # factor, the second starts on its own last one
     warm = [[_solve_bytes(sys_, xi) for _ in range(2)] for sys_, xi in cases]
@@ -482,7 +482,7 @@ def test_warm_solves_equal_cold_ones_bit_for_bit():
     assert any(isinstance(c, tuple) for c in cold)  # the Jordan witness raised
 
 
-def test_threads_share_the_factor_memo(cat_sys):
+def test_threads_share_the_memoised_factor(cat_sys):
     # more threads than cores, switching every microsecond, over three stacks
     # of one shape in turn: every lookup races a replacement by another thread
     pts = np.random.default_rng(5).normal(scale=0.01, size=(7, 2))
