@@ -7,9 +7,9 @@ LAPACK's gees gives the multipliers, and reordered by trsen once for each
 side, the bases, so complex pairs stay together and the bases are real and
 orthonormal.
 That splitting depends on the Jacobian stack alone, so it is memoised for the
-last stack seen by _LastStack, keyed on the stack's dtype and shape and a
-256-bit blake2b digest of its bytes (no copy of the stack is kept); the cyclic
-factor of the shadow module uses the same memo.  Callers analyse one stack in
+last stack seen by _LastStack, keyed on the stack's dtype, its shape and a
+copy of its bytes, so a hit means an equal stack; the cyclic factor of the
+shadow module uses the same memo.  Callers analyse one stack in
 runs: on a toral automorphism Df = M everywhere, so all orbits of one period
 share an entry.  Errors are raised again on every call, never stored, and the
 memoised multipliers and bases are read-only arrays that records may share.
@@ -37,7 +37,6 @@ uniform lower bound curve (1 / (16 L)) (1 + 1 / (8 L))^i.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,9 +168,8 @@ def _split_bases(t: Array, z: Array, moduli: Array, band: float) -> tuple[Array,
 
 
 def _stack_key(jacs: Array) -> tuple:
-    """The stack's dtype, its shape and a 256-bit blake2b digest of its bytes."""
-    digest = hashlib.blake2b(np.ascontiguousarray(jacs), digest_size=32).digest()
-    return jacs.dtype.str, jacs.shape, digest
+    """The stack's dtype, its shape and its bytes: equal keys, equal stacks."""
+    return jacs.dtype.str, jacs.shape, jacs.tobytes()
 
 
 class _LastStack:

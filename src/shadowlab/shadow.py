@@ -294,6 +294,8 @@ def closed_form_linear_shadow(matrix, gaps) -> Array:
 def _resolvents(a: Array, q: int) -> Array:
     """The (Q, n, n) stack of omega_j I - A over the Q-th roots of unity
     omega_j = exp(i 2 pi j / Q), with the angle rounded in real arithmetic."""
+    if q < 1:
+        raise ValueError("period must be >= 1")
     omega = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
     return omega[:, None, None] * np.eye(a.shape[0]) - a
 
@@ -346,6 +348,8 @@ def verify_periodicity_by_expansivity(
     from p, so the rounding of f^i(p) grows over |i| steps only.  A finite
     window checks, it does not prove.
     """
+    if mu < 1:
+        raise ValueError("period must be >= 1")
     if a <= 0:
         raise ValueError("expansivity constant must be positive")
     if window < mu:

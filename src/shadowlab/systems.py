@@ -14,7 +14,8 @@ Every map is batch-native: ``forward``, ``inverse`` and ``jacobian`` take one
 point of shape (n,) or a batch of shape (..., n) and return (..., n) for
 points and (..., n, n) for Jacobians, row by row.  Linear parts are evaluated
 as ``x @ A.T``; a constant Jacobian is a read-only broadcast view of its
-matrix.
+matrix.  Every globally linear system (a toral automorphism, a linear map on
+a box, a Jordan model with c = 0) is built by the one helper ``_linear``.
 
 All systems are immutable after construction and evaluation is pure, so they
 are safe to share across threads.
@@ -65,21 +66,11 @@ class PhaseSpace:
         return PhaseSpace("torus", dim)
 
     @staticmethod
-    def box(lower, upper) -> "PhaseSpace":
-        lo = _frozen(lower)
-        hi = _frozen(upper)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("bounds must be 1-d arrays of equal length")
-        if not np.all(lo < hi):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        return PhaseSpace("euclidean", lo.size, lo, hi)
-
-    @staticmethod
     def cube(dim: int, halfwidth: float) -> "PhaseSpace":
         if halfwidth <= 0:
             raise ValueError("halfwidth must be positive")
         w = np.full(dim, float(halfwidth))
-        return PhaseSpace.box(-w, w)
+        return PhaseSpace("euclidean", dim, _frozen(-w), _frozen(w))
 
     def wrap(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -207,7 +198,18 @@ def _newton_inverse(space: PhaseSpace, forward, jacobian, y: Array, x: Array, to
 
 
 # ---------------------------------------------------------------------------
-# linear systems on a box
+# linear systems
+
+
+def _linear(space: PhaseSpace, a: Array, a_inv: Array) -> DiscreteSystem:
+    """x -> A x on ``space`` (mod 1 on the torus), with inverse x -> A^-1 x."""
+    a_t, a_inv_t = a.T, a_inv.T
+    # np.mod inline, not space.wrap: one more call per step slowed cat orbit walks
+    if space.kind == "torus":
+        forward, inverse = lambda x: np.mod(x @ a_t, 1.0), lambda x: np.mod(x @ a_inv_t, 1.0)
+    else:
+        forward, inverse = lambda x: x @ a_t, lambda x: x @ a_inv_t
+    return DiscreteSystem(space, forward, inverse, _constant_jacobian(a), linear_matrix=a)
 
 
 def linear_system(matrix, halfwidth: float = 1e6) -> DiscreteSystem:
@@ -215,16 +217,7 @@ def linear_system(matrix, halfwidth: float = 1e6) -> DiscreteSystem:
     a = _frozen(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    a_inv = _frozen(np.linalg.inv(a))
-    a_t, a_inv_t = a.T, a_inv.T
-    space = PhaseSpace.cube(a.shape[0], halfwidth)
-    return DiscreteSystem(
-        space=space,
-        forward=lambda x: x @ a_t,
-        inverse=lambda x: x @ a_inv_t,
-        jacobian=_constant_jacobian(a),
-        linear_matrix=a,
-    )
+    return _linear(PhaseSpace.cube(a.shape[0], halfwidth), a, _frozen(np.linalg.inv(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +244,10 @@ class ToralAutomorphism:
 
     @cached_property
     def system(self) -> DiscreteSystem:
-        m = _frozen(self.matrix, dtype=float)
-        m_inv = _frozen(self.inverse_matrix, dtype=float)
-        m_t, m_inv_t = m.T, m_inv.T
-        space = PhaseSpace.torus(self.matrix.shape[0])
-        return DiscreteSystem(
-            space=space,
-            forward=lambda x: np.mod(x @ m_t, 1.0),
-            inverse=lambda x: np.mod(x @ m_inv_t, 1.0),
-            jacobian=_constant_jacobian(m),
-            linear_matrix=m,
+        return _linear(
+            PhaseSpace.torus(self.matrix.shape[0]),
+            _frozen(self.matrix),
+            _frozen(self.inverse_matrix),
         )
 
 
@@ -347,7 +334,8 @@ class JordanModel:
     |v| <= a_ball, satisfies |phi(v)| <= c |v|^3 everywhere, and saturates
     smoothly beyond 2 a_ball so the map stays a global diffeomorphism for the
     default scale c = 1.  Inside the core ball the evaluation takes the exact
-    linear branch, bit-for-bit reproducible.
+    linear branch, bit-for-bit reproducible.  At c = 0 the map is exactly
+    linear and ``system`` is ``linear_system(matrix, halfwidth)``.
     """
 
     block: str | None
@@ -383,8 +371,6 @@ class JordanModel:
 
     def phi(self, v: Array) -> Array:
         v = np.asarray(v, dtype=float)
-        if self.c == 0.0:
-            return np.zeros_like(v)
         r, outside = self._outside_core(v)
         beta, _ = self._phi_profile(r)
         return np.where(outside, (self.c * beta / r) * v, 0.0)
@@ -392,8 +378,6 @@ class JordanModel:
     def phi_jacobian(self, v: Array) -> Array:
         v = np.asarray(v, dtype=float)
         n = v.shape[-1]
-        if self.c == 0.0:
-            return np.zeros(v.shape + (n,))
         r, outside = self._outside_core(v)
         beta, dbeta = self._phi_profile(r[..., None])
         unit = v / r
@@ -403,9 +387,10 @@ class JordanModel:
 
     @cached_property
     def system(self) -> DiscreteSystem:
+        if self.c == 0.0:
+            return linear_system(self.matrix, self.halfwidth)
         a = self.matrix
-        a_inv = _frozen(np.linalg.inv(a))
-        a_t, a_inv_t = a.T, a_inv.T
+        a_t, a_inv_t = a.T, np.linalg.inv(a).T
         space = PhaseSpace.cube(self.dim, self.halfwidth)
         linear_jacobian = _constant_jacobian(a)
 
@@ -414,15 +399,11 @@ class JordanModel:
         def forward(v: Array) -> Array:
             v = np.asarray(v, dtype=float)
             lin = v @ a_t
-            if self.c == 0.0:
-                return lin
             return np.where(self._outside_core(v)[1], lin + self.phi(v), lin)
 
         def jacobian(v: Array) -> Array:
             v = np.asarray(v, dtype=float)
             lin = linear_jacobian(v)
-            if self.c == 0.0:
-                return lin
             outside = self._outside_core(v)[1][..., None]
             return np.where(outside, lin + self.phi_jacobian(v), lin)
 
@@ -431,13 +412,7 @@ class JordanModel:
             tol = 1e-14 * (1.0 + np.linalg.norm(y, axis=-1))
             return _newton_inverse(space, forward, jacobian, y, y @ a_inv_t, tol)
 
-        return DiscreteSystem(
-            space=space,
-            forward=forward,
-            inverse=inverse,
-            jacobian=jacobian,
-            linear_matrix=a if self.c == 0.0 else None,
-        )
+        return DiscreteSystem(space=space, forward=forward, inverse=inverse, jacobian=jacobian)
 
     def _phi_lipschitz(self) -> float:
         # sup over r of max(beta'(r), beta(r)/r), evaluated on a fine grid

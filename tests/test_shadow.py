@@ -102,6 +102,15 @@ def test_bound_scalar_cases():
     assert sl.theoretical_linear_lipschitz_bound([[0.5]], 4) == pytest.approx(2.0)
 
 
+def test_linear_oracles_reject_empty_periods():
+    a = [[2.0, 1.0], [1.0, 1.0]]
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            sl.theoretical_linear_lipschitz_bound(a, q)
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        sl.closed_form_linear_shadow(a, np.zeros((0, 2)))
+
+
 def test_bound_cat_q8_brute_force():
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
     got = sl.theoretical_linear_lipschitz_bound(a, 8)
@@ -600,6 +609,13 @@ def test_expansivity_generic_point(cat_sys):
     assert not sl.verify_periodicity_by_expansivity(
         cat_sys, [0.123456789, 0.654321987], 3, 0.01, 8
     )
+
+
+@pytest.mark.parametrize("mu", [0, -1])
+def test_expansivity_rejects_periods_below_one(cat_sys, mu):
+    # mu = 0 would compare p with itself and call any point periodic
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        sl.verify_periodicity_by_expansivity(cat_sys, [0.3, 0.1], mu, 0.3, 5)
 
 
 def test_expansivity_false_when_the_orbit_leaves_the_box():

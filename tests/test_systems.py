@@ -316,6 +316,40 @@ def test_batch_rows_equal_single_points(name):
     assert np.array_equal(sl.evaluate(sys, pts, 1)[5], sl.evaluate(sys, pts[5], 1))
 
 
+LINEAR_JORDAN = {
+    "jordan-linear": dict(block="real", size=2, c=0.0),
+    "jordan-tiny-tail": dict(block="real", size=2, tail=(1.1e-8, 40.0), c=0.0),
+}
+
+
+@pytest.mark.parametrize("name", ["linear", "toral-cat", "toral-3", *LINEAR_JORDAN])
+def test_linear_systems_are_x_times_a_bit_for_bit(name):
+    if name in BATCH_SYSTEMS:
+        sys = BATCH_SYSTEMS[name]()[0]
+    else:
+        sys = sl.jordan_model(**LINEAR_JORDAN[name]).system
+    a = sys.linear_matrix
+    pts = _batch_points(sys)  # row 1 is -0.0 on a box
+    if sys.space.kind == "torus":
+        pts[2] = 0.0
+        pts[2, 0] = -1e-20
+        a_inv = np.rint(np.linalg.inv(a))
+        expected = np.mod(pts @ a.T, 1.0), np.mod(pts @ a_inv.T, 1.0)
+    else:
+        a_inv = np.linalg.inv(a)
+        expected = pts @ a.T, pts @ a_inv.T
+    for got, want in zip((sys.forward(pts), sys.inverse(pts)), expected):
+        assert got.tobytes() == want.tobytes()
+    for row in (1, 2):
+        assert sys.forward(pts[row]).tobytes() == expected[0][row].tobytes()
+        assert sys.inverse(pts[row]).tobytes() == expected[1][row].tobytes()
+    jacs = sys.jacobian(pts)
+    assert np.array_equal(jacs, np.broadcast_to(a, (len(pts),) + a.shape))
+    assert not jacs.flags.writeable
+    if name in LINEAR_JORDAN:
+        assert np.array_equal(a, sl.jordan_model(**LINEAR_JORDAN[name]).matrix)
+
+
 def test_jordan_batch_keeps_the_linear_branch_bits():
     model = sl.jordan_model(block="real", size=2, c=1.0, a_ball=0.5)
     a = model.matrix
