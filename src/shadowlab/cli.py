@@ -284,9 +284,9 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     constant = section.take("L", *AT_LEAST_ONE, default=1.0)
     periodic = shadow.verify_periodicity_by_expansivity(sys_, point, period, a_const, window)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
-    # the step evaluate(sys_, point, period) ends with; the stored point is not
-    # wrapped again, since a wrapped input coordinate may be 1.0 and rewrap to 0.0
-    residual = sys_.space.dist(sys_.space.wrap(sys_.forward(record.points[-1])), point)
+    # the step evaluate(sys_, point, period) ends with, measured to the input
+    # point: maps return wrapped points, and dist reads the torus metric
+    residual = sys_.space.dist(sys_.forward(record.points[-1]), point)
     norm_bound = systems.estimate_norm_bound(sys_, samples=1024)
     beta = hyperbolicity.subspace_angle(record).minimum if record.hyperbolic else float("nan")
     # the growth check certifies the first unstable direction

@@ -251,7 +251,7 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
         raise ValueError("period must be >= 1")
     pts = orbit_segment(sys, p, 0, m)  # p wrapped first, and f^m(p) for the periodicity check
     gap = sys.space.dist(pts[m], pts[0])
-    if gap > PERIODICITY_TOL:
+    if not gap <= PERIODICITY_TOL:
         raise NotPeriodicError(f"f^{m}(p) is {gap:.3e} away from p (tolerance {PERIODICITY_TOL})")
     pts = pts[:m]
     jacs = sys.jacobian(pts)
@@ -273,8 +273,8 @@ def expansion_certificate(
 ) -> ExpansionCertificate:
     """Growth rates along the orbit for an unstable vector, with the
     coefficient sequence of expansion_coefficients (a_m = 0 by construction).
-    A nonhyperbolic record raises NonhyperbolicOrbitError, a zero vector or
-    one off the unstable subspace VectorNotUnstableError.
+    A nonhyperbolic record raises NonhyperbolicOrbitError, a zero or
+    non-finite vector or one off the unstable subspace VectorNotUnstableError.
 
     ``sys`` is accepted for interface symmetry with the other orbit
     operations; all data comes from the record's stored Jacobians.
@@ -282,10 +282,10 @@ def expansion_certificate(
     _require_hyperbolic([record])
     v_u = np.asarray(v_u, dtype=float)
     norm = np.linalg.norm(v_u)
-    if norm == 0.0:
-        raise VectorNotUnstableError("unstable vector must be nonzero")
+    if not 0.0 < norm < math.inf:
+        raise VectorNotUnstableError("unstable vector must be nonzero and finite")
     u = record.unstable_basis
-    if u.shape[1] == 0 or np.linalg.norm(v_u - u @ (u.T @ v_u)) / norm > 1e-8:
+    if u.shape[1] == 0 or not np.linalg.norm(v_u - u @ (u.T @ v_u)) / norm <= 1e-8:
         raise VectorNotUnstableError("vector does not lie in the unstable subspace")
     m = record.period
     rates = np.empty(m)
@@ -302,7 +302,7 @@ def expansion_certificate(
 
 def verify_growth_bound(data: ExpansionCertificate, constant: float) -> bool:
     """True iff products[i] > (1/(16 L)) (1 + 1/(8 L))^i for all i < m."""
-    if constant < 1.0:
+    if not constant >= 1.0:
         raise ValueError("the certificate constant must be >= 1")
     return bool(np.all(data.products > data.bound_curve(constant)))
 

@@ -83,7 +83,7 @@ class WitnessMeta:
 
 def cyclic_gaps(sys: DiscreteSystem, pts: Array) -> Array:
     """Rows x_{(i+1) mod Q} - f(x_i) of a (Q, n) sequence, as chart displacements."""
-    return sys.space.diff(np.concatenate((pts[1:], pts[:1])), sys.space.wrap(sys.forward(pts)))
+    return sys.space.diff(np.concatenate((pts[1:], pts[:1])), sys.forward(pts))
 
 
 def defect(sys: DiscreteSystem, points: Array) -> float:
@@ -188,7 +188,7 @@ def _unit_block_witness(
     """Coefficient path, phase lengths and points (step magnitude d) of the
     unit-block witness on the model's whole block."""
     _require_real_unit_block(model, op)
-    if d <= 0 or k_steps < 1:
+    if not d > 0 or k_steps < 1:
         raise ValueError("need d > 0 and K >= 1")
     coeffs, lengths = _real_block_coefficients(model.size, k_steps)
     pts = _embed(coeffs, d, model.dim)
@@ -205,7 +205,7 @@ def witness_eigenvalue_one(
     -d/2, peaking at K d / 2.  Requires K d < 2 a_ball.
     """
     _require_real_unit_block(model, "the staircase witness")
-    if d <= 0 or k_steps < 1:
+    if not d > 0 or k_steps < 1:
         raise ValueError("need d > 0 and K >= 1")
     if k_steps * d >= 2.0 * model.a_ball:
         raise ConstraintViolatedError(
@@ -285,7 +285,7 @@ def witness_rotation(
     """
     if model.block != "rotation":
         raise ValueError("the rotation witness needs a rotation block model")
-    if d <= 0 or k_steps < 1:
+    if not d > 0 or k_steps < 1:
         raise ValueError("need d > 0 and K >= 1")
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (2,) or np.linalg.norm(w0) == 0:
@@ -348,7 +348,7 @@ def witness_orbit_pullback(
     Every step satisfies |w_{i+1} - A_i w_i| < 2, so the measured defect is
     below 2 d in the linear regime and at most 4 d for small d in general.
     """
-    if d <= 0:
+    if not d > 0:
         raise ValueError("d must be positive")
     if n_pullback < 1:
         raise ValueError("n_pullback must be >= 1")
@@ -381,7 +381,7 @@ def witness_orbit_pullback(
     w_seq[:m] = cert.coefficients[:m, None] * cert.directions
     np.matmul(partials[:m], coords[n:0:-1, None, :, None], out=w_seq[m:].reshape(n, m, sys.dim, 1))
 
-    pts = sys.space.wrap(np.tile(record.points, (n + 1, 1)) + d * w_seq)
+    pts = np.tile(record.points, (n + 1, 1)) + d * w_seq
     params = {"d": d, "m": m, "n_pullback": n, "Q": q, "tau": cert.tau}
     xi = make_pseudotrajectory(sys, pts, kind="pullback", params=params)
     meta = WitnessMeta(kind="pullback", period=q, params=params)
@@ -403,8 +403,10 @@ def splice_cycle(sys: DiscreteSystem, segments: Sequence[Array]) -> PeriodicPseu
     cleaned = []
     for k, seg in enumerate(segments):
         seg = np.atleast_2d(np.asarray(seg, dtype=float))
+        if not np.isfinite(seg).all():
+            raise NotAnOrbitError(f"segment {k} holds a non-finite value")
         gaps = np.linalg.norm(cyclic_gaps(sys, seg)[:-1], axis=1)  # the last row closes the cycle
-        bad = np.flatnonzero(gaps > SEGMENT_GAP_TOL)
+        bad = np.flatnonzero(~(gaps <= SEGMENT_GAP_TOL))
         if bad.size:
             i = int(bad[0])
             raise NotAnOrbitError(
@@ -430,7 +432,7 @@ def homoclinic_point(toral: ToralAutomorphism, shift: Sequence[int] = (0, 1)) ->
     unstable = vecs[:, int(np.argmax(np.abs(vals)))].real
     stable = vecs[:, int(np.argmin(np.abs(vals)))].real
     coeffs = np.linalg.solve(np.column_stack([unstable, -stable]), np.asarray(shift, dtype=float))
-    return np.mod(coeffs[0] * unstable, 1.0)
+    return toral.system.space.wrap(coeffs[0] * unstable)
 
 
 def perturb_orbit(
@@ -440,6 +442,8 @@ def perturb_orbit(
 
     ``seed`` is anything numpy's default_rng accepts (int or sequence of ints).
     """
+    if not d >= 0:
+        raise ValueError("d must be >= 0")
     pts = np.atleast_2d(np.asarray(orbit_points, dtype=float))
     rng = np.random.default_rng(seed)
     n = pts.shape[1]
@@ -448,7 +452,7 @@ def perturb_orbit(
         direction = rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         radius = d * rng.uniform() ** (1.0 / n)
-        noisy[i] = sys.space.wrap(pts[i] + radius * direction)
+        noisy[i] = pts[i] + radius * direction
     return make_pseudotrajectory(
         sys, noisy, kind="noise", params={"d": d, "seed": str(seed), "Q": pts.shape[0]}
     )

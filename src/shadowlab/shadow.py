@@ -224,7 +224,8 @@ def find_periodic_shadow(
         iterations += 1
         step = 1.0
         while step > 2.0**-30:
-            trial = sys.space.wrap(z + step * delta)
+            # a lenient chart, not the strict space.wrap (see ROADMAP item 15)
+            trial = np.mod(z + step * delta, 1.0) if sys.space.kind == "torus" else z + step * delta
             trial_gaps = cyclic_gaps(sys, trial)
             trial_res = float(np.max(np.linalg.norm(trial_gaps, axis=1)))
             if trial_res < residual:
@@ -301,14 +302,15 @@ def _resolvents(a: Array, q: int) -> Array:
 
 
 def theoretical_linear_lipschitz_bound(matrix, q: int) -> float:
-    """max over Q-th roots of unity of ||(w I - A)^{-1}||_2.
+    """max over Q-th roots w of unity of ||(w I - A)^{-1}||_2, inf when some w is an eigenvalue.
 
     By Parseval this is the l2 norm of the cyclic linear solve, not a bound
     on the block-sup ratio that scans measure: on cat at Q = 5 a chosen
     pseudotrajectory reaches 1.65738 against this 1.61803.
     """
     sigma = np.linalg.svd(_resolvents(np.asarray(matrix, dtype=float), q), compute_uv=False)
-    return float(np.max(1.0 / sigma[:, -1]))
+    with np.errstate(divide="ignore"):
+        return float(np.max(1.0 / sigma[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,7 @@ def verify_periodicity_by_expansivity(
     """
     if mu < 1:
         raise ValueError("period must be >= 1")
-    if a <= 0:
+    if not a > 0:
         raise ValueError("expansivity constant must be positive")
     if window < mu:
         raise ValueError("window must be >= the candidate period")
@@ -363,7 +365,7 @@ def verify_periodicity_by_expansivity(
         return False
     # gaps[window + i] = dist(f^{i+mu}(p), f^i(p)) for |i| <= window
     gaps = np.linalg.norm(sys.space.diff(pts[mu:], pts[: 2 * window + 1]), axis=1)
-    return not (gaps[window] > PERIODICITY_TOL or np.any(gaps > a))
+    return bool(gaps[window] <= PERIODICITY_TOL and np.all(gaps <= a))
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +452,7 @@ def lipschitz_scan(
     d_values = [float(d) for d in d_values]
     if len(d_values) < 3:
         raise ValueError("need at least 3 defect levels")
-    if any(d <= 0 for d in d_values) or any(
-        b >= a for a, b in zip(d_values, d_values[1:])
-    ):
+    if not all(a > b > 0 for a, b in zip(d_values, d_values[1:])):
         raise ValueError("d values must be positive and strictly decreasing")
     rows: list[ScanRow] = []
     for idx, d in enumerate(d_values):

@@ -12,10 +12,11 @@ torus [0,1)^n (wrap-around metric) or a Euclidean box.  Built-in families:
 
 Every map is batch-native: ``forward``, ``inverse`` and ``jacobian`` take one
 point of shape (n,) or a batch of shape (..., n) and return (..., n) for
-points and (..., n, n) for Jacobians, row by row.  Linear parts are evaluated
-as ``x @ A.T``; a constant Jacobian is a read-only broadcast view of its
-matrix.  Every globally linear system (a toral automorphism, a linear map on
-a box, a Jordan model with c = 0) is built by the one helper ``_linear``.
+points and (..., n, n) for Jacobians, row by row.  Maps return chart points
+(``PhaseSpace.wrap`` applied once), so no caller wraps an image again.  Linear
+parts are ``wrap(x @ A.T)``; a constant Jacobian is a read-only broadcast view
+of its matrix.  Every globally linear system (a toral automorphism, a linear
+map on a box, a Jordan model with c = 0) is built by the one helper ``_linear``.
 
 All systems are immutable after construction and evaluation is pure, so they
 are safe to share across threads.
@@ -67,16 +68,16 @@ class PhaseSpace:
 
     @staticmethod
     def cube(dim: int, halfwidth: float) -> "PhaseSpace":
-        if halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
+        if dim < 1 or not halfwidth > 0:
+            raise ValueError("need dimension >= 1 and a positive halfwidth")
         w = np.full(dim, float(halfwidth))
         return PhaseSpace("euclidean", dim, _frozen(-w), _frozen(w))
 
     def wrap(self, x: Array) -> Array:
+        """The one chart: [0, 1) on the torus (idempotent), x itself on a box."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "torus":
-            return np.mod(x, 1.0)
-        return x
+        # the second mod sends the 1.0 of [-2**-54, 0) to 0.0
+        return np.mod(np.mod(x, 1.0), 1.0) if self.kind == "torus" else x
 
     def contains(self, x: Array) -> bool:
         if self.kind == "torus":
@@ -97,9 +98,9 @@ class PhaseSpace:
 class DiscreteSystem:
     """Invertible map with Jacobians on a flat phase space.
 
-    The three maps act on a point (n,) or a batch (..., n) of points (see the
-    module docstring).  When the map is globally linear in chart coordinates,
-    ``linear_matrix`` holds the matrix; solvers never require it.
+    Each map takes a point (n,) or a batch (..., n) (see the module docstring);
+    ``forward`` and ``inverse`` return wrapped points, which callers never wrap
+    again.  ``linear_matrix`` holds A for a globally linear map; no solver needs it.
     """
 
     space: PhaseSpace
@@ -118,12 +119,12 @@ def evaluate(sys: DiscreteSystem, x: Array, k: int) -> Array:
     uses the inverse map)."""
     if abs(k) > MAX_ITERATE_STEPS:
         raise StepLimitError(f"|k| must be <= {MAX_ITERATE_STEPS}, got {k}")
-    x = sys.space.wrap(np.asarray(x, dtype=float))
+    x = sys.space.wrap(x)
     if not sys.space.contains(x):
         raise OrbitEscapeError(0, x)
     step = sys.forward if k >= 0 else sys.inverse
     for i in range(abs(k)):
-        x = sys.space.wrap(step(x))
+        x = step(x)
         if not sys.space.contains(x):
             raise OrbitEscapeError(i + 1, x)
     return x
@@ -140,7 +141,7 @@ def orbit_segment(sys: DiscreteSystem, x: Array, start: int, stop: int) -> Array
     out[0] = current
     space, forward = sys.space, sys.forward
     for j in range(1, stop - start + 1):
-        current = space.wrap(forward(current))
+        current = forward(current)
         if not space.contains(current):
             raise OrbitEscapeError(start + j, current)
         out[j] = current
@@ -203,12 +204,8 @@ def _newton_inverse(space: PhaseSpace, forward, jacobian, y: Array, x: Array, to
 
 def _linear(space: PhaseSpace, a: Array, a_inv: Array) -> DiscreteSystem:
     """x -> A x on ``space`` (mod 1 on the torus), with inverse x -> A^-1 x."""
-    a_t, a_inv_t = a.T, a_inv.T
-    # np.mod inline, not space.wrap: one more call per step slowed cat orbit walks
-    if space.kind == "torus":
-        forward, inverse = lambda x: np.mod(x @ a_t, 1.0), lambda x: np.mod(x @ a_inv_t, 1.0)
-    else:
-        forward, inverse = lambda x: x @ a_t, lambda x: x @ a_inv_t
+    a_t, a_inv_t, wrap = a.T, a_inv.T, space.wrap
+    forward, inverse = lambda x: wrap(x @ a_t), lambda x: wrap(x @ a_inv_t)
     return DiscreteSystem(space, forward, inverse, _constant_jacobian(a), linear_matrix=a)
 
 
@@ -434,11 +431,11 @@ def jordan_model(
     """Construct a Jordan-block model (see JordanModel for the map definition)."""
     tail = tuple(float(t) for t in tail)
     for t in tail:
-        if abs(t) < 1e-9 or abs(abs(t) - 1.0) < 1e-9:
+        if not (abs(t) >= 1e-9 and abs(abs(t) - 1.0) >= 1e-9):
             raise ValueError("tail entries must have modulus away from 0 and 1")
-    if c < 0:
+    if not c >= 0:
         raise ValueError("nonlinearity scale c must be >= 0")
-    if a_ball <= 0:
+    if not a_ball > 0:
         raise ValueError("a_ball must be positive")
     if block == "real":
         b = real_jordan_block(size, eigenvalue)
@@ -507,14 +504,14 @@ def perturbed_toral(matrix, amplitude: float = 0.05) -> DiscreteSystem:
         return out
 
     def forward(x: Array) -> Array:
-        return np.mod(x @ m_t + amplitude * g(x), 1.0)
+        return space.wrap(x @ m_t + amplitude * g(x))
 
     def jacobian(x: Array) -> Array:
         return m + amplitude * dg(x)
 
     def inverse(y: Array) -> Array:
         y = np.asarray(y, dtype=float)
-        x = np.mod(np.linalg.solve(m, y[..., None])[..., 0], 1.0)
+        x = space.wrap(np.linalg.solve(m, y[..., None])[..., 0])
         return _newton_inverse(space, forward, jacobian, y, x, 1e-14)
 
     return DiscreteSystem(

@@ -388,6 +388,21 @@ def test_orbit_command(tmp_path, capsys):
     assert lines[start : start + 2] == ["  " + " ".join(map(repr, row)) for row in expected]
 
 
+def test_orbit_command_reads_a_coordinate_just_below_zero_as_zero(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "orbit.cfg",
+        CAT_SYSTEM
+        + "[command]\nname = orbit\npoint = -1e-20 0\nperiod = 1\n"
+        + f"[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.run(cfg) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "orbit.txt").read_text().splitlines()
+    assert "  point      0.0 0.0" in lines
+    assert lines[lines.index("points") + 1] == "  0.0 0.0"
+    assert "periodicity-residual 1e-20" in lines
+
+
 def test_orbit_command_lost_multipliers_exit_1(tmp_path, capsys):
     for period in (40, 800):  # at 800 the monodromy product overflows
         cfg = write(
@@ -452,7 +467,7 @@ THREE_BY_THREE = "-1 -1 -1; 2 0 -1; 2 1 0"
     [
         (CAT_SYSTEM, "0.2 0.4", 2),
         (CAT_SYSTEM, "1.0 0.5", 3),  # wraps to (0, 0.5)
-        # a wrapped coordinate of exactly 1.0, which a second wrap would send to 0.0
+        # a coordinate of -1e-20, which a single np.mod reads as 1.0 and the chart as 0.0
         (CAT_SYSTEM.replace("2 1; 1 1", "4 1; 3 1"), "0.3333333333333333 -1e-20", 1),
         (CAT_SYSTEM.replace("2 1; 1 1", THREE_BY_THREE), None, 3),
         (

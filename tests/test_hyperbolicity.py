@@ -70,6 +70,12 @@ def test_not_periodic_rejected(cat_sys):
         sl.analyze_periodic_orbit(cat_sys, [0.123, 0.456], 3)
 
 
+def test_nan_point_is_not_periodic(cat_sys):
+    # a NaN gap fails the check instead of passing it
+    with pytest.raises(NotPeriodicError):
+        sl.analyze_periodic_orbit(cat_sys, [float("nan"), 0.0], 1)
+
+
 @pytest.mark.parametrize("m", [20, 40, 740, 800])
 def test_lost_multipliers_are_a_typed_error(cat_sys, m):
     # the explicit product at the cat origin carries the stable multiplier
@@ -370,6 +376,13 @@ def test_certificate_rejects_stable_vector(cat_sys):
         sl.expansion_certificate(cat_sys, rec, rec.stable_basis[:, 0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_certificate_rejects_nonfinite_vector(cat_sys, bad):
+    rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
+    with pytest.raises(sl.VectorNotUnstableError, match="nonzero and finite"):
+        sl.expansion_certificate(cat_sys, rec, np.array([bad, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # growth bound
 
@@ -406,6 +419,13 @@ def test_growth_bound_rejects_small_constant():
     )
     with pytest.raises(ValueError):
         sl.verify_growth_bound(cert, 0.5)
+
+
+def test_growth_bound_rejects_nan_constant(cat_sys):
+    rec = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
+    cert = sl.expansion_certificate(cat_sys, rec, rec.unstable_basis[:, 0])
+    with pytest.raises(ValueError, match="constant must be >= 1"):
+        sl.verify_growth_bound(cert, float("nan"))
 
 
 # ---------------------------------------------------------------------------

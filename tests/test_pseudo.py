@@ -547,6 +547,22 @@ def test_splice_rejects_non_orbit(cat_sys):
         sl.splice_cycle(cat_sys, [np.array([[0.1, 0.1], [0.9, 0.9]])])
 
 
+@pytest.mark.parametrize("rows,row", [(3, 0), (3, 1), (3, 2), (1, 0)])
+def test_splice_rejects_a_nan_row(cat_sys, rows, row):
+    segment = sl.orbit_segment(cat_sys, [0.2, 0.4], 0, rows - 1)
+    segment[row, 1] = float("nan")
+    with pytest.raises(NotAnOrbitError, match="segment 1 holds a non-finite value"):
+        sl.splice_cycle(cat_sys, [np.zeros((1, 2)), segment])
+
+
+def test_splice_rejects_a_nan_interior_gap():
+    # a finite point whose image overflows: the gap is nan, and nan fails the check
+    sys = sl.perturbed_toral([[2, 1], [1, 1]], amplitude=0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotAnOrbitError, match="interior gap nan"):
+            sl.splice_cycle(sys, [np.array([[1e308, 0.0], [0.0, 0.0]])])
+
+
 def test_homoclinic_splice_contraction(cat_sys):
     p = sl.homoclinic_point(sl.cat_map())
     assert np.allclose(p, [1.0 / math.sqrt(5.0), (math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))])
@@ -579,6 +595,38 @@ def test_perturb_orbit_deterministic(cat_sys):
     a = sl.perturb_orbit(cat_sys, orbit, 1e-3, seed=7)
     b = sl.perturb_orbit(cat_sys, orbit, 1e-3, seed=7)
     assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("d", [-1e-3, float("nan")])
+def test_perturb_orbit_rejects_negative_and_nan_sizes(cat_sys, d):
+    orbit = sl.toral_orbit_with_period(sl.cat_map(), 5)
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        sl.perturb_orbit(cat_sys, orbit, d)
+
+
+NAN_WITNESSES = {
+    "staircase": lambda: sl.witness_eigenvalue_one(
+        sl.jordan_model(block="real", size=2, c=0.0), float("nan"), 3
+    ),
+    "jordan": lambda: sl.witness_jordan(
+        sl.jordan_model(block="real", size=2, c=0.0), float("nan"), 3
+    ),
+    "jordan-general": lambda: sl.witness_jordan_general(
+        sl.jordan_model(block="real", size=3, c=0.0), float("nan"), 3
+    ),
+    "rotation": lambda: sl.witness_rotation(
+        sl.jordan_model(block="rotation", size=1, theta=0.7, c=0.0), float("nan"), 3
+    ),
+    "pullback": lambda: sl.witness_orbit_pullback(
+        sl.cat_map().system, [0.0, 0.0], 1, [1.0, GOLDEN - 2.0], float("nan")
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_WITNESSES))
+def test_witnesses_reject_a_nan_step(kind):
+    with pytest.raises(ValueError, match="d > 0|d must be positive"):
+        NAN_WITNESSES[kind]()
 
 
 def test_save_load_round_trip(tmp_path, cat_sys, linear_jordan2):

@@ -102,6 +102,11 @@ def test_bound_scalar_cases():
     assert sl.theoretical_linear_lipschitz_bound([[0.5]], 4) == pytest.approx(2.0)
 
 
+def test_bound_is_inf_without_a_warning_at_a_root_of_unity_eigenvalue():
+    # RuntimeWarnings are errors under the suite's filterwarnings
+    assert sl.theoretical_linear_lipschitz_bound(np.eye(2), 4) == math.inf
+
+
 def test_linear_oracles_reject_empty_periods():
     a = [[2.0, 1.0], [1.0, 1.0]]
     for q in (0, -1):
@@ -611,6 +616,15 @@ def test_expansivity_generic_point(cat_sys):
     )
 
 
+def test_expansivity_nan_point_is_not_periodic(cat_sys):
+    assert not sl.verify_periodicity_by_expansivity(cat_sys, [float("nan"), 0.0], 1, 0.5, 2)
+
+
+def test_expansivity_rejects_nan_constant(cat_sys):
+    with pytest.raises(ValueError, match="expansivity constant must be positive"):
+        sl.verify_periodicity_by_expansivity(cat_sys, [0.0, 0.0], 1, float("nan"), 2)
+
+
 @pytest.mark.parametrize("mu", [0, -1])
 def test_expansivity_rejects_periods_below_one(cat_sys, mu):
     # mu = 0 would compare p with itself and call any point periodic
@@ -678,6 +692,17 @@ def test_scan_validates_d_values(cat_sys):
         sl.lipschitz_scan(cat_sys, family, [1e-3, 1e-4])
     with pytest.raises(ValueError):
         sl.lipschitz_scan(cat_sys, family, [1e-5, 1e-4, 1e-3])
+
+
+@pytest.mark.parametrize(
+    "d_values",
+    [[1e-3, float("nan"), 1e-5], [float("nan"), 1e-4, 1e-5], [1e-3, 1e-4, float("nan")],
+     [1e-3, 1e-4, 0.0], [1e-3, 1e-4, -1e-5]],
+)
+def test_scan_rejects_nan_and_nonpositive_d_values(cat_sys, d_values):
+    orbit = sl.toral_orbit_with_period(sl.cat_map(), 2)
+    with pytest.raises(ValueError, match="positive and strictly decreasing"):
+        sl.lipschitz_scan(cat_sys, ExactOrbitFamily(cat_sys, orbit), d_values)
 
 
 def test_scan_csv_shape(cat_sys, tmp_path):

@@ -334,7 +334,8 @@ def test_linear_systems_are_x_times_a_bit_for_bit(name):
         pts[2] = 0.0
         pts[2, 0] = -1e-20
         a_inv = np.rint(np.linalg.inv(a))
-        expected = np.mod(pts @ a.T, 1.0), np.mod(pts @ a_inv.T, 1.0)
+        # the strict chart: -1e-20 maps to 0.0, not to the 1.0 of a single np.mod
+        expected = (np.mod(np.mod(pts @ a.T, 1.0), 1.0), np.mod(np.mod(pts @ a_inv.T, 1.0), 1.0))
     else:
         a_inv = np.linalg.inv(a)
         expected = pts @ a.T, pts @ a_inv.T
@@ -366,3 +367,80 @@ def test_constant_jacobian_is_a_read_only_view(cat_sys):
     jacs = cat_sys.jacobian(np.zeros((5, 2)))
     assert jacs.shape == (5, 2, 2) and not jacs.flags.writeable
     assert np.array_equal(jacs[3], cat_sys.linear_matrix)
+
+
+# ---------------------------------------------------------------------------
+# the one torus chart: wrap returns [0, 1), maps apply it once, callers never
+
+
+@pytest.mark.parametrize(
+    "value", [-1e-20, -(2.0**-54), -0.0, np.nextafter(1.0, 0.0), 1.0, 2.0, -1.0]
+)
+def test_torus_wrap_lands_in_the_unit_interval_and_is_idempotent(value):
+    space = PhaseSpace.torus(1)
+    once = space.wrap([value])
+    assert 0.0 <= once[0] < 1.0
+    assert space.wrap(once).tobytes() == once.tobytes()
+
+
+def _torus_systems():
+    systems = {name: make()[0] for name, make in BATCH_SYSTEMS.items()}
+    systems = {name: sys for name, sys in systems.items() if sys.space.kind == "torus"}
+    systems["perturbed-0.1"] = sl.perturbed_toral([[2, 1], [1, 1]], amplitude=0.1)
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(_torus_systems()))
+def test_walks_are_a_hand_iteration_of_the_maps(name):
+    sys = _torus_systems()[name]
+    pts = _batch_points(sys, count=8)
+    pts[0] = 0.0
+    pts[0, 0] = -1e-20  # an input the chart reads as 0.0
+    for p in pts:
+        ahead, behind = [sys.space.wrap(p)], [sys.space.wrap(p)]
+        for _ in range(4):
+            ahead.append(sys.forward(ahead[-1]))
+            behind.append(sys.inverse(behind[-1]))
+        for k in range(5):
+            assert sl.evaluate(sys, p, k).tobytes() == ahead[k].tobytes()
+            assert sl.evaluate(sys, p, -k).tobytes() == behind[k].tobytes()
+        segment = [behind[2]]
+        for _ in range(4):
+            segment.append(sys.forward(segment[-1]))
+        assert sl.orbit_segment(sys, p, -2, 2).tobytes() == np.array(segment).tobytes()
+
+
+def test_orbit_segment_keeps_the_chart_at_an_inverse_image_just_below_zero(cat_sys):
+    x = np.array([np.nextafter(0.2, 0.0), 0.2])
+    assert cat_sys.inverse(x)[0] == 0.0  # the pre-image -2.8e-17 reads 0.0, not 1.0
+    assert sl.orbit_segment(cat_sys, x, -1, 1).tolist() == [
+        [0.0, 0.20000000000000004],
+        [0.20000000000000004, 0.20000000000000004],
+        [0.6000000000000001, 0.4000000000000001],
+    ]
+
+
+def test_torus_map_image_just_below_zero_reads_zero():
+    sys = sl.toral_automorphism([[-1, -1, -1], [2, 0, -1], [2, 1, 0]]).system
+    assert sys.forward(np.array([1e-17, 0.0, 0.0])).tolist() == [0.0, 2e-17, 2e-17]
+
+
+# ---------------------------------------------------------------------------
+# input guards: NaN fails every check
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: PhaseSpace.cube(2, float("nan")), "positive halfwidth"),
+        (lambda: PhaseSpace.cube(0, 1.0), "dimension >= 1"),
+        (lambda: sl.linear_system(np.zeros((0, 0))), "dimension >= 1"),
+        (lambda: sl.jordan_model(c=float("nan")), "c must be >= 0"),
+        (lambda: sl.jordan_model(a_ball=float("nan")), "a_ball must be positive"),
+        (lambda: sl.jordan_model(tail=(float("nan"),)), "tail entries"),
+    ],
+    ids=["cube-nan", "cube-0", "linear-0", "jordan-c", "jordan-a-ball", "jordan-tail"],
+)
+def test_constructors_reject_nan_and_empty_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
