@@ -24,7 +24,9 @@ from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, 
 from .config import NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
 from .config import sized
 from .errors import ConfigError, ShadowlabError, TooManyPeriodicPointsError
+from .pseudo import _float_cells
 from .shadow import _csv_text, _fmt, _table_text
+from .systems import _row_norms
 
 OUTPUT_DIR_ENV = "SHADOWLAB_OUTPUT_DIR"
 
@@ -163,7 +165,7 @@ def _cmd_witness(ctx) -> tuple[int, str]:
             raise ConfigError(f"unknown witness type {wtype!r}", section.path)
     path = os.path.join(ctx["out_dir"], "witness.csv")
     pseudo.save_pseudotrajectory(xi, path)
-    peak = float(np.max(np.linalg.norm(xi.points, axis=1)))
+    peak = float(np.max(_row_norms(xi.points)))
     return 0, (
         f"Constructed a {meta.kind} witness with period {meta.period}, measured defect "
         f"{xi.defect:.6g} and peak point norm {peak:.6g} (d = {d:.6g}, K = {k_steps}). "
@@ -189,8 +191,7 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
         sys_, xi, max_iterations=max_iterations, tolerance=tolerance
     )
     rows = [["i"] + [f"x{j}" for j in range(sys_.dim)]]
-    for i, point in enumerate(sol.orbit):
-        rows.append([str(i)] + [_fmt(v) for v in point])
+    rows += [[str(i), *cells] for i, cells in enumerate(_float_cells(sol.orbit))]
     path = _write_table(ctx, "shadow_orbit", rows)
     status = "converged" if sol.converged else "did not converge"
     return 0, (
@@ -245,9 +246,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
             correction = shadow.closed_form_linear_shadow(matrix, gaps)
             oracle_orbit = sys_.space.wrap(xi.points - correction)
             solved = shadow.find_periodic_shadow(sys_, xi)
-            deviation = np.max(
-                np.linalg.norm(sys_.space.diff(oracle_orbit, solved.orbit), axis=1)
-            )
+            deviation = np.max(_row_norms(sys_.space.diff(oracle_orbit, solved.orbit)))
             # below the periodicity tolerance the deviation is rounding noise: report the tolerance
             within = max(float(deviation), hyperbolicity.PERIODICITY_TOL)
             l2_constant = shadow.theoretical_linear_lipschitz_bound(matrix, xi.period)
@@ -295,12 +294,13 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
         verdict = "holds" if hyperbolicity.verify_growth_bound(cert, constant) else "fails"
     else:
         verdict = "n/a"
+    point_cells = [" ".join(cells) for cells in _float_cells(record.points)]
     multipliers = ", ".join(
         f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}" for z in record.multipliers
     )
     lines = [
         "orbit 0",
-        f"  point      {' '.join(_fmt(c) for c in record.points[0])}",
+        f"  point      {point_cells[0]}",
         f"  period     {period}",
         f"  multipliers {multipliers}",
         f"  index      {record.index}",
@@ -311,7 +311,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     lines += [
         f"  growth-check (constant {constant:g}) {verdict}",
         "points",
-        *("  " + " ".join(_fmt(v) for v in row) for row in record.points),
+        *("  " + cells for cells in point_cells),
         f"periodicity-residual {_fmt(residual)}",
         f"periodicity-check {'passed' if periodic else 'failed'}",
         f"jacobian-norm-bound {_fmt(norm_bound)}",
@@ -359,10 +359,10 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
     # the shadow's period is a multiple of the orbit's: compare period by period
     laps = sys_.space.diff(sol.orbit.reshape(-1, period, sys_.dim), record.points)
     # below the periodicity tolerance the deviation is rounding noise: report the tolerance
-    within = max(float(np.max(np.linalg.norm(laps, axis=-1))), hyperbolicity.PERIODICITY_TOL)
-    columns = (cert.rates, cert.coefficients, cert.products, cert.bound_curve(constant))
+    within = max(float(np.max(_row_norms(laps))), hyperbolicity.PERIODICITY_TOL)
+    columns = (cert.rates, cert.coefficients[:period], cert.products, cert.bound_curve(constant))
     rows = [["i", "lambda_i", "a_i", "product", "bound"]]
-    rows += [[str(i), *(_fmt(column[i]) for column in columns)] for i in range(period)]
+    rows += [[str(i), *cells] for i, cells in enumerate(_float_cells(np.column_stack(columns)))]
     csv_path = _write_table(ctx, "certificate", rows)
     return 0, (
         f"Expansion certificate at the period-{period} orbit: tau {cert.tau:.6g}, closing "
@@ -402,7 +402,7 @@ def _cmd_angles(ctx) -> tuple[int, str]:
     betas = [hyperbolicity.subspace_angle(record).minimum for record in records]
     rows = [["period", "point", "beta_min"]]
     for m, (points, beta) in enumerate(zip(point_sets, betas), start=1):
-        rows += [[str(m), " ".join(_fmt(c) for c in point), _fmt(beta)] for point in points]
+        rows += [[str(m), " ".join(cells), _fmt(beta)] for cells in _float_cells(points)]
     constants = hyperbolicity.extract_uniform_constants(sys_, records, horizon)
     path = _write_table(ctx, "angles", rows)
     return 0, (
@@ -420,11 +420,11 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
     period = section.take("period", *POSITIVE_INT, required=True)
     points = hyperbolicity.enumerate_periodic_points_toral(toral.matrix, period)
     images = systems.evaluate(sys_, points, period)
-    worst = float(np.max(np.linalg.norm(sys_.space.diff(images, points), axis=1)))
+    worst = float(np.max(_row_norms(sys_.space.diff(images, points))))
     if worst > 1e-9:
         raise ShadowlabError(f"enumerated point failed the periodicity check ({worst:.3e})")
     rows = [[f"x{j}" for j in range(sys_.dim)]]
-    rows += [[_fmt(c) for c in p] for p in points]
+    rows += _float_cells(points)
     path = _write_table(ctx, "periodic_points", rows)
     return 0, (
         f"Enumerated {len(points)} points with f^{period}(x) = x (worst float residual "

@@ -40,7 +40,8 @@ class ConstraintViolatedError(ShadowlabError):
 
 
 class NotAnOrbitError(ShadowlabError):
-    """A splice segment is not an exact orbit segment."""
+    """A splice segment is not an exact orbit segment, or a point that starts
+    a walk or a pseudotrajectory is not finite."""
 
     code = "not-an-orbit"
 

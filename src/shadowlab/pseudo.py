@@ -46,6 +46,7 @@ from .hyperbolicity import (
     expansion_certificate,
 )
 from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomorphism, _frozen
+from .systems import _row_norms
 
 Array = np.ndarray
 
@@ -91,13 +92,18 @@ def defect(sys: DiscreteSystem, points: Array) -> float:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    return float(np.max(np.linalg.norm(cyclic_gaps(sys, pts), axis=1)))
+    return float(np.max(_row_norms(cyclic_gaps(sys, pts))))
 
 
 def make_pseudotrajectory(
     sys: DiscreteSystem, points: Array, kind: str = "custom", params: dict | None = None
 ) -> PeriodicPseudotrajectory:
-    pts = sys.space.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
+    """The points, wrapped into the chart, with their measured defect; a
+    non-finite point raises NotAnOrbitError."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise NotAnOrbitError("a pseudotrajectory point holds a non-finite value")
+    pts = sys.space.wrap(pts)
     return PeriodicPseudotrajectory(
         points=_frozen(pts), defect=defect(sys, pts), kind=kind, params=dict(params or {})
     )
@@ -126,7 +132,7 @@ def _check_core_ball(model: JordanModel, pts: Array) -> None:
     # exactness of the construction needs the linear branch; vacuous when c = 0
     if model.c == 0.0:
         return
-    peak = float(np.max(np.linalg.norm(pts, axis=1)))
+    peak = float(np.max(_row_norms(pts)))
     if peak > model.a_ball:
         raise ConstraintViolatedError(
             f"witness points reach |v| = {peak:.3g} > a_ball = {model.a_ball:.3g}; "
@@ -405,7 +411,7 @@ def splice_cycle(sys: DiscreteSystem, segments: Sequence[Array]) -> PeriodicPseu
         seg = np.atleast_2d(np.asarray(seg, dtype=float))
         if not np.isfinite(seg).all():
             raise NotAnOrbitError(f"segment {k} holds a non-finite value")
-        gaps = np.linalg.norm(cyclic_gaps(sys, seg)[:-1], axis=1)  # the last row closes the cycle
+        gaps = _row_norms(cyclic_gaps(sys, seg)[:-1])  # the last row closes the cycle
         bad = np.flatnonzero(~(gaps <= SEGMENT_GAP_TOL))
         if bad.size:
             i = int(bad[0])
@@ -470,6 +476,12 @@ def _format_param(value) -> str:
     return repr(float(value))
 
 
+def _float_cells(x: Array) -> list[list[str]]:
+    """Each row of a 2-d array as the shortest round-trip text of its values,
+    ``repr(float(v))`` cell for cell, in one pass over ``tolist()``."""
+    return [[*map(repr, row)] for row in np.asarray(x, dtype=float).tolist()]
+
+
 def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:
     """Write the CSV-like text format: header names, header values, one point per row."""
     params = xi.params or {}
@@ -482,8 +494,7 @@ def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:
             raise ValueError(f"parameter {key!r} contains a reserved character")
     header = ";".join(f"{k}={_format_param(v)}" for k, v in params.items())
     lines = ["Q,defect,kind,params", f"{xi.period},{xi.defect!r},{xi.kind},{header}"]
-    for row in xi.points:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += map(",".join, _float_cells(xi.points))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

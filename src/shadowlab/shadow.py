@@ -44,6 +44,7 @@ import scipy.sparse.linalg
 from .errors import (
     InapplicableError,
     NonhyperbolicMonodromyError,
+    NotAnOrbitError,
     OrbitEscapeError,
     ShadowlabError,
     SingularJacobianError,
@@ -62,7 +63,7 @@ from .pseudo import (
     witness_jordan,
 )
 from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomorphism
-from .systems import orbit_segment
+from .systems import _row_norms, orbit_segment
 
 Array = np.ndarray
 
@@ -189,13 +190,15 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
 
 
 def _minimal_period(sys: DiscreteSystem, orbit: Array) -> int:
+    """The least divisor c of Q with every orbit[(i + c) mod Q] within
+    PERIODICITY_TOL of orbit[i].  Row 0 of that shift check is the distance of
+    orbit[c] to orbit[0]; it is taken for every c at once, and the full check
+    runs only on the divisors it passes."""
     q = orbit.shape[0]
-    for cand in range(1, q + 1):
-        if q % cand:
-            continue
+    near = np.flatnonzero(_row_norms(sys.space.diff(orbit[1:], orbit[0])) <= PERIODICITY_TOL) + 1
+    for cand in near[q % near == 0].tolist():
         shifted = np.concatenate((orbit[cand:], orbit[:cand]))
-        shifts = np.linalg.norm(sys.space.diff(shifted, orbit), axis=1)
-        if np.all(shifts <= PERIODICITY_TOL):
+        if np.all(_row_norms(sys.space.diff(shifted, orbit)) <= PERIODICITY_TOL):
             return cand
     return q
 
@@ -217,7 +220,7 @@ def find_periodic_shadow(
     """
     z = np.array(xi.points)
     gaps = cyclic_gaps(sys, z)
-    residual = float(np.max(np.linalg.norm(gaps, axis=1)))
+    residual = float(np.max(_row_norms(gaps)))
     iterations = 0
     while residual > tolerance and iterations < max_iterations:
         delta = _solve_cyclic(sys.jacobian(z), -gaps)
@@ -227,7 +230,7 @@ def find_periodic_shadow(
             # a lenient chart, not the strict space.wrap (see ROADMAP item 15)
             trial = np.mod(z + step * delta, 1.0) if sys.space.kind == "torus" else z + step * delta
             trial_gaps = cyclic_gaps(sys, trial)
-            trial_res = float(np.max(np.linalg.norm(trial_gaps, axis=1)))
+            trial_res = float(np.max(_row_norms(trial_gaps)))
             if trial_res < residual:
                 z, gaps, residual = trial, trial_gaps, trial_res
                 break
@@ -236,7 +239,8 @@ def find_periodic_shadow(
             break  # no step length lowers the residual
     # a step is taken only when it lowers the residual, so z is the best iterate
     d = sys.space.diff(z, xi.points)
-    # row norms as sqrt(d_i . d_i), which rounds like the per-row np.linalg.norm
+    # sqrt(d_i . d_i), PhaseSpace.dist row by row, not _row_norms: the BLAS dot
+    # product may fuse multiply-adds, and rounds some rows one ulp apart
     sup = float(np.max(np.sqrt(d[:, None, :] @ d[:, :, None])))
     if xi.defect > 0:
         ratio = sup / xi.defect
@@ -361,10 +365,10 @@ def verify_periodicity_by_expansivity(
     try:
         behind = orbit_segment(replace(sys, forward=sys.inverse), p, 0, window)  # f^-i(p)
         pts = np.concatenate((behind[:0:-1], orbit_segment(sys, p, 0, window + mu)))
-    except OrbitEscapeError:
+    except (OrbitEscapeError, NotAnOrbitError):  # an escape, or a non-finite p
         return False
     # gaps[window + i] = dist(f^{i+mu}(p), f^i(p)) for |i| <= window
-    gaps = np.linalg.norm(sys.space.diff(pts[mu:], pts[: 2 * window + 1]), axis=1)
+    gaps = _row_norms(sys.space.diff(pts[mu:], pts[: 2 * window + 1]))
     return bool(gaps[window] <= PERIODICITY_TOL and np.all(gaps <= a))
 
 

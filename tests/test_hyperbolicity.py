@@ -17,6 +17,7 @@ from shadowlab import hyperbolicity
 from shadowlab.errors import (
     DegenerateMatrixError,
     LostPrecisionError,
+    NotAnOrbitError,
     NotPeriodicError,
     StepLimitError,
     TooManyPeriodicPointsError,
@@ -71,8 +72,8 @@ def test_not_periodic_rejected(cat_sys):
 
 
 def test_nan_point_is_not_periodic(cat_sys):
-    # a NaN gap fails the check instead of passing it
-    with pytest.raises(NotPeriodicError):
+    # a NaN point is never taken for periodic: the walk rejects it at the start
+    with pytest.raises(NotAnOrbitError, match="start point holds a non-finite value"):
         sl.analyze_periodic_orbit(cat_sys, [float("nan"), 0.0], 1)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import shadowlab as sl
 from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError, StepLimitError
-from shadowlab.pseudo import _real_block_coefficients
+from shadowlab.pseudo import PeriodicPseudotrajectory, _float_cells, _real_block_coefficients
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -696,3 +696,50 @@ def test_round_trip_random_points(tmp_path_factory, q, n, seed):
     sl.save_pseudotrajectory(xi, path)
     loaded = sl.load_pseudotrajectory(path, space_sys)
     assert np.array_equal(loaded.points, xi.points)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[float("nan"), 0.0], [0.2, 0.4]], [[0.1, 0.2], [0.3, float("inf")]], [[-float("inf")]]],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_make_pseudotrajectory_rejects_a_non_finite_point(cat_sys, points):
+    # the defect would be nan, and a shadow solve of it a silent converged=False
+    sys_ = cat_sys if np.shape(points)[1] == 2 else sl.linear_system([[2.0]])
+    with pytest.raises(NotAnOrbitError, match="a pseudotrajectory point holds a non-finite value"):
+        sl.make_pseudotrajectory(sys_, points)
+
+
+def test_perturb_orbit_rejects_a_non_finite_orbit(cat_sys):
+    with pytest.raises(NotAnOrbitError, match="non-finite"):
+        sl.perturb_orbit(cat_sys, [[float("nan"), 0.0]], 1e-3)
+
+
+def _special_values() -> np.ndarray:
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), tiny, -tiny, 1e-310,
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e16, 1.7976931348623157e308, 5.0, -7.0]
+    spread = rng.standard_normal(285) * 10.0 ** rng.integers(-320, 300, 285)
+    short = rng.standard_normal(15).astype(np.float32).astype(float)  # short binary fractions
+    return np.concatenate((special, spread, short))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])  # 315 values
+def test_float_cells_are_repr_float_cell_for_cell(n):
+    values = _special_values().reshape(-1, n)
+    old = [[repr(float(v)) for v in row] for row in values]
+    assert _float_cells(values) == old
+    assert all(type(cell) is str for row in _float_cells(values) for cell in row)
+
+
+def test_saved_rows_are_the_per_cell_repr_bytes(tmp_path):
+    # the rows of the file are the per-value repr(float(v)) loop, also for
+    # -0.0, nan, inf and subnormals (points are not checked on this path)
+    points = _special_values().reshape(-1, 3)
+    xi = PeriodicPseudotrajectory(points=points, defect=0.5, kind="custom", params={"d": 0.1})
+    path = tmp_path / "xi.csv"
+    sl.save_pseudotrajectory(xi, path)
+    head = f"Q,defect,kind,params\n{len(points)},0.5,custom,d=0.1\n"
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points)
+    assert path.read_bytes() == (head + rows).encode()

@@ -222,6 +222,43 @@ def test_shadow_solution_matches_per_point_loops(cat):
         assert sol.minimal_period == _rolled_minimal_period(sys_, sol.orbit)
 
 
+def _planted_orbits(n: int):
+    """Q points made of a block of p points run Q/p times round, jittered on
+    either side of the periodicity tolerance; every block starts on the 0/1
+    seam of the torus, so the jitter puts its laps on both sides of it.  Each
+    orbit also comes broken in its last row, where the row-0 distance of a
+    shift still agrees, and one orbit holds a NaN."""
+    rng = np.random.default_rng(n)
+    for q in (1, 2, 6, 12, 30, 36):
+        for p in [c for c in range(1, q + 1) if q % c == 0]:
+            block = rng.uniform(0.0, 1.0, (p, n))
+            block[0] = 0.0
+            for scale in (0.0, 1e-12, 2e-9, 5e-9, 1e-7):
+                orbit = np.tile(block, (q // p, 1)) + rng.uniform(-scale, scale, (q, n))
+                broken = orbit.copy()
+                broken[-1] += 1e-6
+                yield orbit
+                yield broken
+    yield np.full((6, n), np.nan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_minimal_period_is_the_divisor_loop(kind, n):
+    if kind == "torus":
+        sys_, chart = sl.toral_automorphism(np.eye(n, dtype=int)).system, sl.PhaseSpace.torus(n).wrap
+    else:
+        sys_, chart = sl.linear_system(np.eye(n)), np.asarray
+    found = set()
+    for orbit in _planted_orbits(n):
+        orbit = chart(orbit)
+        period = shadow._minimal_period(sys_, orbit)
+        assert type(period) is int
+        assert period == _rolled_minimal_period(sys_, orbit)
+        found.add(period < len(orbit))
+    assert found == {True, False}
+
+
 def test_exact_orbit_returns_immediately(cat_sys):
     orbit = sl.toral_orbit_with_period(sl.cat_map(), 2)
     xi = sl.make_pseudotrajectory(cat_sys, orbit)

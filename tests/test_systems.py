@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import shadowlab as sl
-from shadowlab.errors import OrbitEscapeError, StepLimitError
-from shadowlab.systems import PhaseSpace, low_discrepancy_sample
+from shadowlab.errors import NotAnOrbitError, OrbitEscapeError, StepLimitError
+from shadowlab.systems import PhaseSpace, _row_norms, low_discrepancy_sample
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # largest cat-map multiplier
 
@@ -444,3 +445,75 @@ def test_torus_map_image_just_below_zero_reads_zero():
 def test_constructors_reject_nan_and_empty_inputs(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_walks_reject_a_non_finite_start_point(kind, value):
+    # before the chart: on the torus np.mod(inf, 1.0) would warn and walk NaN rows
+    sys_ = sl.cat_map().system if kind == "torus" else sl.linear_system([[2, 1], [1, 1]])
+    walks = (
+        lambda x: sl.evaluate(sys_, x, 2),
+        lambda x: sl.evaluate(sys_, x, -2),
+        lambda x: sl.orbit_segment(sys_, x, 0, 2),
+        lambda x: sl.orbit_segment(sys_, x, -2, 0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in ([value, 0.0], [[0.1, 0.2], [0.3, value]]):
+            for walk in walks:
+                with pytest.raises(NotAnOrbitError, match="start point holds a non-finite value"):
+                    walk(start)
+
+
+# ---------------------------------------------------------------------------
+# row-norm kernel and chart parity with the numpy calls they replace
+
+
+def _norm_rows(n: int) -> np.ndarray:
+    """Rows of width n over every magnitude class: zeros and signed zeros,
+    subnormals, values whose squares underflow or overflow, random rows with
+    spread exponents, and rows holding inf, -inf and NaN."""
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, tiny, -3 * tiny, 1e-310, 1e-160, 1.0, 1e154, 1e200, -1e308]
+    rows = [np.full(n, v) for v in special]
+    rows += [np.resize(special, n), np.resize(special[::-1], n)]
+    spread = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-320, 300, (500, n))
+    rows += list(spread)
+    for bad in (np.inf, -np.inf, np.nan):
+        for j in range(n):
+            row = rng.standard_normal(n)
+            row[j] = bad
+            rows.append(row)
+    rows.append(np.resize([np.inf, np.nan], n))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_norms_are_numpys_norm_bit_for_bit(n):
+    rows = _norm_rows(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = rows[: len(rows) // 2 * 2].reshape(-1, 2, n)[:, ::-1]  # (..., n), strided
+        for x in (rows, batch, rows[:0], rows[7], np.asfortranarray(rows)):
+            got, want = _row_norms(x), np.linalg.norm(x, axis=-1)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_chart_diff_and_dist_are_the_numpy_forms_bit_for_bit(kind, n):
+    space = PhaseSpace.torus(n) if kind == "torus" else PhaseSpace.cube(n, 10.0)
+    rng = np.random.default_rng(100 + n)
+    # half-integer offsets put rint's ties (half to even) on the torus
+    a = np.concatenate((rng.uniform(-2, 2, (300, n)), np.full((2, n), 0.5), np.zeros((1, n))))
+    b = np.concatenate((rng.uniform(-2, 2, (300, n)), np.full((2, n), -1.0), np.full((1, n), -0.0)))
+    d = a - b
+    old_diff = d - np.round(d) if kind == "torus" else d
+    assert space.diff(a, b).tobytes() == old_diff.tobytes()
+    for i in range(len(a)):
+        dist = space.dist(a[i], b[i])
+        assert type(dist) is float
+        assert dist == float(np.linalg.norm(space.diff(a[i], b[i])))
+    assert space.dist(a, b) == float(np.linalg.norm(space.diff(a, b)))
