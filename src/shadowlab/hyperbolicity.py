@@ -2,10 +2,12 @@
 
 The monodromy of a period-m orbit is the ordered Jacobian product
 Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space at p_0 into
-stable and unstable invariant subspaces: one unsorted real Schur form from
-LAPACK's gees gives the multipliers, and reordered by trsen once for each
-side, the bases, so complex pairs stay together and the bases are real and
-orthonormal.
+stable and unstable invariant subspaces.  numpy's eigvals gives the
+multipliers; each side's real orthonormal basis is the null space of
+q(B) = prod (B - w I) over that side's multipliers, a conjugate pair taken
+as one real quadratic factor, from one SVD.  Without a central part the
+range of q_s(B) is the unstable subspace, so a hyperbolic orbit takes one
+SVD.  No LAPACK call outside numpy's is made, so analysis never loads scipy.
 That splitting depends on the Jacobian stack alone, so it is memoised for the
 last stack seen by _LastStack, keyed on the stack's dtype, its shape and a
 copy of its bytes, so a hit means an equal stack; the cyclic factor of the
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eig, get_lapack_funcs
 
 from . import _intmat
 from .errors import (
@@ -54,7 +55,7 @@ from .errors import (
     TooManyPeriodicPointsError,
     VectorNotUnstableError,
 )
-from .systems import MAX_ITERATE_STEPS, DiscreteSystem, orbit_segment
+from .systems import MAX_ITERATE_STEPS, DiscreteSystem, _row_norms, orbit_segment
 
 Array = np.ndarray
 
@@ -130,41 +131,38 @@ def expansion_coefficients(rates) -> Array:
     return np.array(a[::-1])
 
 
-_GEES, _TRSEN = get_lapack_funcs(("gees", "trsen"), dtype=np.float64)
+def _binary_exponent(x: Array) -> int:
+    """The e with max|x_ij| in [2^(e-1), 2^e); 0 for a zero ``x``."""
+    return math.frexp(float(np.abs(x).max()))[1]
 
 
-def _unsorted(wr: float, wi: float) -> bool:
-    """gees's selection callback; never called, since no sort is asked for."""
-    return False
+def _null_and_range(b: Array, multipliers: Array, shift: int) -> tuple[Array, Array]:
+    """Orthonormal bases of the null space and of the range of
+    q(B) = prod (B - w I) over ``multipliers``, each conjugate pair taken once
+    as the real factor B^2 - 2 Re(w) B + |w|^2 I.
 
-
-def _schur(monodromy: Array) -> tuple[Array, Array, Array]:
-    """Unsorted real Schur form (T, Z) of the monodromy from gees, and its
-    eigenvalues wr + i wi, real when every wi is 0 (numpy's convention)."""
-    lwork = _GEES(_unsorted, monodromy, lwork=-1)[-2][0].real.astype(np.int_)
-    t, _, wr, wi, z, _, info = _GEES(_unsorted, monodromy, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gees failed to reduce the monodromy (info {info})")
-    # (wr, wi) pairs viewed as complex keep the sign of a zero real part
-    return t, z, np.stack((wr, wi), axis=-1).view(np.complex128)[:, 0] if wi.any() else wr
-
-
-def _split_bases(t: Array, z: Array, moduli: Array, band: float) -> tuple[Array, Array]:
-    """Orthonormal bases of the stable and unstable invariant subspaces.
-
-    The Schur form of _schur, reordered by trsen with the selections
-    |w| < 1 - band and |w| > 1 + band (``moduli`` is |w| in Schur order): the
-    steps gees takes when it sorts (dhseqr, dtrsen, dgebak's row permutation,
-    which commutes with trsen's column rotations), so each basis equals the
-    leading Schur vectors of ``scipy.linalg.schur(..., sort=...)`` bit for bit.
+    When ``multipliers`` are all of B's on one side of the unit circle, the
+    null space is that side's invariant subspace, and the range the invariant
+    subspace of the other multipliers.  Both come from one SVD of q(B): the
+    right singular vectors of its len(multipliers) smallest singular values,
+    and the left ones of the rest.  ``b`` is B 2^shift with max|b_ij| in
+    [1/2, 1), and the multipliers, B's own, are scaled here by the same
+    power, which bounds every factor; each partial product is scaled into
+    [1/2, 1) before the next factor multiplies it.  A power of two is exact
+    and leaves the subspaces as they are, so no product overflows however
+    large B is.
     """
-    bases = []
-    for select in (moduli < 1.0 - band, moduli > 1.0 + band):
-        _, q, _, _, k, _, _, info = _TRSEN(select, t, z, job="N")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"trsen failed to reorder the Schur form (info {info})")
-        bases.append(q[:, :k])
-    return bases[0], bases[1]
+    n, k = len(b), len(multipliers)
+    eye = np.eye(n)
+    q = eye
+    for i, w in enumerate(multipliers.tolist()):
+        re, im = math.ldexp(w.real, shift), math.ldexp(w.imag, shift)
+        if im < 0.0:
+            continue  # the pair's real factor is taken at +im
+        factor = b - re * eye if im == 0.0 else b @ b - 2.0 * re * b + (re * re + im * im) * eye
+        q = factor if i == 0 else factor @ np.ldexp(q, -_binary_exponent(q))
+    u, _, vt = np.linalg.svd(q)
+    return vt[n - k :].T, u[:, : n - k]
 
 
 def _stack_key(jacs: Array) -> tuple:
@@ -204,8 +202,8 @@ def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
             monodromy = a @ monodromy
         if not np.isfinite(monodromy).all():
             raise LostPrecisionError(f"period-{m} monodromy overflows")
-        t, z, multipliers = _schur(monodromy)
-        moduli = np.abs(multipliers)  # in Schur order
+        multipliers = np.linalg.eigvals(monodromy)
+        moduli = np.abs(multipliers)
         order = np.lexsort((multipliers.imag, multipliers.real, -moduli))
         # log|det B| two ways: from the multipliers and from the Jacobians
         drift = abs(float(np.log(moduli[order]).sum() - np.linalg.slogdet(jacs)[1].sum()))
@@ -213,13 +211,18 @@ def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
         raise LostPrecisionError(f"period-{m} multipliers lost to rounding (log drift {drift:.3g})")
     hyperbolic = bool(np.all(np.abs(moduli - 1.0) >= UNIT_MODULUS_BAND))
     band = 0.0 if hyperbolic else UNIT_MODULUS_BAND
-    stable, unstable = _split_bases(t, z, moduli, band)
-    # the residual check runs on B 2^-e, e >= 0 the binary exponent of max|B_ij|:
-    # scaling by a power of two is exact, so it decides as on B itself, but no
-    # norm of B 2^-e overflows
-    unit = math.ldexp(1.0, -max(0, math.frexp(np.abs(monodromy).max())[1]))
-    scaled = monodromy * unit
-    scale = max(unit, np.linalg.norm(scaled))
+    # the splitting and its residual check run on B 2^shift, max|B_ij| 2^shift in
+    # [1/2, 1): a power of two is exact, so they decide as on B itself, but no
+    # product or norm overflows
+    shift = -_binary_exponent(monodromy)
+    scaled = np.ldexp(monodromy, shift)
+    stable, rest = _null_and_range(scaled, multipliers[moduli < 1.0 - band], shift)
+    # a hyperbolic B has no central part: the range of q_s(B) is its unstable subspace
+    if hyperbolic:
+        unstable = rest
+    else:
+        unstable = _null_and_range(scaled, multipliers[moduli > 1.0 + band], shift)[0]
+    scale = np.linalg.norm(scaled)
     for basis in (stable, unstable):
         image = scaled @ basis
         residual = image - basis @ (basis.T @ image)
@@ -237,9 +240,10 @@ _splitting = _LastStack(_split_monodromy)
 def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrbitRecord:
     """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
 
-    One unsorted Schur form of the monodromy gives the multipliers (sorted by
-    decreasing modulus, then real and imaginary part) and, reordered once per
-    side, the bases.  ``m`` need not be the minimal period.  A unit-modulus
+    numpy's eigvals of the monodromy gives the multipliers (sorted by
+    decreasing modulus, then real and imaginary part) and one SVD per side,
+    or one in all when the orbit is hyperbolic, the bases (see the module
+    docstring).  ``m`` need not be the minimal period.  A unit-modulus
     multiplier (within 1e-6) yields hyperbolic=False, which is a result, not
     an error.  A monodromy that overflows, or multipliers lost to rounding
     (log-moduli off sum log|det Df(p_i)|), raise LostPrecisionError.  The
@@ -443,6 +447,20 @@ def subspace_angle(record: PeriodicOrbitRecord) -> SplittingAngles:
 # exact enumeration of periodic points of toral automorphisms
 
 
+def _eigenvalue_conditions(matrix: Array) -> tuple[Array, Array]:
+    """Eigenvalues w_i of ``matrix`` from numpy's eig, with eigenvectors V, and
+    their condition numbers kappa_i = ||row i of V^-1|| ||column i of V||,
+    which is 1 / |y^H x| for unit left and right eigenvectors y, x; every
+    kappa_i is inf when V is singular."""
+    w, v = np.linalg.eig(matrix)
+    try:
+        rows = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return w, np.full(len(w), math.inf)
+    with np.errstate(over="ignore"):  # a nearly singular V: kappa inf
+        return w, _row_norms(np.abs(rows)) * _row_norms(np.abs(v.T))
+
+
 def _log_count_lower_bound(a: _intmat.IntMatrix, m: int) -> float:
     """ln of prod_{|w|>1} (|w|^m - 1) prod_{|w|<1} (1 - |w|^m) <= |det(M^m - I)|
     over the eigenvalues w of M, or the trivial bound -inf when one may lie
@@ -450,15 +468,13 @@ def _log_count_lower_bound(a: _intmat.IntMatrix, m: int) -> float:
     reliable sign or size.
 
     Each float modulus is first moved toward 1 by 1000 n eps ||M||_F kappa,
-    kappa = 1 / |y^H x| the condition number of w (unit left and right
-    eigenvectors y, x): many times its first-order rounding error.  A
-    defective w, whose error grows like eps^(1/k), has a kappa near
-    eps^(1/k - 1), so its slack covers that error too.
+    kappa the condition number of w from _eigenvalue_conditions: many times
+    its first-order rounding error.  A defective w, whose error grows like
+    eps^(1/k), has a kappa near eps^(1/k - 1), so its slack covers that
+    error too; a singular eigenvector matrix gives the trivial bound.
     """
     matrix = np.array(a, dtype=float)
-    w, left, right = eig(matrix, left=True, right=True)
-    with np.errstate(divide="ignore"):
-        kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))
+    w, kappa = _eigenvalue_conditions(matrix)
     slack = 1000.0 * len(a) * np.finfo(float).eps * np.linalg.norm(matrix) * kappa
     moduli = np.abs(w)
     gap = np.abs(moduli - 1.0) - slack

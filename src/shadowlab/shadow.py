@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     InapplicableError,
@@ -64,6 +62,10 @@ from .pseudo import (
 )
 from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomorphism
 from .systems import _row_norms, orbit_segment
+
+if TYPE_CHECKING:
+    import scipy.sparse
+    import scipy.sparse.linalg
 
 Array = np.ndarray
 
@@ -131,6 +133,8 @@ def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
     blocks share rows and ``sum_duplicates`` adds them (for Q >= 2 it only
     confirms the format).
     """
+    import scipy.sparse  # on first use: the analysis commands never load scipy
+
     q, n, _ = jacobians.shape
     size = q * n
     data = np.empty((q, n, 2, n))  # block j, column b, entry slot, row a
@@ -150,6 +154,8 @@ def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
 def _factor_cyclic(jacobians: Array) -> tuple[scipy.sparse.linalg.SuperLU, float] | str:
     """The LU factor of the cyclic matrix of ``jacobians`` and its rcond
     estimate, or SuperLU's message when the matrix is exactly singular."""
+    import scipy.sparse.linalg
+
     m = _cyclic_matrix(jacobians)
     try:
         lu = scipy.sparse.linalg.splu(m)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import matrix_balance, schur
+from scipy.linalg import block_diag, eig, schur
 from scipy.stats import norm, qmc
 
 import shadowlab as sl
@@ -110,13 +110,13 @@ def test_subnormal_monodromy_is_analysed():
 def test_invariance_check_rejects_a_tilted_basis(m, monkeypatch):
     # at m = 330 the norm of the monodromy overflows, which once made the
     # residual bound infinite and let any basis through
-    split = hyperbolicity._split_bases
+    split = hyperbolicity._null_and_range
 
-    def tilted(t, z, moduli, band):
-        stable, unstable = split(t, z, moduli, band)
-        return stable, (unstable + stable[:, :1]) / math.sqrt(2.0)
+    def tilted(b, multipliers, shift):
+        null, rest = split(b, multipliers, shift)
+        return null, (rest + null[:, :1]) / math.sqrt(2.0)
 
-    monkeypatch.setattr(hyperbolicity, "_split_bases", tilted)
+    monkeypatch.setattr(hyperbolicity, "_null_and_range", tilted)
     model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
     with pytest.raises(RuntimeError, match="invariant subspace residual"):
         sl.analyze_periodic_orbit(model.system, np.zeros(3), m)
@@ -149,24 +149,36 @@ def test_invariant_subspaces(cat_sys):
 # the splitting memo
 
 
-def _count_schur(monkeypatch):
+def _count_splits(monkeypatch):
+    """The shape of each Jacobian stack the splitting memo computes for."""
     calls = []
-    schur_form = hyperbolicity._schur
+    split = hyperbolicity._splitting.compute
 
-    def counted(monodromy):
-        calls.append(len(monodromy))
-        return schur_form(monodromy)
+    def counted(jacs):
+        calls.append(jacs.shape)
+        return split(jacs)
 
-    monkeypatch.setattr(hyperbolicity, "_schur", counted)
+    monkeypatch.setattr(hyperbolicity._splitting, "compute", counted)
     return calls
 
 
-def test_one_schur_reduction_per_jacobian_stack(cat_sys, monkeypatch):
-    calls = _count_schur(monkeypatch)
+def test_one_splitting_per_jacobian_stack(cat_sys, monkeypatch):
+    calls = _count_splits(monkeypatch)
     points = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 8)
     records = [sl.analyze_periodic_orbit(cat_sys, p, 8) for p in points]
     assert len(records) == 2205 and len(calls) == 1
     assert all(r.unstable_basis is records[0].unstable_basis for r in records)
+
+
+@pytest.mark.parametrize("diagonal,svds", [((3.0, 0.5, 0.25), 1), ((3.0, 1.0, 0.25), 2)])
+def test_hyperbolic_orbits_take_one_svd(diagonal, svds, monkeypatch):
+    # the range of q_s(B) is the unstable basis unless a central part lies between
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
+    record = sl.analyze_periodic_orbit(sl.linear_system(np.diag(diagonal)), np.zeros(3), 2)
+    assert calls == [(3, 3)] * svds and record.hyperbolic == (svds == 1)
+    assert record.stable_basis.shape[1] == 3 - svds and record.unstable_basis.shape[1] == 1
 
 
 # the period-3 cat orbit through (1/2, 0) stays an orbit of the perturbed map,
@@ -177,7 +189,7 @@ def test_pullback_after_analysis_reduces_nothing(amplitude, monkeypatch):
     sys_ = cat.system if amplitude is None else sl.perturbed_toral(cat.matrix, amplitude)
     point = np.array([0.5, 0.0])
     record = sl.analyze_periodic_orbit(sys_, point, 3)
-    calls = _count_schur(monkeypatch)
+    calls = _count_splits(monkeypatch)
     sl.witness_orbit_pullback(sys_, point, 3, record.unstable_basis[:, 0], 1e-5)
     assert calls == []
 
@@ -191,16 +203,16 @@ def test_shared_record_arrays_are_read_only(cat_sys):
 
 
 def test_lost_precision_is_raised_on_every_call(cat_sys, monkeypatch):
-    calls = _count_schur(monkeypatch)
+    calls = _count_splits(monkeypatch)
     for _ in range(2):
         with pytest.raises(LostPrecisionError):
             sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 40)
-    assert calls == [2, 2] and hyperbolicity._splitting.last is None
+    assert calls == [(40, 2, 2)] * 2 and hyperbolicity._splitting.last is None
 
 
 def test_splitting_memo_keeps_the_last_stack_only(monkeypatch):
     model = sl.jordan_model(block=None, tail=(2.0, 0.5), c=0.0)
-    calls = _count_schur(monkeypatch)
+    calls = _count_splits(monkeypatch)
     for m in (2, 3, 2):  # stacks A, B, A: B replaced A
         sl.analyze_periodic_orbit(model.system, np.zeros(2), m)
     assert len(calls) == 3
@@ -770,47 +782,79 @@ def _split_cases(linear_jordan2):
                 yield rng.standard_normal((n, n)), band
 
 
-def test_split_basis_matches_scipy_schur(linear_jordan2, monkeypatch):
-    callbacks = []
-    monkeypatch.setattr(hyperbolicity, "_unsorted", lambda x, y: callbacks.append((x, y)))
-    dims = set()
-    for monodromy, band in _split_cases(linear_jordan2):
-        t, z, eigenvalues = hyperbolicity._schur(monodromy)
-        got = hyperbolicity._split_bases(t, z, np.abs(eigenvalues), band)
-        for basis, select in zip(
-            got,
+def _jordan(eigenvalue, size):
+    return eigenvalue * np.eye(size) + np.eye(size, k=1)
+
+
+def _defective_cases():
+    """Defective and non-normal monodromies, each also conjugated by a seeded
+    orthogonal matrix: Jordan blocks with an unstable and a stable eigenvalue,
+    upper-triangular 2 x 2 matrices with off-diagonal entries up to 1e6, and
+    splittings with a central part of unit modulus."""
+    blocks = [(_jordan(u, ku), _jordan(s, ks))
+              for u in (2.0, 3.0, -2.0) for s in (0.5, -0.25, 0.1)
+              for ku in (1, 2, 3) for ks in (1, 2, 3)]
+    blocks += [(np.array([[a, c], [0.0, b]]),)
+               for a, b in ((1.5, 0.4), (0.4, 1.5), (-2.0, 0.5), (0.25, -3.0))
+               for c in (1.0, 1e2, 1e4, 1e6)]
+    rotation = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    blocks += [(_jordan(2.0, 2), [[1.0]], [[0.5]]), (rotation, [[3.0]], [[0.2]]),
+               (_jordan(1.0, 2), [[2.0]], _jordan(0.5, 2)), (2.0 * rotation, [[-1.0]]),
+               (_jordan(-1.0, 2), 0.5 * rotation), ([[1.0]], _jordan(3.0, 3))]
+    rng = np.random.default_rng(12)
+    for parts in blocks:
+        matrix = block_diag(*parts)
+        q = np.linalg.qr(rng.standard_normal(matrix.shape))[0]
+        yield matrix
+        yield q @ matrix @ q.T
+
+
+def _kernel_bases(monodromy, band):
+    """The stable basis of _split_monodromy at ``band``, and the unstable one
+    both ways: as the range of q_s(B) when no multiplier lies within ``band``
+    of the unit circle (else None) and as the null space of q_u(B)."""
+    w = np.linalg.eigvals(monodromy)
+    moduli = np.abs(w)
+    shift = -hyperbolicity._binary_exponent(monodromy)
+    b = np.ldexp(monodromy, shift)
+    stable, rest = hyperbolicity._null_and_range(b, w[moduli < 1.0 - band], shift)
+    unstable = hyperbolicity._null_and_range(b, w[moduli > 1.0 + band], shift)[0]
+    return stable, rest if np.all(np.abs(moduli - 1.0) > band) else None, unstable
+
+
+def test_split_bases_span_the_sorted_schur_subspaces(linear_jordan2):
+    # each basis is an orthonormal basis of the subspace the leading sorted Schur
+    # vectors span, not those vectors themselves
+    dims, ranges = set(), 0
+    cases = list(_split_cases(linear_jordan2))
+    cases += [(b, hyperbolicity.UNIT_MODULUS_BAND) for b in _defective_cases()]
+    for monodromy, band in cases:
+        stable, rest, unstable = _kernel_bases(monodromy, band)
+        for bases, select in zip(
+            ((stable,), (unstable,) if rest is None else (unstable, rest)),
             (lambda x, y: np.hypot(x, y) < 1.0 - band, lambda x, y: np.hypot(x, y) > 1.0 + band),
         ):
             _, z, sdim = schur(monodromy, output="real", sort=select)
-            assert basis.shape == (monodromy.shape[0], sdim)
-            assert basis.tobytes() == z[:, :sdim].tobytes()
+            for basis in bases:
+                assert basis.shape == (monodromy.shape[0], sdim)
+                projector_gap = basis @ basis.T - z[:, :sdim] @ z[:, :sdim].T
+                assert np.linalg.norm(projector_gap, 2) <= 1e-13
+                image = monodromy @ basis
+                residual = np.linalg.norm(image - basis @ (basis.T @ image))
+                assert residual <= 1e-12 * np.linalg.norm(monodromy)
             dims.add((monodromy.shape[0], sdim))
-    assert callbacks == []  # gees sorts nothing itself
+        ranges += rest is not None
+    assert len(cases) == 978 + 206 and 0 < ranges < len(cases)
     assert {n for n, _ in dims} == set(range(1, 7))
     assert all((n, 0) in dims and (n, n) in dims for n in range(1, 7))
 
 
 def test_multipliers_are_numpys_eigvals_bit_for_bit(linear_jordan2):
-    # the record keeps gees's eigenvalues, sorted as eigvals' once were (numpy and
-    # scipy each bundle an OpenBLAS; this assumes the two builds round alike)
     for record in _split_records(linear_jordan2):
-        monodromy = _monodromy(record)
-        assert np.array_equal(matrix_balance(monodromy, permute=False)[0], monodromy)
-        expected = np.linalg.eigvals(monodromy)
+        expected = np.linalg.eigvals(_monodromy(record))
         expected = expected[np.lexsort((expected.imag, expected.real, -np.abs(expected)))]
         assert record.multipliers.dtype == expected.dtype
         assert record.multipliers.tobytes() == expected.tobytes()
-    # gees and eigvals' geev share dhseqr; geev alone also rescales the matrix by
-    # powers of two (dgebal job 'B'), so the two agree bit for bit, in Schur order,
-    # on the matrix geev balances to, which for the orbit monodromies above is B
-    rescaled = 0
-    for monodromy, _ in _split_cases(linear_jordan2):
-        balanced = matrix_balance(monodromy, permute=False)[0]
-        rescaled += not np.array_equal(balanced, monodromy)
-        got = hyperbolicity._schur(balanced)[2]
-        expected = np.linalg.eigvals(monodromy)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert rescaled > 0
 
 
 def test_angle_transport_matches_per_point_schur():
@@ -1171,6 +1215,26 @@ def test_enumeration_cap_writes_long_exact_counts_as_a_magnitude():
     with pytest.raises(TooManyPeriodicPointsError) as err:
         sl.enumerate_periodic_points_toral(SALEM_4, 20000)
     assert "period 20000 has about 10^4720.8 periodic points" in str(err.value)
+
+
+def test_eigenvalue_conditions_match_scipys_left_and_right_eigenvectors():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        for _ in range(20):
+            matrix = rng.standard_normal((n, n))
+            w, kappa = hyperbolicity._eigenvalue_conditions(matrix)
+            expected, left, right = eig(matrix, left=True, right=True)
+            np.testing.assert_allclose(w, expected, rtol=1e-13)
+            np.testing.assert_allclose(kappa, 1.0 / np.abs(np.sum(left.conj() * right, axis=0)),
+                                       rtol=1e-8)
+
+
+@pytest.mark.parametrize("matrix", [[[0, 1], [0, 0]], [[2, 1, 0], [0, 2, 1], [0, 0, 2]]])
+def test_eigenvalue_conditions_of_a_defective_matrix_give_the_trivial_bound(matrix):
+    # numpy's eigenvectors of a Jordan block are (nearly) parallel: kappa is huge or inf
+    _, kappa = hyperbolicity._eigenvalue_conditions(np.array(matrix, dtype=float))
+    assert np.all(kappa > 1e15)
+    assert hyperbolicity._log_count_lower_bound(matrix, 100) == -math.inf
 
 
 def test_enumeration_keeps_exact_counts_for_defective_unit_eigenvalues():

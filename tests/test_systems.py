@@ -92,6 +92,60 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# In a fresh interpreter: the analysis calls and the analysis-only commands,
+# then one cyclic solve.  Prints the scipy modules loaded after each stage.
+ANALYSIS_FOOTPRINT = r"""
+import os, sys
+import numpy as np
+import shadowlab as sl
+from shadowlab import cli
+
+def loaded():
+    print(sorted(name for name in sys.modules if name.startswith("scipy")))
+
+cat = sl.cat_map()
+records = [sl.analyze_periodic_orbit(cat.system, p, 3)
+           for p in sl.enumerate_periodic_points_toral(cat.matrix, 3)]
+sl.subspace_angle(records[1])
+sl.expansion_certificate(cat.system, records[1], records[1].unstable_basis[:, 0])
+sl.extract_uniform_constants(cat.system, records, 4)
+loaded()
+cat_system = "[system]\nkind = toral\nmatrix = 2 1; 1 1\n"
+jordan_system = "[system]\nkind = jordan\nblock = real\nl = 2\neigenvalue = 1\nc = 0\n"
+runs = [(cat_system, "name = enumerate\nperiod = 2"),
+        (cat_system, "name = orbit\npoint = 0.2 0.4\nperiod = 2"),
+        (cat_system, "name = angles\nmax-period = 2"),
+        (cat_system, "name = splice\nforward = 4\nbackward = 4"),
+        (jordan_system, "name = witness\ntype = jordan\nd = 1e-4\nK = 3")]
+with open(os.devnull, "w") as sys.stdout:
+    cli.describe("toral")
+    for i, (system, command) in enumerate(runs):
+        path = os.path.join(sys.argv[1], f"run{i}.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"{system}[command]\n{command}\n[output]\ndirectory = {sys.argv[1]}\n")
+        assert cli.run(path) == 0
+sys.stdout = sys.__stdout__
+loaded()
+perturbed = sl.perturbed_toral(cat.matrix, 0.05)
+xi = sl.make_pseudotrajectory(perturbed, sl.toral_orbit_with_period(cat, 3))
+assert sl.find_periodic_shadow(perturbed, xi).converged
+loaded()
+"""
+
+
+def test_analysis_leaves_scipy_unloaded(tmp_path):
+    # scipy costs about 0.3 s and 30 MB at start-up; only the sparse LU of the
+    # cyclic solve loads it, on first use
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", ANALYSIS_FOOTPRINT, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    analysis, commands, solve = out.stdout.splitlines()
+    assert analysis == "[]" and commands == "[]"
+    assert "'scipy.sparse.linalg'" in solve
+
+
 def test_norm_bound_cat(cat_sys):
     assert sl.estimate_norm_bound(cat_sys) == pytest.approx(GOLDEN, rel=1e-12)
 
