@@ -3,11 +3,15 @@
 The monodromy of a period-m orbit is the ordered Jacobian product
 Df(p_{m-1}) ... Df(p_0).  Its spectrum splits the tangent space at p_0 into
 stable and unstable invariant subspaces.  numpy's eigvals gives the
-multipliers; each side's real orthonormal basis is the null space of
-q(B) = prod (B - w I) over that side's multipliers, a conjugate pair taken
-as one real quadratic factor, from one SVD.  Without a central part the
-range of q_s(B) is the unstable subspace, so a hyperbolic orbit takes one
-SVD.  No LAPACK call outside numpy's is made, so analysis never loads scipy.
+multipliers; each side's real orthonormal basis comes from deflation, one
+multiplier (or conjugate pair) at a time: the null space of B - w I (or of
+its real quadratic) from one SVD, then the eigenvalues of the block that is
+left.  Each side deflates at most n/2 multipliers, the other side's from B^T
+when those are fewer, so every orbit of dimension 2 or 3 takes one step per
+side.  The basis is backward stable, an exact invariant subspace of a matrix
+within rounding of B, or Newton steps refine it until it is, or the
+splitting is a LostPrecisionError.  No LAPACK call outside numpy's is made,
+so analysis never loads scipy.
 That splitting depends on the Jacobian stack alone, so it is memoised for the
 last stack seen by _LastStack, keyed on the stack's dtype, its shape and a
 copy of its bytes, so a hit means an equal stack; the cyclic factor of the
@@ -64,6 +68,10 @@ PERIODICITY_TOL = 1e-8
 # largest |det(M^m - I)| the enumerator materialises (period 15 of the cat map
 # has 1860496 points, period 16 has 4870845)
 MAX_PERIODIC_POINTS = 2**22
+# a splitting basis whose invariance residual is above SPLIT_RESIDUAL_TOL max|B_ij|
+# takes up to NEWTON_STEPS refinement steps (_invariant_basis)
+SPLIT_RESIDUAL_TOL = 64 * np.finfo(float).eps
+NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -72,9 +80,10 @@ class PeriodicOrbitRecord:
 
     ``index`` counts multipliers of modulus > 1 and equals the dimension of
     the unstable subspace when the orbit is hyperbolic.  The bases at p_0 are
-    orthonormal and invariant, to within 1e-8, under the monodromy
-    jacobians[m-1] ... jacobians[0].  ``multipliers`` and both bases come
-    from the splitting memo, keyed on the bytes of ``jacobians`` (see the
+    orthonormal and invariant under the monodromy B = jacobians[m-1] ...
+    jacobians[0] to rounding: the invariance residual is at most
+    2 SPLIT_RESIDUAL_TOL max|B_ij|.  ``multipliers`` and both bases come from
+    the splitting memo, keyed on the bytes of ``jacobians`` (see the
     module docstring): they are read-only and may be the same arrays as in
     another record with an equal Jacobian stack.
     """
@@ -136,33 +145,99 @@ def _binary_exponent(x: Array) -> int:
     return math.frexp(float(np.abs(x).max()))[1]
 
 
-def _null_and_range(b: Array, multipliers: Array, shift: int) -> tuple[Array, Array]:
-    """Orthonormal bases of the null space and of the range of
-    q(B) = prod (B - w I) over ``multipliers``, each conjugate pair taken once
-    as the real factor B^2 - 2 Re(w) B + |w|^2 I.
+def _deflation(a: Array, w: complex, count: int, largest: bool) -> Array:
+    """Orthogonal Q whose first ``count`` columns span the invariant subspace
+    of ``a`` for its ``count`` largest (or smallest) eigenvalues by modulus.
 
-    When ``multipliers`` are all of B's on one side of the unit circle, the
-    null space is that side's invariant subspace, and the range the invariant
-    subspace of the other multipliers.  Both come from one SVD of q(B): the
-    right singular vectors of its len(multipliers) smallest singular values,
-    and the left ones of the rest.  ``b`` is B 2^shift with max|b_ij| in
-    [1/2, 1), and the multipliers, B's own, are scaled here by the same
-    power, which bounds every factor; each partial product is scaled into
-    [1/2, 1) before the next factor multiplies it.  A power of two is exact
-    and leaves the subspaces as they are, so no product overflows however
-    large B is.
+    ``w`` is the first eigenvalue to deflate.  Each step takes the null space
+    of one factor, a - w I for a real w and the real quadratic
+    a^2 - 2 Re(w) a + |w|^2 I for a conjugate pair, from the right singular
+    vectors of one SVD; those vectors, null space first, rotate the block, and
+    the next eigenvalue comes from eigvals of the block that is left.  A w
+    from eigvals is an eigenvalue of a matrix within rounding of the block, so
+    each step is backward stable; no product of factors is formed.  A 2 x 2
+    factor's null vector is normal to its longer row r, which leaves the other
+    row s a residual |s x r| / |r| <= sqrt(2) sigma_min, as the SVD's would.
     """
-    n, k = len(b), len(multipliers)
-    eye = np.eye(n)
-    q = eye
-    for i, w in enumerate(multipliers.tolist()):
-        re, im = math.ldexp(w.real, shift), math.ldexp(w.imag, shift)
-        if im < 0.0:
-            continue  # the pair's real factor is taken at +im
-        factor = b - re * eye if im == 0.0 else b @ b - 2.0 * re * b + (re * re + im * im) * eye
-        q = factor if i == 0 else factor @ np.ldexp(q, -_binary_exponent(q))
-    u, _, vt = np.linalg.svd(q)
-    return vt[n - k :].T, u[:, : n - k]
+    done = 0
+    while done < count:
+        if w.imag:
+            factor, d = a @ a - 2.0 * w.real * a, 2
+            factor.flat[:: len(a) + 1] += w.real**2 + w.imag**2
+        else:
+            factor, d = a.copy(), 1
+            factor.flat[:: len(a) + 1] -= w.real
+        if d > count - done:
+            raise LostPrecisionError("a conjugate pair straddles the splitting")
+        if len(a) == 2:
+            (x0, y0), (x1, y1) = factor.tolist()
+            x, y = (x0, y0) if math.hypot(x0, y0) >= math.hypot(x1, y1) else (x1, y1)
+            h = math.hypot(x, y)
+            c = np.array([[-y / h, x / h], [x / h, y / h]]) if h else np.eye(2)
+        else:
+            c = np.linalg.svd(factor)[2][::-1].T
+        if done:
+            q[:, done:] = q[:, done:] @ c
+        else:
+            q = c
+        done += d
+        if done < count:
+            a = (c.T @ a @ c)[d:, d:]
+            w = np.linalg.eigvals(a)
+            w = w[np.argmax(np.abs(w)) if largest else np.argmin(np.abs(w))]
+    return q
+
+
+def _invariant_basis(
+    b: Array, multipliers: Array, shift: int, count: int, stable: bool
+) -> tuple[Array, float]:
+    """Orthonormal basis V of the invariant subspace of b = B 2^shift for its
+    ``count`` multipliers on one side of the unit circle, the smallest by
+    modulus when ``stable``, else the largest, and its invariance residual
+    ||W^T b V||_F, W an orthonormal basis of the complement: the size of the
+    smallest E with (b + E) V in span V.
+
+    ``multipliers`` are B's own, sorted by decreasing modulus.  At most n/2
+    of them are deflated (_deflation): when ``count`` is larger, the other
+    n - count are deflated from b^T instead, and the orthogonal complement of
+    their left invariant subspace is the basis.  Rounding leaves the deflated
+    basis an exact invariant subspace of a matrix within a few ulps of b,
+    unless the splitting is ill-conditioned; there its residual is above
+    SPLIT_RESIDUAL_TOL and Newton steps refine it, each the solution X of the
+    Sylvester equation T22 X - X T11 = -T21 for T = [V W]^T b [V W].  A
+    residual still above that after NEWTON_STEPS steps raises
+    LostPrecisionError: the subspace is then too ill-conditioned for its
+    basis to mean anything.
+    """
+    n = len(b)
+    if count in (0, n):
+        return np.eye(n)[:, :count], 0.0
+    # deflate the other side's n - count from b^T when they are fewer
+    transposed = 2 * count > n
+    largest = stable if transposed else not stable
+    w = multipliers[0 if largest else -1]
+    w = complex(math.ldexp(w.real, shift), math.ldexp(w.imag, shift))
+    if transposed:
+        q = _deflation(b.T, w, n - count, largest)[:, ::-1]  # the complement first
+    else:
+        q = _deflation(b, w, count, largest)
+    k = count
+    for step in range(NEWTON_STEPS + 1):
+        image = b @ q[:, :k]
+        t21 = q[:, k:].T @ image
+        residual = math.sqrt(np.vdot(t21, t21))
+        if residual <= SPLIT_RESIDUAL_TOL:
+            return q[:, :k], residual
+        if step < NEWTON_STEPS:
+            t11, t22 = q[:, :k].T @ image, q[:, k:].T @ b @ q[:, k:]
+            sylvester = np.kron(np.eye(k), t22) - np.kron(t11.T, np.eye(n - k))
+            try:
+                x = np.linalg.solve(sylvester, -t21.ravel(order="F"))
+            except np.linalg.LinAlgError:
+                break  # the two sides share an eigenvalue to rounding
+            x = x.reshape((n - k, k), order="F")
+            q = np.linalg.qr(q[:, :k] + q[:, k:] @ x, mode="complete")[0]
+    raise LostPrecisionError("splitting lost to rounding: ill-conditioned invariant subspaces")
 
 
 def _stack_key(jacs: Array) -> tuple:
@@ -205,33 +280,32 @@ def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
         multipliers = np.linalg.eigvals(monodromy)
         moduli = np.abs(multipliers)
         order = np.lexsort((multipliers.imag, multipliers.real, -moduli))
+        multipliers, moduli = multipliers[order], moduli[order]
         # log|det B| two ways: from the multipliers and from the Jacobians
-        drift = abs(float(np.log(moduli[order]).sum() - np.linalg.slogdet(jacs)[1].sum()))
+        drift = abs(float(np.log(moduli).sum() - np.linalg.slogdet(jacs)[1].sum()))
     if not (drift <= UNIT_MODULUS_BAND):
         raise LostPrecisionError(f"period-{m} multipliers lost to rounding (log drift {drift:.3g})")
-    hyperbolic = bool(np.all(np.abs(moduli - 1.0) >= UNIT_MODULUS_BAND))
+    # at most a few moduli: Python compares them faster than numpy reductions
+    moduli = moduli.tolist()
+    hyperbolic = all(abs(x - 1.0) >= UNIT_MODULUS_BAND for x in moduli)
     band = 0.0 if hyperbolic else UNIT_MODULUS_BAND
+    index = sum(x > 1.0 + band for x in moduli)
     # the splitting and its residual check run on B 2^shift, max|B_ij| 2^shift in
     # [1/2, 1): a power of two is exact, so they decide as on B itself, but no
     # product or norm overflows
     shift = -_binary_exponent(monodromy)
     scaled = np.ldexp(monodromy, shift)
-    stable, rest = _null_and_range(scaled, multipliers[moduli < 1.0 - band], shift)
-    # a hyperbolic B has no central part: the range of q_s(B) is its unstable subspace
-    if hyperbolic:
-        unstable = rest
-    else:
-        unstable = _null_and_range(scaled, multipliers[moduli > 1.0 + band], shift)[0]
-    scale = np.linalg.norm(scaled)
-    for basis in (stable, unstable):
-        image = scaled @ basis
-        residual = image - basis @ (basis.T @ image)
-        if np.linalg.norm(residual) > 1e-8 * scale:
-            raise RuntimeError("invariant subspace residual too large; eigensolver failure")
-    multipliers = multipliers[order]
+    count = sum(x < 1.0 - band for x in moduli)
+    stable, stable_residual = _invariant_basis(scaled, multipliers, shift, count, True)
+    unstable, unstable_residual = _invariant_basis(scaled, multipliers, shift, index, False)
+    # the bound 1e-8 max(1, |B|_F) in the units of b; 2^shift is capped at 2^1000,
+    # where 1e-8 2^1000 already passes every residual (at most |b|_F <= n)
+    scale = max(math.ldexp(1.0, min(shift, 1000)), math.sqrt(np.vdot(scaled, scaled)))
+    if max(stable_residual, unstable_residual) > 1e-8 * scale:
+        raise RuntimeError("invariant subspace residual too large; eigensolver failure")
     for shared in (multipliers, stable, unstable):
         shared.setflags(write=False)
-    return multipliers, int(np.sum(moduli > 1.0 + band)), hyperbolic, stable, unstable
+    return multipliers, index, hyperbolic, stable, unstable
 
 
 _splitting = _LastStack(_split_monodromy)
@@ -241,12 +315,12 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     """Monodromy, multipliers, index and stable/unstable splitting at f^i(p).
 
     numpy's eigvals of the monodromy gives the multipliers (sorted by
-    decreasing modulus, then real and imaginary part) and one SVD per side,
-    or one in all when the orbit is hyperbolic, the bases (see the module
-    docstring).  ``m`` need not be the minimal period.  A unit-modulus
-    multiplier (within 1e-6) yields hyperbolic=False, which is a result, not
-    an error.  A monodromy that overflows, or multipliers lost to rounding
-    (log-moduli off sum log|det Df(p_i)|), raise LostPrecisionError.  The
+    decreasing modulus, then real and imaginary part) and deflation the bases
+    (see the module docstring).  ``m`` need not be the minimal period.  A
+    unit-modulus multiplier (within 1e-6) yields hyperbolic=False, which is a
+    result, not an error.  A monodromy that overflows, multipliers lost to
+    rounding (log-moduli off sum log|det Df(p_i)|), or a splitting too
+    ill-conditioned to refine to rounding level raise LostPrecisionError.  The
     splitting depends on the Jacobian stack alone and is memoised on it (see
     the module docstring), so orbits with equal stacks share its read-only
     arrays.
