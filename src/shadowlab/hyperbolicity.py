@@ -359,11 +359,12 @@ def expansion_certificate(
     """
     _require_hyperbolic([record])
     v_u = np.asarray(v_u, dtype=float)
-    norm = np.linalg.norm(v_u)
+    norm = math.sqrt(v_u @ v_u)
     if not 0.0 < norm < math.inf:
         raise VectorNotUnstableError("unstable vector must be nonzero and finite")
     u = record.unstable_basis
-    if u.shape[1] == 0 or not np.linalg.norm(v_u - u @ (u.T @ v_u)) / norm <= 1e-8:
+    off = v_u - u @ (u.T @ v_u)
+    if u.shape[1] == 0 or not math.sqrt(off @ off) / norm <= 1e-8:
         raise VectorNotUnstableError("vector does not lie in the unstable subspace")
     m = record.period
     rates = np.empty(m)
@@ -596,8 +597,11 @@ def _periodic_count(matrix, m: int) -> tuple[_intmat.IntMatrix, int]:
     return d, count
 
 
-def _periodic_numerators(matrix, m: int) -> tuple[Array, int]:
-    """Integer numerators k of the points x = k / e with M^m x = x (mod 1).
+def _periodic_numerators(
+    d: _intmat.IntMatrix, m: int, rows: int | None = None
+) -> tuple[Array, int]:
+    """Integer numerators k of the points x = k / e with M^m x = x (mod 1),
+    from d = M^m - I as _periodic_count returns it, the count checked.
 
     With S = U (M^m - I) V the Smith normal form, the solutions are
     x = V y (mod 1) for y_i = c_i / s_i, 0 <= c_i < s_i.  Over the largest
@@ -611,8 +615,11 @@ def _periodic_numerators(matrix, m: int) -> tuple[Array, int]:
     N = |det(M^m - I)|, come out in lexicographic order with no sort.  Every
     intermediate is below e + e^2 (below e when n = 1), within the guard
     n e^2 < 2^63.  Returns the numerators and e.
+
+    A row limit keeps the first ``rows`` numerators only.  Each prefix has
+    at least one continuation, so those rows descend from the first ``rows``
+    prefixes of every level, and the walk truncates after each level.
     """
-    d, _ = _periodic_count(matrix, m)
     n = len(d)
     _, s, v = _intmat.smith_normal_form(d)
     orders = [s[i][i] for i in range(n)]
@@ -636,7 +643,7 @@ def _periodic_numerators(matrix, m: int) -> tuple[Array, int]:
         base = (k[:, j + 1 :] - k[:, j, None] // h * tail) % e
         np.add(base[:, None, :], t[:, None] * tail, out=walked[:, :, j + 1 :])
         np.remainder(walked[:, :, j + 1 :], e, out=walked[:, :, j + 1 :])
-        k = walked.reshape(-1, n)
+        k = walked.reshape(-1, n)[:rows]
     return k, e
 
 
@@ -647,7 +654,7 @@ def enumerate_periodic_points_exact(matrix, m: int) -> list[tuple[Fraction, ...]
     |det(M^m - I)| and the list is sorted lexicographically.  Raises
     TooManyPeriodicPointsError above MAX_PERIODIC_POINTS points.
     """
-    k, e = _periodic_numerators(matrix, m)
+    k, e = _periodic_numerators(_periodic_count(matrix, m)[0], m)
     return [tuple(Fraction(c, e) for c in row) for row in k.tolist()]
 
 
@@ -657,5 +664,5 @@ def enumerate_periodic_points_toral(matrix, m: int) -> Array:
     k / e is the correctly rounded value of each exact coordinate, since
     both operands are integers below 2^53.
     """
-    k, e = _periodic_numerators(matrix, m)
+    k, e = _periodic_numerators(_periodic_count(matrix, m)[0], m)
     return k / e

@@ -263,7 +263,11 @@ def witness_jordan(
     )
     z1 = int(coeffs[k_steps, 0])
     z2 = lengths[2]
-    peak = float(np.max(np.hypot(coeffs[:, 0], coeffs[:, 1])))
+    # c0^2 + c1^2 is exact in int64 (every coefficient is at most 10^7), and
+    # hypot rounds faithfully, so the peak lies among the rows of largest sum
+    squares = coeffs[:, 0] * coeffs[:, 0] + coeffs[:, 1] * coeffs[:, 1]
+    top = coeffs[squares == squares.max()]
+    peak = float(np.max(np.hypot(top[:, 0], top[:, 1])))
     params = {
         "d": d,
         "K": k_steps,
@@ -294,9 +298,10 @@ def witness_rotation(
     if not d > 0 or k_steps < 1:
         raise ValueError("need d > 0 and K >= 1")
     w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (2,) or np.linalg.norm(w0) == 0:
+    norm = math.sqrt(w0 @ w0) if w0.shape == (2,) else 0.0
+    if norm == 0:
         raise ValueError("w0 must be a nonzero 2-vector")
-    w0 = w0 / np.linalg.norm(w0)
+    w0 = w0 / norm
     planes = model.size
     coeffs, lengths = _real_block_coefficients(planes, k_steps)
     steps = np.arange(len(coeffs))[:, None] + np.arange(-planes, 0)  # k - l + p
@@ -372,7 +377,7 @@ def witness_orbit_pullback(
     coords = np.zeros((n_pullback + MAX_PULLBACK_TRIES + 1, u.shape[1]))
     coords[0] = u.T @ (cert.tau * cert.directions[0])
     n = 0
-    while (n < n_pullback and coords[n].any()) or float(np.linalg.norm(coords[n])) >= 1.0:
+    while (n < n_pullback and coords[n].any()) or math.sqrt(coords[n] @ coords[n]) >= 1.0:
         if n >= n_pullback + MAX_PULLBACK_TRIES:
             raise PullbackFailedError(
                 f"|B^-n tau e_0| stayed >= 1 after {MAX_PULLBACK_TRIES} extra pullbacks"
@@ -456,7 +461,7 @@ def perturb_orbit(
     noisy = np.empty_like(pts)
     for i in range(pts.shape[0]):
         direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
+        direction /= math.sqrt(direction @ direction)
         radius = d * rng.uniform() ** (1.0 / n)
         noisy[i] = pts[i] + radius * direction
     return make_pseudotrajectory(
@@ -478,8 +483,17 @@ def _format_param(value) -> str:
 
 def _float_cells(x: Array) -> list[list[str]]:
     """Each row of a 2-d array as the shortest round-trip text of its values,
-    ``repr(float(v))`` cell for cell, in one pass over ``tolist()``."""
-    return [[*map(repr, row)] for row in np.asarray(x, dtype=float).tolist()]
+    ``repr(float(v))`` cell for cell.
+
+    Each distinct 64-bit pattern is formatted once and the texts gathered
+    back: a periodic-point table holds a few lattice values many times.
+    Keying on bits keeps -0.0 apart from 0.0 and every nan payload apart.
+    """
+    x = np.asarray(x, dtype=float)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = np.array([*map(repr, bits.view(float).tolist())], dtype=object)
+    # the shape of the inverse differs across numpy 2.0.x releases
+    return text[inverse.reshape(x.shape)].tolist()
 
 
 def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:

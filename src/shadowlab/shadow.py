@@ -51,6 +51,7 @@ from .errors import (
 from .hyperbolicity import (
     PERIODICITY_TOL,
     _LastStack,
+    _periodic_count,
     _periodic_numerators,
     enumerate_periodic_points_exact,
 )
@@ -501,17 +502,22 @@ def toral_orbit_with_period(toral: ToralAutomorphism, period: int) -> Array:
     periodic with period ``period / p`` for a prime p dividing ``period``;
     those few points are excluded, so the answer lies within the first
     (number excluded + 1) rows of the numerators.  The echelon walk of
-    _periodic_numerators emits them in lexicographic order with no sort:
-    each coordinate rises through an arithmetic progression under prefixes
-    that are already in order.
+    _periodic_numerators emits them in lexicographic order with no sort
+    (each coordinate rises through an arithmetic progression under prefixes
+    that are already in order), so it walks only that many rows, counting a
+    point of several lower periods once per period.  The count check of
+    period ``period`` runs first: a period past the cap is named before any
+    lower period is enumerated.
     """
-    numerators, e = _periodic_numerators(toral.matrix, period)
-    excluded = {
-        tuple(c.numerator * (e // c.denominator) for c in point)
+    d, _ = _periodic_count(toral.matrix, period)
+    lower = [
+        point
         for p in _prime_divisors(period)
         for point in enumerate_periodic_points_exact(toral.matrix, period // p)
-    }
-    for row in numerators[: len(excluded) + 1]:
+    ]
+    numerators, e = _periodic_numerators(d, period, len(lower) + 1)
+    excluded = {tuple(c.numerator * (e // c.denominator) for c in point) for point in lower}
+    for row in numerators:
         if tuple(row.tolist()) not in excluded:
             return orbit_segment(toral.system, row / e, 0, period - 1)
     raise ValueError(f"no orbit of minimal period {period}")

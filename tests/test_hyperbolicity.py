@@ -1230,7 +1230,7 @@ def sorted_lattice_reference(matrix, m):
     ],
 )
 def test_echelon_walk_matches_sorted_lattice(matrix, m):
-    k, e = hyperbolicity._periodic_numerators(matrix, m)
+    k, e = hyperbolicity._periodic_numerators(hyperbolicity._periodic_count(matrix, m)[0], m)
     want, want_e = sorted_lattice_reference(matrix, m)
     assert e == want_e
     assert k.dtype == want.dtype and k.shape == want.shape
@@ -1260,7 +1260,15 @@ def _peak_bytes(call):
 @pytest.mark.parametrize("m", [20, 30])
 @pytest.mark.parametrize(
     "enumerate_points",
-    [sl.enumerate_periodic_points_exact, sl.enumerate_periodic_points_toral],
+    [
+        sl.enumerate_periodic_points_exact,
+        sl.enumerate_periodic_points_toral,
+        # the cap names period m before a lower period is enumerated
+        pytest.param(
+            lambda matrix, m: sl.toral_orbit_with_period(sl.toral_automorphism(matrix), m),
+            id="toral_orbit_with_period",
+        ),
+    ],
 )
 def test_enumeration_count_cap(m, enumerate_points):
     # 228,826,125 points at period 20, 3,461,452,808,000 at period 30

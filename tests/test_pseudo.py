@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadowlab as sl
+from shadowlab import pseudo
 from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError, StepLimitError
 from shadowlab.pseudo import PeriodicPseudotrajectory, _float_cells, _real_block_coefficients
 
@@ -182,6 +183,24 @@ def test_block_coefficients_match_list_loop(l):
             model = sl.jordan_model(block="real", size=2, c=0.0)
             _, meta = sl.witness_jordan(model, 1e-6, K)
             assert meta.params["Y"] == max(math.hypot(*c) for c in oracle)
+
+
+def test_jordan_peak_is_the_largest_hypot_of_every_row(monkeypatch):
+    # Y is taken among the rows of largest exact c0^2 + c1^2 only; the points
+    # and the defect play no part, so only the coefficient path is built
+    paths = {}
+
+    def coefficient_path(model, d, k_steps, op):
+        paths[k_steps], lengths = _real_block_coefficients(2, k_steps)
+        return paths[k_steps], lengths, None
+
+    monkeypatch.setattr(pseudo, "_unit_block_witness", coefficient_path)
+    monkeypatch.setattr(pseudo, "make_pseudotrajectory", lambda *args, **kwargs: None)
+    model = sl.jordan_model(block="real", size=2, c=0.0)
+    for K in range(1, 401):
+        _, meta = sl.witness_jordan(model, 1e-6, K)
+        coeffs = paths.pop(K)
+        assert meta.params["Y"] == float(np.max(np.hypot(coeffs[:, 0], coeffs[:, 1])))
 
 
 def test_jordan_witness_defect_linear(linear_jordan2):
@@ -725,9 +744,27 @@ def _special_values() -> np.ndarray:
     return np.concatenate((special, spread, short))
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 7])  # 315 values
-def test_float_cells_are_repr_float_cell_for_cell(n):
-    values = _special_values().reshape(-1, n)
+def _repeated_values() -> np.ndarray:
+    # the special values three times over, 0.0 beside -0.0 in each copy, and
+    # a second nan payload at the end: keys on float values would merge them
+    values = np.tile(_special_values(), 3)
+    values[-1] = np.float64("nan")
+    values.view(np.int64)[-1] ^= 1
+    return values
+
+
+TABLES = {
+    "special": _special_values,  # 315 values
+    "repeated": _repeated_values,  # 945 values
+    # 4410 cells of 105 distinct values k / 105
+    "cat-p8": lambda: sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 8).ravel(),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_float_cells_are_repr_float_cell_for_cell(n, table):
+    values = TABLES[table]().reshape(-1, n)
     old = [[repr(float(v)) for v in row] for row in values]
     assert _float_cells(values) == old
     assert all(type(cell) is str for row in _float_cells(values) for cell in row)

@@ -428,14 +428,30 @@ def test_constant_jacobian_is_a_read_only_view(cat_sys):
 # the one torus chart: wrap returns [0, 1), maps apply it once, callers never
 
 
+def _every_exponent() -> np.ndarray:
+    # 10^5 finite values of either sign with random mantissas, each of the
+    # 2047 finite exponents (subnormals included) taken about 49 times
+    rng = np.random.default_rng(29)
+    count = 10**5
+    exponent = np.arange(count, dtype=np.int64) % 2047
+    mantissa = rng.integers(0, 1 << 52, count, dtype=np.int64)
+    sign = rng.integers(0, 2, count, dtype=np.int64) << 63
+    return (sign | exponent << 52 | mantissa).view(float)
+
+
 @pytest.mark.parametrize(
-    "value", [-1e-20, -(2.0**-54), -0.0, np.nextafter(1.0, 0.0), 1.0, 2.0, -1.0]
+    "value",
+    [-1e-20, -(2.0**-54), -0.0, np.nextafter(1.0, 0.0), 1.0, 2.0, -1.0,
+     pytest.param(_every_exponent(), id="every-exponent")],
 )
 def test_torus_wrap_lands_in_the_unit_interval_and_is_idempotent(value):
     space = PhaseSpace.torus(1)
-    once = space.wrap([value])
-    assert 0.0 <= once[0] < 1.0
+    x = np.atleast_1d(value)
+    once = space.wrap(x)
+    assert np.all((0.0 <= once) & (once < 1.0))
     assert space.wrap(once).tobytes() == once.tobytes()
+    # the floor form has the bits of numpy's float mod by 1.0 taken twice
+    assert once.tobytes() == np.mod(np.mod(x, 1.0), 1.0).tobytes()
 
 
 def _torus_systems():
