@@ -77,7 +77,8 @@ SINGULAR_BLOWUP = 1e12
 class ShadowSolution:
     """An exact periodic orbit near a pseudotrajectory.
 
-    ``residual`` is the final max cyclic gap of the orbit equation;
+    ``orbit`` holds chart points (in [0, 1) on the torus); ``residual`` is
+    the final max cyclic gap of the orbit equation;
     ``sup_distance`` the max distance to the shadowed pseudotrajectory and
     ``ratio`` its quotient by the pseudotrajectory defect.  ``minimal_period``
     divides the ansatz period Q.
@@ -218,7 +219,9 @@ def find_periodic_shadow(
 ) -> ShadowSolution:
     """Damped Newton search for the exact Q-periodic orbit near ``xi``: each
     Newton step is halved until the largest cyclic gap falls, for at most
-    ``max_iterations`` steps or until that gap is within ``tolerance``.
+    ``max_iterations`` steps or until that gap is within ``tolerance``.  Each
+    trial point is reduced by the chart ``space.wrap``, so a torus orbit is
+    returned in [0, 1).
 
     Returns immediately (0 iterations) when the pseudotrajectory already
     satisfies the orbit equation.  On failure to converge the best iterate is
@@ -234,8 +237,7 @@ def find_periodic_shadow(
         iterations += 1
         step = 1.0
         while step > 2.0**-30:
-            # a lenient chart, not the strict space.wrap (see ROADMAP item 15)
-            trial = np.mod(z + step * delta, 1.0) if sys.space.kind == "torus" else z + step * delta
+            trial = sys.space.wrap(z + step * delta)
             trial_gaps = cyclic_gaps(sys, trial)
             trial_res = float(np.max(_row_norms(trial_gaps)))
             if trial_res < residual:

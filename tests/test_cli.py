@@ -348,7 +348,7 @@ SCAN_833_CSV = """\
 d,epsilon_star,ratio,converged,lower_bound
 0.002720379468038002,0.0009715643326186257,0.35714294422290266,true,
 0.00023906425762201128,9.831855173438029e-05,0.4112641208366392,true,
-1.545738706878746e-05,9.286955340512254e-06,0.6008101692209716,true,
+1.545738706878746e-05,9.286955340522584e-06,0.60081016922164,true,
 1.1689710156651463e-06,9.032666340123998e-07,0.7727023355651292,true,
 """
 

@@ -325,6 +325,19 @@ def test_solver_deterministic(cat_sys):
     assert a.iterations == b.iterations
 
 
+def test_solver_returns_torus_orbits_in_the_chart():
+    # the cat-map scan corpus: each line-search trial is reduced by the strict
+    # chart, so no returned coordinate reads 1.0
+    cat = sl.cat_map()
+    for period in (3, 5, 8, 11):
+        base = sl.toral_orbit_with_period(cat, period)
+        for s in range(20):
+            for row, d in enumerate((1e-3, 1e-4, 1e-5, 1e-6)):
+                xi = sl.perturb_orbit(cat.system, base, d, seed=(s, row))
+                orbit = sl.find_periodic_shadow(cat.system, xi).orbit
+                assert np.all((0.0 <= orbit) & (orbit < 1.0)), (period, s, d)
+
+
 def test_solver_nonlinear_jordan(nonlinear_jordan2):
     # small perturbation of the fixed point on the nonlinear model with a
     # hyperbolic tail direction only: use the tail-only model to stay regular
