@@ -75,13 +75,12 @@ SINGULAR_BLOWUP = 1e12
 
 @dataclass(frozen=True)
 class ShadowSolution:
-    """An exact periodic orbit near a pseudotrajectory.
+    """An exact periodic orbit near a pseudotrajectory, in [0, 1) on the torus.
 
-    ``orbit`` holds chart points (in [0, 1) on the torus); ``residual`` is
-    the final max cyclic gap of the orbit equation;
-    ``sup_distance`` the max distance to the shadowed pseudotrajectory and
-    ``ratio`` its quotient by the pseudotrajectory defect.  ``minimal_period``
-    divides the ansatz period Q.
+    ``residual`` is the final max cyclic gap of the orbit equation;
+    ``sup_distance`` the largest row norm (``_row_norms``) of the orbit's
+    displacement from the pseudotrajectory and ``ratio`` its quotient by the
+    defect.  ``minimal_period`` divides the ansatz period Q.
     """
 
     orbit_point: Array
@@ -219,9 +218,8 @@ def find_periodic_shadow(
 ) -> ShadowSolution:
     """Damped Newton search for the exact Q-periodic orbit near ``xi``: each
     Newton step is halved until the largest cyclic gap falls, for at most
-    ``max_iterations`` steps or until that gap is within ``tolerance``.  Each
-    trial point is reduced by the chart ``space.wrap``, so a torus orbit is
-    returned in [0, 1).
+    ``max_iterations`` steps or until that gap is within ``tolerance``; every
+    trial is reduced by the chart ``space.wrap``, so a torus orbit is in [0, 1).
 
     Returns immediately (0 iterations) when the pseudotrajectory already
     satisfies the orbit equation.  On failure to converge the best iterate is
@@ -247,10 +245,7 @@ def find_periodic_shadow(
         else:
             break  # no step length lowers the residual
     # a step is taken only when it lowers the residual, so z is the best iterate
-    d = sys.space.diff(z, xi.points)
-    # sqrt(d_i . d_i), PhaseSpace.dist row by row, not _row_norms: the BLAS dot
-    # product may fuse multiply-adds, and rounds some rows one ulp apart
-    sup = float(np.max(np.sqrt(d[:, None, :] @ d[:, :, None])))
+    sup = float(np.max(_row_norms(sys.space.diff(z, xi.points))))
     if xi.defect > 0:
         ratio = sup / xi.defect
     else:
