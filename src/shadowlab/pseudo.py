@@ -451,19 +451,18 @@ def perturb_orbit(
 ) -> PeriodicPseudotrajectory:
     """Perturb an exact periodic orbit by deterministic uniform noise of size <= d.
 
-    ``seed`` is anything numpy's default_rng accepts (int or sequence of ints).
+    ``np.random.default_rng(seed)`` draws the (Q, n) normals g, then the Q
+    uniforms U; point i moves by d U_i^(1/n) g_i / |g_i|.  ``seed`` is anything
+    default_rng accepts (int or sequence of ints).
     """
     if not d >= 0:
         raise ValueError("d must be >= 0")
     pts = np.atleast_2d(np.asarray(orbit_points, dtype=float))
     rng = np.random.default_rng(seed)
-    n = pts.shape[1]
-    noisy = np.empty_like(pts)
-    for i in range(pts.shape[0]):
-        direction = rng.standard_normal(n)
-        direction /= math.sqrt(direction @ direction)
-        radius = d * rng.uniform() ** (1.0 / n)
-        noisy[i] = pts[i] + radius * direction
+    q, n = pts.shape
+    g = rng.standard_normal((q, n))
+    u = rng.uniform(size=q)
+    noisy = pts + (d * u ** (1.0 / n) / _row_norms(g))[:, None] * g
     return make_pseudotrajectory(
         sys, noisy, kind="noise", params={"d": d, "seed": str(seed), "Q": pts.shape[0]}
     )

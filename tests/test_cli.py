@@ -81,7 +81,7 @@ def test_readme_library_examples_run(capsys):
     for block in readme.split("```python\n")[1:]:
         exec(block.split("```", 1)[0], namespace)
     lines = capsys.readouterr().out.splitlines()
-    assert float(lines[0]) == pytest.approx(0.464, abs=5e-4)
+    assert float(lines[0]) == pytest.approx(0.376, abs=5e-4)
     assert float(lines[1]) == 25.0
 
 
@@ -341,22 +341,23 @@ def test_scan_command_diverging_exit2(tmp_path, capsys):
     assert "verdict diverging" in capsys.readouterr().out
 
 
-# seed 833 at period 5: the converged ratios rise monotonically and more
-# than double under the seeded noise, yet every one is below the cat-map l2
-# resolvent constant 1.618; the verdict rests on certified lower bounds only
-SCAN_833_CSV = """\
+# seed 7 at period 5, the smallest seed whose four converged ratios rise
+# strictly under the seeded noise (0.336 to 0.629), yet every one is below the
+# cat-map l2 resolvent constant 1.618; the verdict rests on certified lower
+# bounds only
+SCAN_7_CSV = """\
 d,epsilon_star,ratio,converged,lower_bound
-0.002720379468038002,0.0009715643326186257,0.35714294422290266,true,
-0.00023906425762201128,9.831855173438029e-05,0.4112641208366392,true,
-1.545738706878746e-05,9.286955340522584e-06,0.60081016922164,true,
-1.1689710156651463e-06,9.032666340123998e-07,0.7727023355651292,true,
+0.0021156310376901346,0.0007103156051768572,0.3357464475244163,true,
+0.00028317397031110675,9.523795350708238e-05,0.3363231210921328,true,
+2.007348568851454e-05,9.564308810034617e-06,0.4764647734053999,true,
+1.5094314407986369e-06,9.493712604227972e-07,0.628959510688665,true,
 """
 
 
 def test_scan_command_rising_ratios_stay_bounded(tmp_path, capsys):
     cfg = write(
         tmp_path / "scan.cfg",
-        "seed = 833\n"
+        "seed = 7\n"
         + CAT_SYSTEM
         + "[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n"
         + "d-values = 1e-3 1e-4 1e-5 1e-6\n"
@@ -364,7 +365,7 @@ def test_scan_command_rising_ratios_stay_bounded(tmp_path, capsys):
     )
     assert cli.run(cfg) == 0
     assert "4/4 rows converged" in capsys.readouterr().out
-    assert (tmp_path / "scan.csv").read_text() == SCAN_833_CSV
+    assert (tmp_path / "scan.csv").read_text() == SCAN_7_CSV
 
 
 def test_orbit_command(tmp_path, capsys):

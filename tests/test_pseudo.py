@@ -616,6 +616,20 @@ def test_perturb_orbit_deterministic(cat_sys):
     assert np.array_equal(a.points, b.points)
 
 
+def test_perturb_orbit_draws_the_normals_then_the_uniforms(cat_sys):
+    orbit = sl.toral_orbit_with_period(sl.cat_map(), 11)
+    d = 1e-3
+    xi = sl.perturb_orbit(cat_sys, orbit, d, seed=(4, 2))
+    rng = np.random.default_rng((4, 2))
+    g = rng.standard_normal(orbit.shape)
+    u = rng.uniform(size=len(orbit))
+    radii = d * u ** (1.0 / 2) / np.linalg.norm(g, axis=1)
+    assert xi.points.tobytes() == cat_sys.space.wrap(orbit + radii[:, None] * g).tobytes()
+    for seed in range(200):
+        xi = sl.perturb_orbit(cat_sys, orbit, d, seed=seed)
+        assert all(cat_sys.space.dist(x, p) <= d for x, p in zip(xi.points, orbit))
+
+
 @pytest.mark.parametrize("d", [-1e-3, float("nan")])
 def test_perturb_orbit_rejects_negative_and_nan_sizes(cat_sys, d):
     orbit = sl.toral_orbit_with_period(sl.cat_map(), 5)
