@@ -120,6 +120,11 @@ def _require_real_unit_block(model: JordanModel, op: str) -> None:
         raise ValueError(f"{op} is implemented for eigenvalue +1 only")
 
 
+def _require_step(d: float, k_steps: int) -> None:
+    if not 0 < d < math.inf or k_steps < 1:
+        raise ValueError("need d > 0 and K >= 1, with d finite")
+
+
 def _embed(coeffs: Array, scale: float, dim: int) -> Array:
     """points[k] = scale * coeffs[k] on the block coordinates, zero tail."""
     pts = np.zeros((len(coeffs), dim))
@@ -194,8 +199,7 @@ def _unit_block_witness(
     """Coefficient path, phase lengths and points (step magnitude d) of the
     unit-block witness on the model's whole block."""
     _require_real_unit_block(model, op)
-    if not d > 0 or k_steps < 1:
-        raise ValueError("need d > 0 and K >= 1")
+    _require_step(d, k_steps)
     coeffs, lengths = _real_block_coefficients(model.size, k_steps)
     pts = _embed(coeffs, d, model.dim)
     _check_core_ball(model, pts)
@@ -211,8 +215,7 @@ def witness_eigenvalue_one(
     -d/2, peaking at K d / 2.  Requires K d < 2 a_ball.
     """
     _require_real_unit_block(model, "the staircase witness")
-    if not d > 0 or k_steps < 1:
-        raise ValueError("need d > 0 and K >= 1")
+    _require_step(d, k_steps)
     if k_steps * d >= 2.0 * model.a_ball:
         raise ConstraintViolatedError(
             f"K d = {k_steps * d:.3g} must stay below 2 a_ball = {2 * model.a_ball:.3g}"
@@ -295,8 +298,7 @@ def witness_rotation(
     """
     if model.block != "rotation":
         raise ValueError("the rotation witness needs a rotation block model")
-    if not d > 0 or k_steps < 1:
-        raise ValueError("need d > 0 and K >= 1")
+    _require_step(d, k_steps)
     w0 = np.asarray(w0, dtype=float)
     norm = math.sqrt(w0 @ w0) if w0.shape == (2,) else 0.0
     if norm == 0:
@@ -359,8 +361,8 @@ def witness_orbit_pullback(
     Every step satisfies |w_{i+1} - A_i w_i| < 2, so the measured defect is
     below 2 d in the linear regime and at most 4 d for small d in general.
     """
-    if not d > 0:
-        raise ValueError("d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("d must be positive and finite")
     if n_pullback < 1:
         raise ValueError("n_pullback must be >= 1")
     record = analyze_periodic_orbit(sys, p, m)
@@ -455,8 +457,8 @@ def perturb_orbit(
     uniforms U; point i moves by d U_i^(1/n) g_i / |g_i|.  ``seed`` is anything
     default_rng accepts (int or sequence of ints).
     """
-    if not d >= 0:
-        raise ValueError("d must be >= 0")
+    if not 0 <= d < math.inf:
+        raise ValueError("d must be >= 0 and finite")
     pts = np.atleast_2d(np.asarray(orbit_points, dtype=float))
     rng = np.random.default_rng(seed)
     q, n = pts.shape

@@ -453,15 +453,15 @@ def lipschitz_scan(
 ) -> LipschitzScan:
     """Generate, shadow and tabulate the family at each defect level.
 
-    Rows keep the order of ``d_values`` (which must be positive and strictly
-    decreasing, at least 3 of them); solver errors are recorded per row and
-    are not fatal.
+    Rows keep the order of ``d_values`` (which must be finite, positive and
+    strictly decreasing, at least 3 of them); solver errors are recorded per
+    row and are not fatal.
     """
     d_values = [float(d) for d in d_values]
     if len(d_values) < 3:
         raise ValueError("need at least 3 defect levels")
-    if not all(a > b > 0 for a, b in zip(d_values, d_values[1:])):
-        raise ValueError("d values must be positive and strictly decreasing")
+    if not d_values[0] < math.inf or not all(a > b > 0 for a, b in zip(d_values, d_values[1:])):
+        raise ValueError("d values must be positive and strictly decreasing, and finite")
     rows: list[ScanRow] = []
     for idx, d in enumerate(d_values):
         xi = family.generate(d, idx)

@@ -630,36 +630,35 @@ def test_perturb_orbit_draws_the_normals_then_the_uniforms(cat_sys):
         assert all(cat_sys.space.dist(x, p) <= d for x, p in zip(xi.points, orbit))
 
 
-@pytest.mark.parametrize("d", [-1e-3, float("nan")])
+@pytest.mark.parametrize("d", [-1e-3, float("nan"), float("inf")])
 def test_perturb_orbit_rejects_negative_and_nan_sizes(cat_sys, d):
     orbit = sl.toral_orbit_with_period(sl.cat_map(), 5)
     with pytest.raises(ValueError, match="d must be >= 0"):
         sl.perturb_orbit(cat_sys, orbit, d)
 
 
-NAN_WITNESSES = {
-    "staircase": lambda: sl.witness_eigenvalue_one(
-        sl.jordan_model(block="real", size=2, c=0.0), float("nan"), 3
+NONFINITE_STEP_WITNESSES = {
+    "staircase": lambda d: sl.witness_eigenvalue_one(
+        sl.jordan_model(block="real", size=2, c=0.0), d, 3
     ),
-    "jordan": lambda: sl.witness_jordan(
-        sl.jordan_model(block="real", size=2, c=0.0), float("nan"), 3
+    "jordan": lambda d: sl.witness_jordan(sl.jordan_model(block="real", size=2, c=0.0), d, 3),
+    "jordan-general": lambda d: sl.witness_jordan_general(
+        sl.jordan_model(block="real", size=3, c=0.0), d, 3
     ),
-    "jordan-general": lambda: sl.witness_jordan_general(
-        sl.jordan_model(block="real", size=3, c=0.0), float("nan"), 3
+    "rotation": lambda d: sl.witness_rotation(
+        sl.jordan_model(block="rotation", size=1, theta=0.7, c=0.0), d, 3
     ),
-    "rotation": lambda: sl.witness_rotation(
-        sl.jordan_model(block="rotation", size=1, theta=0.7, c=0.0), float("nan"), 3
-    ),
-    "pullback": lambda: sl.witness_orbit_pullback(
-        sl.cat_map().system, [0.0, 0.0], 1, [1.0, GOLDEN - 2.0], float("nan")
+    "pullback": lambda d: sl.witness_orbit_pullback(
+        sl.cat_map().system, [0.0, 0.0], 1, [1.0, GOLDEN - 2.0], d
     ),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(NAN_WITNESSES))
+@pytest.mark.parametrize("kind", sorted(NONFINITE_STEP_WITNESSES))
 def test_witnesses_reject_a_nan_step(kind):
-    with pytest.raises(ValueError, match="d > 0|d must be positive"):
-        NAN_WITNESSES[kind]()
+    for d in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="d > 0|d must be positive"):
+            NONFINITE_STEP_WITNESSES[kind](d)
 
 
 def test_save_load_round_trip(tmp_path, cat_sys, linear_jordan2):

@@ -747,7 +747,7 @@ def test_scan_validates_d_values(cat_sys):
 @pytest.mark.parametrize(
     "d_values",
     [[1e-3, float("nan"), 1e-5], [float("nan"), 1e-4, 1e-5], [1e-3, 1e-4, float("nan")],
-     [1e-3, 1e-4, 0.0], [1e-3, 1e-4, -1e-5]],
+     [1e-3, 1e-4, 0.0], [1e-3, 1e-4, -1e-5], [float("inf"), 1e-3, 1e-4]],
 )
 def test_scan_rejects_nan_and_nonpositive_d_values(cat_sys, d_values):
     orbit = sl.toral_orbit_with_period(sl.cat_map(), 2)
