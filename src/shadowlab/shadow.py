@@ -5,22 +5,22 @@ The solver runs damped Newton on the cyclic residual map
     G(z_0 .. z_{Q-1})_i = z_{i+1 mod Q} - f(z_i),
 
 initialized at the pseudotrajectory.  Each Newton step solves the full cyclic
-block-bidiagonal linear system with sparse LU, which is stable even when
-per-step Jacobian products over one period are astronomically large.  The
-cyclic matrix is written out directly in CSC form: each of its Qn columns
-holds 2n entries in increasing row order (an identity column and a column of
--A_i), and at Q = 1, where the two blocks share rows, they are summed.  A
-numerically singular cyclic linearization signals nonhyperbolicity along the
-pseudotrajectory and raises SingularJacobianError.
+block-bidiagonal linear system with a band LU, which is stable even when
+per-step Jacobian products over one period are astronomically large.  Folding
+the block order (0, Q-1, 1, Q-2, ...) makes the cyclic matrix banded, with
+3n - 1 diagonals on each side; it is written straight into LAPACK band storage
+and factored with partial pivoting, whose pivot growth is bounded by the
+bandwidth, not by Q.  A numerically singular cyclic linearization signals
+nonhyperbolicity along the pseudotrajectory and raises SingularJacobianError.
 
-The part of a solve that depends on the Jacobian stack alone (the cyclic
+The part of a solve that depends on the Jacobian stack alone (the band
 matrix, its LU factor and the rcond estimate) is memoised for the last stack
 seen by hyperbolicity._LastStack, the memo of the orbit splitting, so
 consecutive solves on an equal stack (Newton steps on a linear map, the rows
 of a scan, the pullback witnesses of one period) reuse one factor and one
-estimate.  An exactly singular verdict is stored as SuperLU's message and
-raised as a fresh error on every call; the rcond floor and the checks on the
-Newton step run on every call.
+estimate.  An exactly singular verdict (a zero pivot) is stored as a message
+and raised as a fresh error on every call; the rcond floor and the checks on
+the Newton step run on every call.
 
 For globally linear maps the unique periodic solution of z_{i+1} = A z_i + e_i
 is also computed in closed form by diagonalizing the cyclic shift with the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -63,10 +63,6 @@ from .pseudo import (
 )
 from .systems import MAX_ITERATE_STEPS, DiscreteSystem, JordanModel, ToralAutomorphism
 from .systems import _row_norms, orbit_segment
-
-if TYPE_CHECKING:
-    import scipy.sparse
-    import scipy.sparse.linalg
 
 Array = np.ndarray
 
@@ -98,21 +94,25 @@ RCOND_FLOOR = 1e-13
 RCOND_SWEEPS = 6
 
 
-def _estimate_rcond(jacobians: Array, lu: scipy.sparse.linalg.SuperLU) -> float:
+def _estimate_rcond(jacobians: Array, solve: Callable, fold: Array) -> float:
     """sigma_min / ||M||_2 estimate of the cyclic matrix M of ``jacobians``.
 
-    sigma_min comes from inverse power iteration on M^T M through the LU
-    factor ``lu`` (deterministic start).  M is the cyclic shift minus the
-    block diagonal of the A_i, so ||M||_2 <= 1 + max_i ||A_i||_2, and the
+    sigma_min comes from inverse power iteration on M^T M through the band
+    solver ``solve`` of ``_factor_cyclic`` (deterministic start, permuted once
+    into the folded order ``fold``; the folded matrix is P M P^T for a
+    permutation P, so the norms are the same).  M is the cyclic shift minus
+    the block diagonal of the A_i, so ||M||_2 <= 1 + max_i ||A_i||_2, and the
     Frobenius norms bound the ||A_i||_2.
     """
-    size = lu.shape[0]
+    q, n, _ = jacobians.shape
+    size = q * n
     u = np.full(size, 1.0 / np.sqrt(size))
     u[1::2] -= 1e-3 / np.sqrt(size)
     u /= np.linalg.norm(u)
+    u = u.reshape(q, n)[fold].ravel()
     inv_norm = 1.0
     for _ in range(RCOND_SWEEPS):
-        w = lu.solve(lu.solve(u), trans="T")  # inverse power iteration on M^T M
+        w = solve(solve(u), trans=1)  # inverse power iteration on M^T M
         inv_norm = math.sqrt(w @ w)
         if not math.isfinite(inv_norm):
             return 0.0  # garbage from a singular factor
@@ -124,46 +124,59 @@ def _estimate_rcond(jacobians: Array, lu: scipy.sparse.linalg.SuperLU) -> float:
     return sigma_min / bound
 
 
-def _cyclic_matrix(jacobians: Array) -> scipy.sparse.csc_matrix:
-    """The cyclic matrix M with (M delta)_i = delta_{i+1 mod Q} - A_i delta_i.
+def _cyclic_band(jacobians: Array) -> tuple[Array, int, Array]:
+    """The cyclic matrix M of ``jacobians`` in folded LAPACK band storage: the
+    array ``ab``, the bandwidth ``kl`` on either side and the fold.
 
-    Written out directly in CSC form.  Column b of block j holds 2n entries
-    in increasing row order: identity block j-1, then -A_j, for j >= 1, and
-    -A_0, then identity block Q-1, for j = 0.  The explicit zeros of the
-    identity blocks and the -0.0 of negated zeros are kept; at Q = 1 the two
-    blocks share rows and ``sum_duplicates`` adds them (for Q >= 2 it only
-    confirms the format).
+    (M delta)_i = delta_{i+1 mod Q} - A_i delta_i.  With the blocks in the
+    folded order and equation i in the row block of delta_i, every block row
+    touches column blocks at most two positions away, so the folded matrix
+    P M P^T is banded with kl = ku = 3n - 1 (n - 1 at Q = 1, where the
+    identity and -A_0 share one block and are summed).  ``ab`` is the
+    Fortran-ordered (2 kl + ku + 1) x Qn array dgbtrf takes, entry (i, j) in
+    row 2 kl + i - j and the first kl rows left for the fill-in.
     """
-    import scipy.sparse  # on first use: the analysis commands never load scipy
-
     q, n, _ = jacobians.shape
-    size = q * n
-    data = np.empty((q, n, 2, n))  # block j, column b, entry slot, row a
-    data[:, :, 0] = np.eye(n)
-    data[:, :, 1] = -jacobians.transpose(0, 2, 1)
-    indices = np.empty((q, n, 2 * n), dtype=np.int32)
-    indices[:] = np.arange(-n, size - n, n, dtype=np.int32)[:, None, None] + np.arange(2 * n)
-    # block 0 wraps: -A_0 on rows 0..n-1 comes before identity block Q-1
-    data[0] = data[0, :, ::-1].copy()
-    indices[0] = np.concatenate((np.arange(n), np.arange(size - n, size)))
-    indptr = np.arange(0, 2 * n * size + 1, 2 * n, dtype=np.int32)
-    m = scipy.sparse.csc_matrix((data.ravel(), indices.ravel(), indptr), shape=(size, size))
-    m.sum_duplicates()
-    return m
+    fold = np.empty(q, dtype=np.intp)  # the block at each position: 0, Q-1, 1, Q-2, ...
+    fold[0::2] = np.arange((q + 1) // 2)
+    fold[1::2] = np.arange(q - 1, (q - 1) // 2, -1)
+    at = np.empty(q, dtype=np.intp)  # the position of each block
+    at[fold] = np.arange(q)
+    kl = 3 * n - 1 if q > 1 else n - 1
+    diag = 2 * kl  # band row of the main diagonal: kl + ku
+    ab = np.zeros((3 * kl + 1, q * n), order="F")
+    r = np.arange(n)
+    ab[diag + r[:, None] - r, (np.arange(q) * n)[:, None, None] + r] = -jacobians[fold]
+    # row block p, equation fold[p], holds the identity in the column block of
+    # delta_{fold[p] + 1}; no two share an entry, so += sums only at Q = 1
+    nxt = at[(fold + 1) % q]
+    ab[diag + (np.arange(q) - nxt)[:, None] * n, nxt[:, None] * n + r] += 1.0
+    return ab, kl, fold
 
 
-def _factor_cyclic(jacobians: Array) -> tuple[scipy.sparse.linalg.SuperLU, float] | str:
-    """The LU factor of the cyclic matrix of ``jacobians`` and its rcond
-    estimate, or SuperLU's message when the matrix is exactly singular."""
-    import scipy.sparse.linalg
+def _factor_cyclic(jacobians: Array) -> tuple[Callable, Array, float] | str:
+    """The band LU solver of the cyclic matrix of ``jacobians``, its fold and
+    its rcond estimate, or the message "Factor is exactly singular" at a zero
+    pivot.
 
-    m = _cyclic_matrix(jacobians)
-    try:
-        lu = scipy.sparse.linalg.splu(m)
-    except RuntimeError as exc:  # exactly singular factor
-        return str(exc)
+    dgbtrf factors the folded band (``_cyclic_band``) with partial pivoting,
+    whose pivot growth on a band matrix is bounded by a constant of the
+    bandwidth alone, not of Q (Z. Bohte, J. Inst. Maths Applics 16, 1975).
+    ``solve(b, trans)`` runs dgbtrs on b in the folded order: the folded
+    M^-1 b, or M^-T b at ``trans = 1``.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs  # on first use: analysis never loads scipy
+
+    ab, kl, fold = _cyclic_band(jacobians)
+    lu, ipiv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
+    if info > 0:
+        return "Factor is exactly singular"
+
+    def solve(b: Array, trans: int = 0) -> Array:
+        return dgbtrs(lu, kl, kl, b, ipiv, trans=trans)[0]
+
     with np.errstate(all="ignore"):
-        return lu, _estimate_rcond(jacobians, lu)
+        return solve, fold, _estimate_rcond(jacobians, solve, fold)
 
 
 _cyclic_factor = _LastStack(_factor_cyclic)
@@ -179,13 +192,14 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     factor = _cyclic_factor(jacobians)
     if isinstance(factor, str):
         raise SingularJacobianError(factor)
-    lu, rcond = factor
+    solve, fold, rcond = factor
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularJacobianError(
             f"cyclic linearization is numerically singular (rcond ~ {rcond:.1e})"
         )
+    delta = np.empty(rhs.shape)
     with np.errstate(all="ignore"):
-        delta = lu.solve(rhs.ravel())
+        delta[fold] = solve(rhs[fold].ravel()).reshape(rhs.shape)
     if not np.all(np.isfinite(delta)):
         raise SingularJacobianError("cyclic linearization produced non-finite Newton step")
     scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -193,7 +207,7 @@ def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
         raise SingularJacobianError(
             "cyclic linearization is numerically singular (Newton step blow-up)"
         )
-    return delta.reshape(rhs.shape)
+    return delta
 
 
 def _minimal_period(sys: DiscreteSystem, orbit: Array) -> int:

@@ -6,13 +6,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg.lapack
 
 import shadowlab as sl
 from shadowlab import cli, hyperbolicity, shadow
 from shadowlab.errors import NonhyperbolicMonodromyError, OrbitEscapeError, SingularJacobianError
-from shadowlab.shadow import _cyclic_matrix
 
 from conftest import field_bytes, random_hyperbolic_matrix, reset_memos
 
@@ -132,47 +130,55 @@ def test_bound_cat_q8_brute_force():
 
 
 def _cyclic_matrix_oracle(jacobians):
-    """The former triple loop: COO triples in block, row, column order,
-    identity entry before -A_i entry, explicit zeros kept."""
+    """The dense cyclic matrix from a triple loop: block row i holds the
+    identity in column block i + 1 mod Q and -A_i in column block i, summed
+    at Q = 1."""
     q, n, _ = jacobians.shape
-    rows, cols, vals = [], [], []
+    m = np.zeros((q * n, q * n))
     eye = np.eye(n)
     for i in range(q):
-        r0 = i * n
-        c_next = ((i + 1) % q) * n
         for a in range(n):
             for b in range(n):
-                rows.append(r0 + a)
-                cols.append(c_next + b)
-                vals.append(eye[a, b])
-                rows.append(r0 + a)
-                cols.append(i * n + b)
-                vals.append(-jacobians[i][a, b])
-    size = q * n
-    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+                m[i * n + a, ((i + 1) % q) * n + b] += eye[a, b]
+                m[i * n + a, i * n + b] -= jacobians[i][a, b]
+    return m
+
+
+def _band_to_dense(ab, kl):
+    """The matrix of LAPACK band storage ``ab`` with kl = ku."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for k in range(-kl, kl + 1):  # entry (i, i + k) is in row 2 kl - k, column i + k
+        i = np.arange(max(0, -k), min(size, size - k))
+        dense[i, i + k] = ab[2 * kl - k, i + k]
+    return dense
+
+
+def _folded(m, fold, n):
+    """P M P^T: block row and column p of the result are block fold[p] of M."""
+    order = (fold[:, None] * n + np.arange(n)).ravel()
+    return m[np.ix_(order, order)]
 
 
 @pytest.mark.parametrize(
     "q,n",
-    [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (5, 1), (7, 2), (4, 3), (12, 2), (33, 3),
-     (1000, 2)],
+    sorted({(q, n) for q in (1, 2, 3, 4, 7) for n in (1, 2, 3, 4)}
+           | {(5, 1), (7, 2), (4, 3), (12, 2), (33, 3), (1000, 2)}),
 )
 def test_cyclic_matrix_matches_triple_loop(q, n):
     rng = np.random.default_rng(q * 10 + n)
     jacobians = rng.normal(size=(q, n, n))
-    jacobians[0, 0, 0] = 0.0  # an exact zero, negated to -0.0 in the triples
     if n > 1:
-        jacobians[-1, 0, 1] = 1.0  # cancels an identity entry at q = 1
-    got, want = _cyclic_matrix(jacobians), _cyclic_matrix_oracle(jacobians)
-    assert got.data.tobytes() == want.data.tobytes()
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.indptr, want.indptr)
-    assert got.indices.dtype == want.indices.dtype and got.indptr.dtype == want.indptr.dtype
+        jacobians[-1, 1, 1] = 1.0  # cancels an identity entry at q = 1
     # a broadcast constant Jacobian, as linear systems return it
-    cat = sl.cat_map().system
-    constant = cat.jacobian(np.zeros((q, 2)))
-    got, want = _cyclic_matrix(constant), _cyclic_matrix_oracle(constant)
-    assert got.data.tobytes() == want.data.tobytes()
+    constant = np.broadcast_to(rng.normal(size=(n, n)), (q, n, n))
+    for stack in (jacobians, constant):
+        ab, kl, fold = shadow._cyclic_band(stack)
+        # 2 kl + ku + 1 rows: a band of width O(n) at every Q, never dense
+        assert ab.shape == ((9 * n - 2 if q > 1 else 3 * n - 2), q * n)
+        assert ab.flags.f_contiguous and not ab[:kl].any()  # the fill-in rows start empty
+        assert sorted(fold.tolist()) == list(range(q))
+        assert np.array_equal(_band_to_dense(ab, kl), _folded(_cyclic_matrix_oracle(stack), fold, n))
 
 
 def _per_point_sup(sys_, orbit, points):
@@ -375,12 +381,16 @@ def test_solver_stops_when_no_step_lowers_the_residual(monkeypatch):
     assert sol.orbit.tobytes() == xi.points.tobytes()
 
 
-def test_solver_weak_saddle_at_2000_unknowns():
-    # a normal saddle with multipliers -0.25 and -1.2: the cyclic system is
-    # well conditioned, but LU of its dense form grows like 1.2^Q
+def _weak_saddle():
+    """A normal saddle with multipliers -0.25 and -1.2: the cyclic system is
+    well conditioned, but LU of its dense form grows like 1.2^Q."""
     c, s = math.cos(0.5), math.sin(0.5)
     turn = np.array([[c, -s], [s, c]])
-    a = turn @ np.diag([-0.25, -1.2]) @ turn.T
+    return turn @ np.diag([-0.25, -1.2]) @ turn.T
+
+
+def test_solver_weak_saddle_at_2000_unknowns():
+    a = _weak_saddle()
     pts = np.random.default_rng(7).normal(scale=0.01, size=(1000, 2))
     lin = sl.linear_system(a)
     sol = sl.find_periodic_shadow(lin, sl.make_pseudotrajectory(lin, pts))
@@ -438,28 +448,84 @@ def _jacobian_stacks(q):
 def test_cyclic_norm_bound_covers_the_cyclic_matrix(q):
     for jacobians in _jacobian_stacks(q):
         bound = 1.0 + np.sqrt(np.max(np.sum(jacobians * jacobians, axis=(-2, -1))))
-        assert bound >= np.linalg.norm(_cyclic_matrix(jacobians).toarray(), 2)
+        assert bound >= np.linalg.norm(_cyclic_matrix_oracle(jacobians), 2)
+
+
+def _backward_error(jacobians, rhs, delta):
+    """|M delta - rhs|_inf / (||M||_inf |delta|_inf + |rhs|_inf) for Q >= 2,
+    where row a of block row i of M sums to 1 + sum_b |A_i[a, b]|."""
+    residual = np.roll(delta, -1, axis=0) - np.einsum("qab,qb->qa", jacobians, delta) - rhs
+    norm = 1.0 + np.max(np.sum(np.abs(jacobians), axis=-1))
+    return np.max(np.abs(residual)) / (norm * np.max(np.abs(delta)) + np.max(np.abs(rhs)))
+
+
+def test_band_solve_is_backward_stable():
+    # partial pivoting on a band: growth bounded by the bandwidth, not by Q
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for k in range(400):
+        n = 2 + k % 2
+        q = int(np.exp(rng.uniform(np.log(2), np.log(3000))))
+        if k % 4 < 2:
+            stack = np.broadcast_to(random_hyperbolic_matrix(rng, n), (q, n, n))
+        else:  # the constant system in coordinates z_i = P_i y_i that vary along it
+            pool = np.stack([random_hyperbolic_matrix(rng, n) for _ in range(8)])
+            p = pool[rng.integers(0, 8, q)]
+            stack = np.roll(p, -1, axis=0) @ random_hyperbolic_matrix(rng, n) @ np.linalg.inv(p)
+        rhs = rng.normal(size=(q, n))
+        worst = max(worst, _backward_error(stack, rhs, shadow._solve_cyclic(stack, rhs)))
+    assert worst <= 1e-15
+    saddle = np.broadcast_to(_weak_saddle(), (4000, 2, 2))
+    rhs = rng.normal(size=(4000, 2))
+    assert _backward_error(saddle, rhs, shadow._solve_cyclic(saddle, rhs)) <= 1e-15
+
+
+def _rcond_stacks():
+    yield sl.cat_map().system.jacobian(np.zeros((13, 2)))
+    yield np.broadcast_to(_weak_saddle(), (400, 2, 2))
+    rng = np.random.default_rng(31)
+    for k in range(8):
+        n = 2 + k % 2
+        q = int(rng.integers(1, 60))
+        if k % 4 < 2:
+            yield np.broadcast_to(random_hyperbolic_matrix(rng, n), (q, n, n))
+        else:
+            yield np.stack([random_hyperbolic_matrix(rng, n) for _ in range(q)])
+
+
+# rcond estimates of _rcond_stacks from the sparse LU factor the band LU replaced
+SPARSE_LU_RCOND = [
+    0.16952171114521652, 0.5616047774421802, 0.13485386159090462, 0.10272611375466484,
+    0.026097715724768496, 0.013832388701661136, 0.4668875428588558, 0.35413170363652074,
+    0.02217735328100187, 0.007076179176293198,
+]
+
+
+def test_rcond_estimate_is_the_sparse_lu_one():
+    # the same 6 sweeps from the same start, permuted into the folded order
+    got = [shadow._factor_cyclic(stack)[2] for stack in _rcond_stacks()]
+    assert got == pytest.approx(SPARSE_LU_RCOND, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
 # the factor memo
 
 
-def _count_splu(monkeypatch):
-    """Record the size of each SuperLU factorisation made from now on."""
+def _count_band_factors(monkeypatch):
+    """Record the size of each band LU factorisation made from now on."""
     calls = []
-    splu = scipy.sparse.linalg.splu
+    dgbtrf = scipy.linalg.lapack.dgbtrf
 
-    def counting(matrix, *args, **kwargs):
-        calls.append(matrix.shape[0])
-        return splu(matrix, *args, **kwargs)
+    def counting(ab, *args, **kwargs):
+        calls.append(ab.shape[1])
+        return dgbtrf(ab, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counting)
     return calls
 
 
 def test_scan_rows_and_oracle_note_share_one_factor(tmp_path, capsys, monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_band_factors(monkeypatch)
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(
         "[system]\nkind = toral\nmatrix = 2 1; 1 1\n"
@@ -474,20 +540,20 @@ def test_scan_rows_and_oracle_note_share_one_factor(tmp_path, capsys, monkeypatc
 
 
 def test_memo_keeps_the_last_stack_only(monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_band_factors(monkeypatch)
     a, b = _jacobian_stacks(5)[:2]
     rhs = np.random.default_rng(0).normal(size=(5, 2))
     for stack in (a, b, a):
         shadow._solve_cyclic(stack, rhs)
     assert len(calls) == 3
-    key, (lu, _) = shadow._cyclic_factor.last
-    assert key == hyperbolicity._stack_key(a) and lu.shape == (10, 10)
+    key, (_, fold, _) = shadow._cyclic_factor.last
+    assert key == hyperbolicity._stack_key(a) and fold.tolist() == [0, 4, 1, 3, 2]
 
 
 def test_distinct_newton_stacks_are_factored_once_each(monkeypatch):
     pert = sl.perturbed_toral([[2, 1], [1, 1]], 0.1)
     xi = sl.make_pseudotrajectory(pert, sl.toral_orbit_with_period(sl.cat_map(), 2))
-    calls = _count_splu(monkeypatch)
+    calls = _count_band_factors(monkeypatch)
     sol = sl.find_periodic_shadow(pert, xi)
     assert sol.converged and sol.iterations == 2
     assert calls == [4, 4]
@@ -515,9 +581,7 @@ def _memo_corpus():
         lin = sl.linear_system(random_hyperbolic_matrix(rng, n))
         q = int(rng.integers(1, 33))
         yield lin, sl.make_pseudotrajectory(lin, rng.normal(scale=0.01, size=(q, n)))
-    c, s = math.cos(0.5), math.sin(0.5)
-    turn = np.array([[c, -s], [s, c]])
-    saddle = sl.linear_system(turn @ np.diag([-0.25, -1.2]) @ turn.T)
+    saddle = sl.linear_system(_weak_saddle())
     pts = np.random.default_rng(7).normal(scale=0.01, size=(1000, 2))
     yield saddle, sl.make_pseudotrajectory(saddle, pts)
     jordan = sl.jordan_model(block="real", size=2, eigenvalue=1, c=0.0)
@@ -585,7 +649,7 @@ def test_threads_share_the_memoised_factor(cat_sys):
 
 def test_exact_singularity_is_raised_on_every_call(linear_jordan2, monkeypatch):
     xi, _ = sl.witness_jordan(linear_jordan2, 1e-4, 5)
-    calls = _count_splu(monkeypatch)
+    calls = _count_band_factors(monkeypatch)
     for _ in range(2):
         with pytest.raises(SingularJacobianError, match="exactly singular"):
             sl.find_periodic_shadow(linear_jordan2.system, xi)
@@ -595,7 +659,7 @@ def test_exact_singularity_is_raised_on_every_call(linear_jordan2, monkeypatch):
 def test_rcond_floor_is_checked_on_every_call(monkeypatch):
     lin = sl.linear_system(_rotation(2 * math.pi / 7))  # R^7 = I
     xi = sl.make_pseudotrajectory(lin, np.random.default_rng(0).normal(scale=0.01, size=(7, 2)))
-    calls = _count_splu(monkeypatch)
+    calls = _count_band_factors(monkeypatch)
     messages = []
     for _ in range(2):
         with pytest.raises(SingularJacobianError, match=r"rcond ~") as info:
@@ -605,7 +669,7 @@ def test_rcond_floor_is_checked_on_every_call(monkeypatch):
 
 
 def test_step_checks_run_on_a_reused_factor(monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_band_factors(monkeypatch)
     stack = _jacobian_stacks(5)[0]
     rhs = np.random.default_rng(0).normal(size=(5, 2))
     shadow._solve_cyclic(stack, rhs)

@@ -134,8 +134,8 @@ loaded()
 
 
 def test_analysis_leaves_scipy_unloaded(tmp_path):
-    # scipy costs about 0.3 s and 30 MB at start-up; only the sparse LU of the
-    # cyclic solve loads it, on first use
+    # scipy costs about 0.3 s and 30 MB at start-up; only the band LU of the
+    # cyclic solve loads it (scipy.linalg.lapack, never scipy.sparse), on first use
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", ANALYSIS_FOOTPRINT, str(tmp_path)],
@@ -143,7 +143,7 @@ def test_analysis_leaves_scipy_unloaded(tmp_path):
     )
     analysis, commands, solve = out.stdout.splitlines()
     assert analysis == "[]" and commands == "[]"
-    assert "'scipy.sparse.linalg'" in solve
+    assert "'scipy.linalg.lapack'" in solve and "scipy.sparse" not in solve
 
 
 def test_norm_bound_cat(cat_sys):
