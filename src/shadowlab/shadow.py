@@ -185,8 +185,10 @@ _cyclic_factor = _LastStack(_factor_cyclic)
 def _solve_cyclic(jacobians: Array, rhs: Array) -> Array:
     """Solve delta_{i+1 mod Q} - A_i delta_i = rhs_i for all i.
 
-    Raises SingularJacobianError when the cyclic matrix is numerically
-    singular (estimated sigma_min over its norm bound below 1e-13), which for a
+    One dgbtrs call on the memoised band factor, with rhs taken into the
+    folded order and the solution taken back out of it.  Raises
+    SingularJacobianError when the cyclic matrix is numerically singular
+    (estimated sigma_min over its norm bound below 1e-13), which for a
     pseudotrajectory signals a unit-modulus direction of the linearization.
     """
     factor = _cyclic_factor(jacobians)
