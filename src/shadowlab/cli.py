@@ -130,14 +130,14 @@ def _build_system(section: ConfigSection):
             base = systems.toral_automorphism(matrix)
             sys_ = systems.perturbed_toral(matrix, section.take("amplitude", *FLOAT, default=0.05))
             return kind, base, sys_
-    raise ConfigError(f"unknown system kind {kind!r}", section.path)
+    raise section.error("kind", f"unknown system kind {kind!r}")
 
 
 def _require(ctx, kind: str):
     """The system object (ToralAutomorphism or JordanModel) when the system has
     the ``kind`` the command needs; a config error otherwise."""
     if ctx["system"][0] != kind:
-        raise ConfigError(f"the {ctx['name']} command needs a {kind} system", ctx["command"].path)
+        raise ctx["command"].error("name", f"the {ctx['name']} command needs a {kind} system")
     return ctx["system"][1]
 
 
@@ -162,7 +162,7 @@ def _cmd_witness(ctx) -> tuple[int, str]:
             w0 = section.take("w0", *sized(FLOATS, 2), default=[1.0, 0.0])
             xi, meta = pseudo.witness_rotation(model, d, k_steps, w0)
         else:
-            raise ConfigError(f"unknown witness type {wtype!r}", section.path)
+            raise section.error("type", f"unknown witness type {wtype!r}")
     path = os.path.join(ctx["out_dir"], "witness.csv")
     pseudo.save_pseudotrajectory(xi, path)
     peak = float(np.max(_row_norms(xi.points)))
@@ -182,11 +182,8 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
     try:
         xi = pseudo.load_pseudotrajectory(source, sys_)
     except (OSError, ValueError) as exc:
-        raise ConfigError(
-            f"key 'command.pseudotrajectory' = {source!r} cannot be loaded: {exc}",
-            section.path,
-            section.entries["pseudotrajectory"].line,
-        ) from exc
+        message = f"key 'command.pseudotrajectory' = {source!r} cannot be loaded: {exc}"
+        raise section.error("pseudotrajectory", message) from exc
     sol = shadow.find_periodic_shadow(
         sys_, xi, max_iterations=max_iterations, tolerance=tolerance
     )
@@ -209,7 +206,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
     d_values = section.take("d-values", *DECREASING, required=True)
     if family_name == "perturbed-orbit":
         if kind not in ("toral", "perturbed-toral"):
-            raise ConfigError("the perturbed-orbit family needs a torus system", section.path)
+            raise section.error("family", "the perturbed-orbit family needs a torus system")
         period = section.take("period", *POSITIVE_INT, required=True)
         base = shadow.toral_orbit_with_period(obj, period)
         if kind == "perturbed-toral":
@@ -230,7 +227,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
         k_steps = section.take("K", *POSITIVE_INT, required=True)
         family = shadow.JordanWitnessFamily(model, k_steps)
     else:
-        raise ConfigError(f"unknown scan family {family_name!r}", section.path)
+        raise section.error("family", f"unknown scan family {family_name!r}")
     with _section_errors(section):  # the jordan-witness family checks its model per row
         scan = shadow.lipschitz_scan(sys_, family, d_values)
     path = os.path.join(ctx["out_dir"], "scan.csv")
@@ -275,11 +272,8 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     a_const = section.take("expansivity-a", *POSITIVE, default=0.5)
     window = section.take("window", *POSITIVE_INT, default=2 * period)
     if window < period:
-        raise ConfigError(
-            f"key 'command.window' must be at least the period {period}, got {window}",
-            section.path,
-            section.entries["window"].line,
-        )
+        message = f"key 'command.window' must be at least the period {period}, got {window}"
+        raise section.error("window", message)
     constant = section.take("L", *AT_LEAST_ONE, default=1.0)
     periodic = shadow.verify_periodicity_by_expansivity(sys_, point, period, a_const, window)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
@@ -351,7 +345,7 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
     constant = section.take("L", *AT_LEAST_ONE, default=1.0)
     record = hyperbolicity.analyze_periodic_orbit(sys_, point, period)
     if record.unstable_basis.shape[1] == 0:
-        raise ConfigError("the orbit has no unstable direction", section.path)
+        raise section.error("point", "the orbit has no unstable direction")
     v_u = record.unstable_basis[:, 0]
     xi, meta, cert = pseudo.witness_orbit_pullback(sys_, point, period, v_u, d, n_pullback)
     growth_ok = hyperbolicity.verify_growth_bound(cert, constant)
@@ -475,15 +469,13 @@ def run(config_path: str) -> int:
         output_section = cfg.section("output")
         name = command_section.take("name", *TEXT, required=True)
         if name not in COMMANDS:
-            raise ConfigError(
-                f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}",
-                cfg.path,
-            )
+            message = f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}"
+            raise command_section.error("name", message)
         out_dir = output_section.take("directory", *TEXT, default=".")
         out_dir = os.environ.get(OUTPUT_DIR_ENV, out_dir)
         fmt = output_section.take("format", *TEXT, default="csv")
         if fmt not in ("csv", "table"):
-            raise ConfigError(f"output format must be csv or table, got {fmt!r}", cfg.path)
+            raise output_section.error("format", f"output format must be csv or table, got {fmt!r}")
         system_info = _build_system(system_section)
         ctx = {
             "name": name,

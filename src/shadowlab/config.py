@@ -95,6 +95,10 @@ class ConfigSection:
     def _keypath(self, key: str) -> str:
         return f"{self.name}.{key}" if self.name else key
 
+    def error(self, key: str, message: str) -> ConfigError:
+        """A config error at the line of ``key``, which must be present."""
+        return ConfigError(message, self.path, self.entries[key].line)
+
     def take(self, key: str, conv, what: str, default=None, required: bool = False):
         """The value of ``key`` converted by ``conv``; ``default`` when absent.
 
@@ -108,18 +112,13 @@ class ConfigSection:
         try:
             return conv(entry.value)
         except ValueError as exc:
-            raise ConfigError(
-                f"key '{self._keypath(key)}' must be {what}, got {entry.value!r}",
-                self.path,
-                entry.line,
-            ) from exc
+            message = f"key '{self._keypath(key)}' must be {what}, got {entry.value!r}"
+            raise self.error(key, message) from exc
 
     def reject_unused(self) -> None:
         for key, entry in self.entries.items():
             if not entry.used:
-                raise ConfigError(
-                    f"unknown key '{self._keypath(key)}'", self.path, entry.line
-                )
+                raise self.error(key, f"unknown key '{self._keypath(key)}'")
 
 
 @dataclass

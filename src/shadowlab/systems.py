@@ -76,8 +76,8 @@ class PhaseSpace:
 
     @staticmethod
     def cube(dim: int, halfwidth: float) -> "PhaseSpace":
-        if dim < 1 or not halfwidth > 0:
-            raise ValueError("need dimension >= 1 and a positive halfwidth")
+        if dim < 1 or not 0 < halfwidth < math.inf:
+            raise ValueError("need dimension >= 1 and a finite positive halfwidth")
         w = np.full(dim, float(halfwidth))
         return PhaseSpace("euclidean", dim, _frozen(-w), _frozen(w))
 
@@ -250,6 +250,8 @@ def linear_system(matrix, halfwidth: float = 1e6) -> DiscreteSystem:
     a = _frozen(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return _linear(PhaseSpace.cube(a.shape[0], halfwidth), a, _frozen(np.linalg.inv(a)))
 
 
@@ -471,8 +473,14 @@ def jordan_model(
             raise ValueError("tail entries must have modulus away from 0 and 1")
     if not c >= 0:
         raise ValueError("nonlinearity scale c must be >= 0")
-    if not a_ball > 0:
-        raise ValueError("a_ball must be positive")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if not 0 < a_ball < math.inf:
+        raise ValueError(f"a_ball must be positive and finite, got {a_ball!r}")
+    if halfwidth is None:
+        halfwidth = 4.0 * a_ball
+    if not 0 < halfwidth < math.inf:
+        raise ValueError(f"halfwidth must be positive and finite, got {halfwidth!r}")
     if block == "real":
         b = real_jordan_block(size, eigenvalue)
     elif block == "rotation":
@@ -488,8 +496,6 @@ def jordan_model(
     a[:n_block, :n_block] = b
     if tail:
         a[n_block:, n_block:] = np.diag(tail)
-    if halfwidth is None:
-        halfwidth = 4.0 * a_ball
     model = JordanModel(
         block=block,
         size=size,

@@ -1078,6 +1078,80 @@ def test_config_error_without_a_line_separates_path_and_message(tmp_path, capsys
     assert capsys.readouterr().err == f"config error: {cfg}: missing required key 'command.name'\n"
 
 
+SCAN_D_VALUES = "d-values = 1e-3 1e-4 1e-5"
+
+
+@pytest.mark.parametrize(
+    "body,bad,message",
+    [
+        (
+            "[system]\nkind = banana\n[command]\nname = enumerate\nperiod = 2\n",
+            "kind = banana",
+            "unknown system kind 'banana'",
+        ),
+        (
+            JORDAN_SYSTEM + "[command]\nname = witness\ntype = banana\nd = 1e-4\nK = 3\n",
+            "type = banana",
+            "unknown witness type 'banana'",
+        ),
+        (
+            JORDAN_SYSTEM + f"[command]\nname = scan\nfamily = perturbed-orbit\n{SCAN_D_VALUES}\n",
+            "family = perturbed-orbit",
+            "the perturbed-orbit family needs a torus system",
+        ),
+        (
+            CAT_SYSTEM + f"[command]\nname = scan\nfamily = banana\n{SCAN_D_VALUES}\n",
+            "family = banana",
+            "unknown scan family 'banana'",
+        ),
+        (
+            CAT_SYSTEM + "[command]\nname = banana\n",
+            "name = banana",
+            f"unknown command 'banana'; expected one of {', '.join(cli.COMMANDS)}",
+        ),
+        (
+            CAT_SYSTEM + "[command]\nname = enumerate\nperiod = 2\n[output]\nformat = xml\n",
+            "format = xml",
+            "output format must be csv or table, got 'xml'",
+        ),
+        (
+            JORDAN_SYSTEM + "[command]\nname = angles\nmax-period = 2\n",
+            "name = angles",
+            "the angles command needs a toral system",
+        ),
+        (
+            CAT_SYSTEM + "[command]\nname = witness\ntype = jordan\nd = 1e-4\nK = 3\n",
+            "name = witness",
+            "the witness command needs a jordan system",
+        ),
+        (
+            "[system]\nkind = jordan\nblock = none\ntail = 0.5 0.25\nc = 0\n"
+            + "[command]\nname = lemma6\npoint = 0 0\nperiod = 1\n",
+            "point = 0 0",
+            "the orbit has no unstable direction",
+        ),
+        (CAT_SYSTEM + CAT_SYSTEM, "[system]", "duplicate section '[system]'"),
+        (CAT_SYSTEM + "= 3\n", "= 3", "empty key"),
+    ],
+    ids=["kind", "witness-type", "torus-family", "scan-family", "command", "format",
+         "needs-toral", "needs-jordan", "no-unstable", "duplicate-section", "empty-key"],
+)
+def test_config_error_names_the_line_of_its_key(tmp_path, capsys, body, bad, message):
+    lines = body.splitlines()
+    line = len(lines) - lines[::-1].index(bad)
+    cfg = write(tmp_path / "bad.cfg", body)
+    assert cli.main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}:{line}: {message}\n"
+
+
+def test_describe_through_main(capsys):
+    assert cli.main(["describe", "toral"]) == 0
+    assert capsys.readouterr().out == cli.DESCRIPTIONS["toral"]
+    assert cli.main(["describe", "banana"]) == 1
+    expected = ", ".join(sorted(cli.DESCRIPTIONS))
+    assert capsys.readouterr().err == f"unknown system kind 'banana'; expected one of {expected}\n"
+
+
 def test_missing_config_file(capsys):
     assert cli.run("/nonexistent/path.cfg") == 1
     assert "config error" in capsys.readouterr().err

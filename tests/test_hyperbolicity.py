@@ -89,7 +89,7 @@ def test_lost_multipliers_are_a_typed_error(cat_sys, m):
 def test_finite_monodromy_past_the_norm_overflow_is_analysed():
     # entries near 3^330 ~ 1e157 overflow a Frobenius norm's sum of squares,
     # not the product: the overflow check looks at the monodromy itself, and
-    # the invariance check scales it down before taking a norm
+    # the splitting scales it down before taking a norm
     model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
     with np.errstate(over="raise"):
         rec = sl.analyze_periodic_orbit(model.system, np.zeros(3), 330)
@@ -98,8 +98,8 @@ def test_finite_monodromy_past_the_norm_overflow_is_analysed():
 
 
 def test_subnormal_monodromy_is_analysed():
-    # 2^-1070 is subnormal: the invariance check scales only down, since 2^1070
-    # would overflow
+    # 2^-1070 is subnormal: the splitting scales it up by an exact power of two,
+    # so its residual check sees entries in [1/2, 1)
     model = sl.jordan_model(block=None, tail=(0.5, 0.5), c=0)
     with np.errstate(over="raise"):
         rec = sl.analyze_periodic_orbit(model.system, np.zeros(2), 1070)
@@ -108,21 +108,34 @@ def test_subnormal_monodromy_is_analysed():
 
 @pytest.mark.parametrize("m", [3, 330])
 def test_invariance_check_rejects_a_tilted_basis(m, monkeypatch):
-    # at m = 330 the norm of the monodromy overflows, which once made the
-    # residual bound infinite and let any basis through
-    split = hyperbolicity._invariant_basis
+    # the deflation's unstable column turned by 0.7 rad: the splitting either
+    # refines it back to rounding level or is lost, never returned tilted; at
+    # m = 330 the norm of the monodromy overflows, which once made the residual
+    # bound infinite and let any basis through
+    deflation = hyperbolicity._deflation
+    turn = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    turned = []
 
-    def tilted(b, multipliers, shift, count, stable):
-        basis = split(b, multipliers, shift, count, stable)[0]
-        if not stable:
-            other = split(b, multipliers, shift, len(b) - count, True)[0]
-            basis = (basis + other[:, :1]) / math.sqrt(2.0)
-        return basis, _residual(b, basis)
+    def tilted(a, w, count, largest):
+        q = deflation(a, w, count, largest)
+        if largest:
+            turned.append(count)
+            q = q.copy()
+            q[:, [0, count]] = q[:, [0, count]] @ turn
+        return q
 
-    monkeypatch.setattr(hyperbolicity, "_invariant_basis", tilted)
+    monkeypatch.setattr(hyperbolicity, "_deflation", tilted)
     model = sl.jordan_model(block=None, tail=(3.0, 0.5, 0.25), c=0)
-    with pytest.raises(RuntimeError, match="invariant subspace residual"):
-        sl.analyze_periodic_orbit(model.system, np.zeros(3), m)
+    try:
+        rec = sl.analyze_periodic_orbit(model.system, np.zeros(3), m)
+    except LostPrecisionError:
+        rec = None
+    assert turned == [1]
+    if rec is None:
+        return
+    b = _monodromy(rec)
+    b = np.ldexp(b, -hyperbolicity._binary_exponent(b))
+    assert _residual(b, rec.unstable_basis) <= 2.0 * hyperbolicity.SPLIT_RESIDUAL_TOL
 
 
 def test_period_12_keeps_its_multipliers(cat_sys):
@@ -833,7 +846,7 @@ def _kernel_basis(monodromy, band, stable):
     count = int(np.sum(moduli < 1.0 - band if stable else moduli > 1.0 + band))
     shift = -hyperbolicity._binary_exponent(monodromy)
     b = np.ldexp(monodromy, shift)
-    basis = hyperbolicity._invariant_basis(b, w, shift, count, stable)[0]
+    basis = hyperbolicity._invariant_basis(b, w, shift, count, stable)
     residual = _residual(b, basis)
     assert residual <= 2.0 * hyperbolicity.SPLIT_RESIDUAL_TOL
     return basis, residual / np.linalg.norm(b)

@@ -497,7 +497,7 @@ def test_torus_map_image_just_below_zero_reads_zero():
 
 
 # ---------------------------------------------------------------------------
-# input guards: NaN fails every check
+# input guards: NaN fails every check, and no parameter may be infinite
 
 
 @pytest.mark.parametrize(
@@ -509,8 +509,17 @@ def test_torus_map_image_just_below_zero_reads_zero():
         (lambda: sl.jordan_model(c=float("nan")), "c must be >= 0"),
         (lambda: sl.jordan_model(a_ball=float("nan")), "a_ball must be positive"),
         (lambda: sl.jordan_model(tail=(float("nan"),)), "tail entries"),
+        (lambda: sl.jordan_model("rotation", 1, theta=float("nan"), c=0), "theta must be finite"),
+        (lambda: sl.jordan_model("rotation", 1, theta=float("inf")), "theta must be finite"),
+        (lambda: sl.jordan_model(a_ball=float("inf")), "a_ball must be positive and finite"),
+        (lambda: sl.jordan_model(halfwidth=float("nan")), "halfwidth must be positive and finite"),
+        (lambda: sl.linear_system([[float("nan"), 0], [0, 1]]), "matrix entries must be finite"),
+        (lambda: sl.linear_system([[2, float("inf")], [0, 1]]), "matrix entries must be finite"),
+        (lambda: sl.linear_system(np.eye(2), float("inf")), "finite positive halfwidth"),
     ],
-    ids=["cube-nan", "cube-0", "linear-0", "jordan-c", "jordan-a-ball", "jordan-tail"],
+    ids=["cube-nan", "cube-0", "linear-0", "jordan-c", "jordan-a-ball", "jordan-tail",
+         "jordan-theta-nan", "jordan-theta-inf", "jordan-a-ball-inf", "jordan-halfwidth",
+         "linear-nan", "linear-inf", "linear-halfwidth"],
 )
 def test_constructors_reject_nan_and_empty_inputs(build, message):
     with pytest.raises(ValueError, match=message):
