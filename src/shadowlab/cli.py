@@ -23,7 +23,7 @@ from . import hyperbolicity, pseudo, shadow, systems
 from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, NONNEGATIVE
 from .config import NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
 from .config import sized
-from .errors import ConfigError, ShadowlabError, TooManyPeriodicPointsError
+from .errors import ConfigError, NotPeriodicError, ShadowlabError, TooManyPeriodicPointsError
 from .pseudo import _float_cells
 from .shadow import _csv_text, _fmt, _table_text
 from .systems import _row_norms
@@ -215,10 +215,9 @@ def _cmd_scan(ctx) -> tuple[int, str]:
             seed_xi = pseudo.make_pseudotrajectory(sys_, base)
             refined = shadow.find_periodic_shadow(sys_, seed_xi)
             if not refined.converged:
-                raise ConfigError(
-                    "could not refine a base orbit of the perturbed system; "
-                    "reduce the amplitude",
-                    section.path,
+                raise section.error(
+                    "period",
+                    "could not refine a base orbit of the perturbed system; reduce the amplitude",
                 )
             base = refined.orbit
         family = shadow.PerturbedOrbitFamily(sys_, base, seed=ctx["seed"])
@@ -416,7 +415,7 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
     images = systems.evaluate(sys_, points, period)
     worst = float(np.max(_row_norms(sys_.space.diff(images, points))))
     if worst > 1e-9:
-        raise ShadowlabError(f"enumerated point failed the periodicity check ({worst:.3e})")
+        raise NotPeriodicError(f"enumerated point failed the periodicity check ({worst:.3e})")
     rows = [[f"x{j}" for j in range(sys_.dim)]]
     rows += _float_cells(points)
     path = _write_table(ctx, "periodic_points", rows)

@@ -133,6 +133,15 @@ def _embed(coeffs: Array, scale: float, dim: int) -> Array:
     return pts
 
 
+def _witness(
+    sys: DiscreteSystem, pts: Array, kind: str, params: dict
+) -> tuple[PeriodicPseudotrajectory, WitnessMeta]:
+    """The witness's pseudotrajectory and its record, which repeats its kind,
+    period and params."""
+    xi = make_pseudotrajectory(sys, pts, kind=kind, params=params)
+    return xi, WitnessMeta(kind=kind, period=xi.period, params=params)
+
+
 def _check_core_ball(model: JordanModel, pts: Array) -> None:
     # exactness of the construction needs the linear branch; vacuous when c = 0
     if model.c == 0.0:
@@ -223,30 +232,21 @@ def witness_eigenvalue_one(
     # the l = 1 unit-block path in units of d/2: K steps up, K steps down along e_0
     pts = _embed(_real_block_coefficients(1, k_steps)[0], d / 2.0, model.dim)
     _check_core_ball(model, pts)
-    xi = make_pseudotrajectory(
-        model.system, pts, kind="staircase", params={"d": d, "K": k_steps}
-    )
-    meta = WitnessMeta(
-        kind="staircase",
-        period=2 * k_steps,
-        params={"d": d, "K": k_steps, "peak": k_steps * d / 2.0},
-    )
-    return xi, meta
+    return _witness(model.system, pts, "staircase", {"d": d, "K": k_steps})
 
 
 def witness_jordan_general(
     model: JordanModel, d: float, k_steps: int
 ) -> tuple[PeriodicPseudotrajectory, WitnessMeta]:
     """Unit-block witness for any block size l >= 1 (step magnitude d)."""
-    coeffs, lengths, pts = _unit_block_witness(model, d, k_steps, "the unit-block witness")
+    _, lengths, pts = _unit_block_witness(model, d, k_steps, "the unit-block witness")
     params = {
         "d": d,
         "K": k_steps,
         "l": model.size,
         "phase_lengths": " ".join(str(v) for v in lengths),
     }
-    xi = make_pseudotrajectory(model.system, pts, kind="jordan-general", params=params)
-    return xi, WitnessMeta(kind="jordan-general", period=len(coeffs), params=params)
+    return _witness(model.system, pts, "jordan-general", params)
 
 
 def witness_jordan(
@@ -279,8 +279,7 @@ def witness_jordan(
         "Y": peak,
         "Q": len(coeffs),
     }
-    xi = make_pseudotrajectory(model.system, pts, kind="jordan", params=params)
-    return xi, WitnessMeta(kind="jordan", period=len(coeffs), params=params)
+    return _witness(model.system, pts, "jordan", params)
 
 
 def witness_rotation(
@@ -319,8 +318,7 @@ def witness_rotation(
         "w0": " ".join(repr(float(c)) for c in w0),
         "phase_lengths": " ".join(str(v) for v in lengths),
     }
-    xi = make_pseudotrajectory(model.system, pts, kind="rotation", params=params)
-    return xi, WitnessMeta(kind="rotation", period=len(coeffs), params=params)
+    return _witness(model.system, pts, "rotation", params)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +394,7 @@ def witness_orbit_pullback(
 
     pts = np.tile(record.points, (n + 1, 1)) + d * w_seq
     params = {"d": d, "m": m, "n_pullback": n, "Q": q, "tau": cert.tau}
-    xi = make_pseudotrajectory(sys, pts, kind="pullback", params=params)
-    meta = WitnessMeta(kind="pullback", period=q, params=params)
-    return xi, meta, replace(cert, displacement=_frozen(w_seq))
+    return (*_witness(sys, pts, "pullback", params), replace(cert, displacement=_frozen(w_seq)))
 
 
 # ---------------------------------------------------------------------------

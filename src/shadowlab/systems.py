@@ -65,8 +65,7 @@ class PhaseSpace:
 
     kind: str  # "torus" | "euclidean"
     dim: int
-    lower: Array | None = None
-    upper: Array | None = None
+    halfwidth: float | None = None  # of the box
 
     @staticmethod
     def torus(dim: int) -> "PhaseSpace":
@@ -78,8 +77,7 @@ class PhaseSpace:
     def cube(dim: int, halfwidth: float) -> "PhaseSpace":
         if dim < 1 or not 0 < halfwidth < math.inf:
             raise ValueError("need dimension >= 1 and a finite positive halfwidth")
-        w = np.full(dim, float(halfwidth))
-        return PhaseSpace("euclidean", dim, _frozen(-w), _frozen(w))
+        return PhaseSpace("euclidean", dim, float(halfwidth))
 
     def wrap(self, x: Array) -> Array:
         """The one chart: [0, 1) on the torus (idempotent), x itself on a box.
@@ -102,7 +100,7 @@ class PhaseSpace:
     def contains(self, x: Array) -> bool:
         if self.kind == "torus":
             return True
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool(np.all(np.abs(x) <= self.halfwidth))
 
     def diff(self, a: Array, b: Array) -> Array:
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -203,7 +201,7 @@ def low_discrepancy_sample(space: PhaseSpace, count: int) -> Array:
             q, scale = q // base, scale / base
     if space.kind == "torus":
         return unit
-    return space.lower + unit * (space.upper - space.lower)
+    return unit * (2.0 * space.halfwidth) - space.halfwidth
 
 
 def estimate_norm_bound(sys: DiscreteSystem, samples: int = 10_000) -> float:
@@ -387,15 +385,11 @@ class JordanModel:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def _phi_cap(self) -> float:
-        return self.a_ball**3 / 4.0
-
     def _phi_profile(self, r: Array) -> tuple[Array, Array]:
         """Radial profile beta(r) of the nonlinearity and its derivative."""
         a = self.a_ball
         t = (r - a) / a
-        return self._phi_cap * _smoothstep(t), self._phi_cap * _smoothstep_deriv(t) / a
+        return a**3 / 4.0 * _smoothstep(t), a**3 / 4.0 * _smoothstep_deriv(t) / a
 
     def _outside_core(self, v: Array) -> tuple[Array, Array]:
         """Row norms |v| (keepdims; a_ball on rows inside the core ball) and the

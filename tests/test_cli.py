@@ -2,6 +2,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,22 @@ def test_enumerate_command(tmp_path, capsys):
     lines = (tmp_path / "periodic_points.csv").read_text().splitlines()
     assert lines[0] == "x0,x1"
     assert len(lines) == 6
+
+
+def test_enumerate_self_check_failure_is_not_periodic(tmp_path, capsys, monkeypatch):
+    enumerate_toral = sl.hyperbolicity.enumerate_periodic_points_toral
+    monkeypatch.setattr(
+        sl.hyperbolicity, "enumerate_periodic_points_toral",
+        lambda matrix, m: enumerate_toral(matrix, m) + [0.25, 0.0],
+    )
+    cfg = write(
+        tmp_path / "e.cfg",
+        CAT_SYSTEM + f"[command]\nname = enumerate\nperiod = 2\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (not-periodic): enumerated point failed the periodicity check (")
+    assert not (tmp_path / "periodic_points.csv").exists()
 
 
 def test_enumerate_table_format_also_writes_txt(tmp_path, capsys):
@@ -1141,6 +1158,23 @@ def test_config_error_names_the_line_of_its_key(tmp_path, capsys, body, bad, mes
     line = len(lines) - lines[::-1].index(bad)
     cfg = write(tmp_path / "bad.cfg", body)
     assert cli.main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}:{line}: {message}\n"
+
+
+def test_unrefined_base_orbit_names_the_line_of_its_period(tmp_path, capsys, monkeypatch):
+    solve = sl.shadow.find_periodic_shadow
+    monkeypatch.setattr(
+        sl.shadow, "find_periodic_shadow",
+        lambda *args, **kwargs: replace(solve(*args, **kwargs), converged=False),
+    )
+    body = (
+        "[system]\nkind = perturbed-toral\nmatrix = 2 1; 1 1\namplitude = 0.03\n"
+        + f"[command]\nname = scan\nfamily = perturbed-orbit\nperiod = 5\n{SCAN_D_VALUES}\n"
+    )
+    line = body.splitlines().index("period = 5") + 1
+    cfg = write(tmp_path / "bad.cfg", body)
+    assert cli.main(["run", cfg]) == 1
+    message = "could not refine a base orbit of the perturbed system; reduce the amplitude"
     assert capsys.readouterr().err == f"config error: {cfg}:{line}: {message}\n"
 
 

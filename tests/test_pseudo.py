@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,15 +188,18 @@ def test_block_coefficients_match_list_loop(l):
 
 def test_jordan_peak_is_the_largest_hypot_of_every_row(monkeypatch):
     # Y is taken among the rows of largest exact c0^2 + c1^2 only; the points
-    # and the defect play no part, so only the coefficient path is built
+    # and the defect play no part, so only the coefficient path is built, and
+    # the pseudotrajectory stands in as zero-width points of the path's length
     paths = {}
 
     def coefficient_path(model, d, k_steps, op):
         paths[k_steps], lengths = _real_block_coefficients(2, k_steps)
-        return paths[k_steps], lengths, None
+        return paths[k_steps], lengths, np.empty((len(paths[k_steps]), 0))
 
     monkeypatch.setattr(pseudo, "_unit_block_witness", coefficient_path)
-    monkeypatch.setattr(pseudo, "make_pseudotrajectory", lambda *args, **kwargs: None)
+    monkeypatch.setattr(
+        pseudo, "make_pseudotrajectory", lambda sys, pts, **kwargs: SimpleNamespace(period=len(pts))
+    )
     model = sl.jordan_model(block="real", size=2, c=0.0)
     for K in range(1, 401):
         _, meta = sl.witness_jordan(model, 1e-6, K)
@@ -637,7 +641,8 @@ def test_perturb_orbit_rejects_negative_and_nan_sizes(cat_sys, d):
         sl.perturb_orbit(cat_sys, orbit, d)
 
 
-NONFINITE_STEP_WITNESSES = {
+# each witness constructor as a function of its step d
+WITNESSES = {
     "staircase": lambda d: sl.witness_eigenvalue_one(
         sl.jordan_model(block="real", size=2, c=0.0), d, 3
     ),
@@ -654,11 +659,19 @@ NONFINITE_STEP_WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(NONFINITE_STEP_WITNESSES))
+@pytest.mark.parametrize("kind", sorted(WITNESSES))
 def test_witnesses_reject_a_nan_step(kind):
     for d in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="d > 0|d must be positive"):
-            NONFINITE_STEP_WITNESSES[kind](d)
+            WITNESSES[kind](d)
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESSES))
+def test_witness_meta_repeats_the_pseudotrajectory(kind):
+    xi, meta, *_ = WITNESSES[kind](1e-3)
+    assert meta.kind == xi.kind == kind
+    assert meta.period == xi.period
+    assert meta.params == xi.params
 
 
 def test_save_load_round_trip(tmp_path, cat_sys, linear_jordan2):

@@ -44,7 +44,16 @@ def test_torus_metric_properties(a, b, c):
 def test_box_contains():
     space = PhaseSpace.cube(2, 1.0)
     assert space.contains(np.array([0.5, -0.5]))
-    assert not space.contains(np.array([1.5, 0.0]))
+    assert space.contains(np.array([1.0, -1.0]))  # the faces belong to the box
+    for outside in ([1.5, 0.0], [0.0, -1.5], [np.nan, 0.0], [-np.inf, 0.0]):
+        assert not space.contains(np.array(outside))
+
+
+def test_box_sample_is_the_halton_sample_scaled_to_the_box():
+    w = 2.5
+    unit = qmc.Halton(d=3, scramble=False).random(1000)
+    ours = low_discrepancy_sample(PhaseSpace.cube(3, w), 1000)
+    assert ours.tobytes() == (-w + unit * (w - -w)).tobytes()
 
 
 # ---------------------------------------------------------------------------
