@@ -24,16 +24,13 @@ from .config import AT_LEAST_ONE, DECREASING, FLOAT, FLOATS, INT, INTS, MATRIX, 
 from .config import NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, TEXT, ConfigSection, parse_config
 from .config import sized
 from .errors import ConfigError, NotPeriodicError, ShadowlabError, TooManyPeriodicPointsError
-from .pseudo import _float_cells
-from .shadow import _csv_text, _fmt, _table_text
+from .pseudo import _csv_text, _float_cells, _fmt, _table_text, _write_text
 from .systems import _row_norms
 
 OUTPUT_DIR_ENV = "SHADOWLAB_OUTPUT_DIR"
 
 # most periodic points the angles command lists, one row each in angles.csv
 MAX_LISTED_POINTS = 2**16
-
-COMMANDS = ("witness", "shadow", "scan", "orbit", "lemma6", "angles", "enumerate", "splice")
 
 DESCRIPTIONS = {
     "toral": """\
@@ -71,11 +68,6 @@ The system is x -> M x + amplitude * g(x) (mod 1) with g the coordinatewise
 sine field; it exercises the nonlinear solver paths on the torus.
 """,
 }
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _write_table(ctx, name: str, rows: list[list[str]]) -> str:
@@ -142,11 +134,11 @@ def _require(ctx, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns (exit_code, summary_text))
+# command handlers (each takes the context, the command section and the system
+# and returns (exit_code, summary_text))
 
 
-def _cmd_witness(ctx) -> tuple[int, str]:
-    section = ctx["command"]
+def _cmd_witness(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     model = _require(ctx, "jordan")
     wtype = section.take("type", *TEXT, required=True)
     d = section.take("d", *POSITIVE, required=True)
@@ -173,9 +165,7 @@ def _cmd_witness(ctx) -> tuple[int, str]:
     )
 
 
-def _cmd_shadow(ctx) -> tuple[int, str]:
-    _, _, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_shadow(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     source = section.take("pseudotrajectory", *TEXT, required=True)
     max_iterations = section.take("max-iterations", *POSITIVE_INT, default=100)
     tolerance = section.take("tolerance", *POSITIVE, default=1e-10)
@@ -199,9 +189,8 @@ def _cmd_shadow(ctx) -> tuple[int, str]:
     )
 
 
-def _cmd_scan(ctx) -> tuple[int, str]:
-    kind, obj, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_scan(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
+    kind, obj, _ = ctx["system"]
     family_name = section.take("family", *TEXT, required=True)
     d_values = section.take("d-values", *DECREASING, required=True)
     if family_name == "perturbed-orbit":
@@ -263,9 +252,7 @@ def _cmd_scan(ctx) -> tuple[int, str]:
     return (2 if scan.diverging else 0), summary
 
 
-def _cmd_orbit(ctx) -> tuple[int, str]:
-    _, _, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_orbit(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     point = np.array(section.take("point", *sized(FLOATS, sys_.dim), required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
     a_const = section.take("expansivity-a", *POSITIVE, default=0.5)
@@ -334,9 +321,7 @@ def _cmd_orbit(ctx) -> tuple[int, str]:
     )
 
 
-def _cmd_certificate(ctx) -> tuple[int, str]:
-    _, _, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_certificate(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     point = np.array(section.take("point", *sized(FLOATS, sys_.dim), required=True))
     period = section.take("period", *POSITIVE_INT, required=True)
     d = section.take("d", *POSITIVE, default=1e-5)
@@ -366,9 +351,7 @@ def _cmd_certificate(ctx) -> tuple[int, str]:
     )
 
 
-def _cmd_angles(ctx) -> tuple[int, str]:
-    _, _, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_angles(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     toral = _require(ctx, "toral")
     max_period = section.take("max-period", *POSITIVE_INT, required=True)
     horizon = section.take("horizon", *POSITIVE_INT, default=8)
@@ -406,9 +389,7 @@ def _cmd_angles(ctx) -> tuple[int, str]:
     )
 
 
-def _cmd_enumerate(ctx) -> tuple[int, str]:
-    _, _, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_enumerate(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     toral = _require(ctx, "toral")
     period = section.take("period", *POSITIVE_INT, required=True)
     points = hyperbolicity.enumerate_periodic_points_toral(toral.matrix, period)
@@ -425,9 +406,7 @@ def _cmd_enumerate(ctx) -> tuple[int, str]:
     )
 
 
-def _cmd_splice(ctx) -> tuple[int, str]:
-    _, _, sys_ = ctx["system"]
-    section = ctx["command"]
+def _cmd_splice(ctx, section: ConfigSection, sys_) -> tuple[int, str]:
     toral = _require(ctx, "toral")
     forward = section.take("forward", *POSITIVE_INT, required=True)
     backward = section.take("backward", *POSITIVE_INT, required=True)
@@ -456,6 +435,7 @@ _HANDLERS = {
     "enumerate": _cmd_enumerate,
     "splice": _cmd_splice,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(config_path: str) -> int:
@@ -494,7 +474,7 @@ def run(config_path: str) -> int:
                 source, line = "key 'output.directory'", entry and entry.line
             message = f"{source} = {out_dir!r} is not a usable directory ({exc.strerror})"
             raise ConfigError(message, cfg.path, line) from exc
-        code, summary = _HANDLERS[name](ctx)
+        code, summary = _HANDLERS[name](ctx, command_section, system_info[2])
         cfg.reject_unused()
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
@@ -526,7 +506,7 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="execute an experiment config")
     run_parser.add_argument("config", help="path to the experiment config file")
     describe_parser = sub.add_parser("describe", help="print a system kind's parameter schema")
-    describe_parser.add_argument("kind", help="toral | jordan | perturbed-toral")
+    describe_parser.add_argument("kind", help=" | ".join(DESCRIPTIONS))
     args = parser.parse_args(argv)
     if args.verb == "run":
         return run(args.config)

@@ -41,6 +41,7 @@ from .errors import (
     StepLimitError,
 )
 from .hyperbolicity import (
+    PERIODICITY_TOL,
     ExpansionCertificate,
     analyze_periodic_orbit,
     expansion_certificate,
@@ -50,7 +51,6 @@ from .systems import _row_norms
 
 Array = np.ndarray
 
-SEGMENT_GAP_TOL = 1e-8
 # most pullback solves the pullback witness takes beyond n_pullback
 MAX_PULLBACK_TRIES = 1000
 
@@ -67,10 +67,6 @@ class PeriodicPseudotrajectory:
     @property
     def period(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -415,12 +411,12 @@ def splice_cycle(sys: DiscreteSystem, segments: Sequence[Array]) -> PeriodicPseu
         if not np.isfinite(seg).all():
             raise NotAnOrbitError(f"segment {k} holds a non-finite value")
         gaps = _row_norms(cyclic_gaps(sys, seg)[:-1])  # the last row closes the cycle
-        bad = np.flatnonzero(~(gaps <= SEGMENT_GAP_TOL))
+        bad = np.flatnonzero(~(gaps <= PERIODICITY_TOL))
         if bad.size:
             i = int(bad[0])
             raise NotAnOrbitError(
                 f"segment {k} has interior gap {gaps[i]:.3e} at index {i} "
-                f"(tolerance {SEGMENT_GAP_TOL})"
+                f"(tolerance {PERIODICITY_TOL})"
             )
         cleaned.append(seg)
     points = np.vstack(cleaned)
@@ -467,10 +463,17 @@ def perturb_orbit(
 
 
 # ---------------------------------------------------------------------------
-# serialization (round-trips bit-exactly through repr formatting)
+# result text: every result file the package writes (pseudotrajectories, scans,
+# tables and reports) is built from these cells and written by _write_text;
+# floats take their shortest round-trip text, so a pseudotrajectory file reads
+# back bit-exactly
 
 
-def _format_param(value) -> str:
+def _fmt(value) -> str:
+    """One cell: empty for None, a string as is, an integer in decimal and any
+    other value as the shortest round-trip text of its float."""
+    if value is None:
+        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -493,6 +496,22 @@ def _float_cells(x: Array) -> list[list[str]]:
     return text[inverse.reshape(x.shape)].tolist()
 
 
+def _csv_text(rows: list[list[str]]) -> str:
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _table_text(rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its longest cell."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
+
+
+def _write_text(path, text: str) -> None:
+    """Write a result file, ending each line with a line feed on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
 def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:
     """Write the CSV-like text format: header names, header values, one point per row."""
     params = xi.params or {}
@@ -501,13 +520,11 @@ def save_pseudotrajectory(xi: PeriodicPseudotrajectory, path) -> None:
     if any(ch in xi.kind for ch in ",\r\n"):
         raise ValueError(f"kind {xi.kind!r} contains a reserved character")
     for key, value in params.items():
-        if "=" in f"{key}" or any(ch in f"{key}{_format_param(value)}" for ch in ",;\r\n"):
+        if "=" in f"{key}" or any(ch in f"{key}{_fmt(value)}" for ch in ",;\r\n"):
             raise ValueError(f"parameter {key!r} contains a reserved character")
-    header = ";".join(f"{k}={_format_param(v)}" for k, v in params.items())
-    lines = ["Q,defect,kind,params", f"{xi.period},{xi.defect!r},{xi.kind},{header}"]
-    lines += map(",".join, _float_cells(xi.points))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ";".join(f"{k}={_fmt(v)}" for k, v in params.items())
+    rows = [["Q", "defect", "kind", "params"], [_fmt(xi.period), _fmt(xi.defect), xi.kind, header]]
+    _write_text(path, _csv_text(rows + _float_cells(xi.points)))
 
 
 def load_pseudotrajectory(path, sys: DiscreteSystem) -> PeriodicPseudotrajectory:

@@ -57,6 +57,10 @@ from .hyperbolicity import (
 )
 from .pseudo import (
     PeriodicPseudotrajectory,
+    _csv_text,
+    _fmt,
+    _table_text,
+    _write_text,
     cyclic_gaps,
     perturb_orbit,
     witness_jordan,
@@ -554,23 +558,6 @@ def _prime_divisors(q: int) -> list[int]:
 # scan output
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip text of a float; empty for None."""
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
-def _table_text(rows: list[list[str]]) -> str:
-    """Left-aligned columns two spaces apart, each as wide as its longest cell."""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
-
-
-def _csv_text(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows) + "\n"
-
-
 def _scan_cells(scan: LipschitzScan) -> list[list[str]]:
     """Header and one row of cells per defect level; the csv leaves out the
     last column (the row's error note)."""
@@ -581,15 +568,14 @@ def _scan_cells(scan: LipschitzScan) -> list[list[str]]:
             _fmt(r.ratio),
             "true" if r.converged else "false",
             _fmt(r.lower_bound),
-            r.error or "",
+            _fmt(r.error),
         ]
         for r in scan.rows
     ]
 
 
 def write_scan_csv(scan: LipschitzScan, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_csv_text([row[:-1] for row in _scan_cells(scan)]))
+    _write_text(path, _csv_text([row[:-1] for row in _scan_cells(scan)]))
 
 
 def format_scan_table(scan: LipschitzScan) -> str:

@@ -494,6 +494,26 @@ def test_constants_empty_input(cat_sys):
         sl.extract_uniform_constants(cat_sys, [], 4)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda s: sl.analyze_periodic_orbit(s, [0.0, 0.0], 0), "period must be >= 1"),
+        (lambda s: sl.enumerate_periodic_points_exact([[2, 1], [1, 1]], 0), "period must be >= 1"),
+        (lambda s: sl.enumerate_periodic_points_toral([[2, 1], [1, 1]], 0), "period must be >= 1"),
+        (
+            lambda s: sl.extract_uniform_constants(
+                s, [sl.analyze_periodic_orbit(s, [0.0, 0.0], 1)], 0
+            ),
+            "horizon must be >= 1",
+        ),
+    ],
+    ids=["analysis", "exact", "toral", "horizon"],
+)
+def test_periods_and_horizons_below_one_are_rejected(cat_sys, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(cat_sys)
+
+
 def _unit_sphere_sample(dim: int, count: int):
     """Deterministic low-discrepancy sample of the unit sphere in R^dim."""
     if dim == 1:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,8 @@ def test_mat_power():
     m = [[2, 1], [1, 1]]
     assert _intmat.mat_power(m, 0) == [[1, 0], [0, 1]]
     assert _intmat.mat_power(m, 4) == [[34, 21], [21, 13]]
+    with pytest.raises(ValueError, match="negative powers not supported"):
+        _intmat.mat_power(m, -1)
 
 
 def _coefficients(vec, basis):

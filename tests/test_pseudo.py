@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import shadowlab as sl
 from shadowlab import pseudo
 from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError, StepLimitError
-from shadowlab.pseudo import PeriodicPseudotrajectory, _float_cells, _real_block_coefficients
+from shadowlab.pseudo import PeriodicPseudotrajectory, _float_cells, _fmt, _real_block_coefficients
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -666,6 +666,34 @@ def test_witnesses_reject_a_nan_step(kind):
             WITNESSES[kind](d)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda s: pseudo.defect(s, np.zeros((0, 2))), "need at least one point"),
+        (
+            lambda s: sl.witness_rotation(sl.jordan_model(block="real", size=2, c=0.0), 1e-3, 3),
+            "needs a rotation block model",
+        ),
+        (
+            lambda s: sl.witness_rotation(
+                sl.jordan_model(block="rotation", size=1, theta=0.7, c=0.0), 1e-3, 3, (0.0, 0.0)
+            ),
+            "w0 must be a nonzero 2-vector",
+        ),
+        (
+            lambda s: sl.witness_orbit_pullback(s, [0.0, 0.0], 1, [1.0, GOLDEN - 2.0], 1e-5, 0),
+            "n_pullback must be >= 1",
+        ),
+        (lambda s: sl.splice_cycle(s, []), "need at least one segment"),
+    ],
+    ids=["defect-empty", "rotation-real-block", "rotation-w0-zero", "pullback-depth-0",
+         "splice-empty"],
+)
+def test_constructions_reject_empty_and_degenerate_inputs(cat_sys, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(cat_sys)
+
+
 @pytest.mark.parametrize("kind", sorted(WITNESSES))
 def test_witness_meta_repeats_the_pseudotrajectory(kind):
     xi, meta, *_ = WITNESSES[kind](1e-3)
@@ -806,3 +834,13 @@ def test_saved_rows_are_the_per_cell_repr_bytes(tmp_path):
     head = f"Q,defect,kind,params\n{len(points)},0.5,custom,d=0.1\n"
     rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points)
     assert path.read_bytes() == (head + rows).encode()
+
+
+def test_result_cells_by_value_kind(tmp_path, cat_sys):
+    values = [None, "a b", 25, np.int64(-7), -0.0, float("nan"), float("inf"), np.float64(0.1)]
+    assert [_fmt(v) for v in values] == ["", "a b", "25", "-7", "-0.0", "nan", "inf", "0.1"]
+    # a numpy integer parameter is written as an integer, not as its float
+    xi = sl.make_pseudotrajectory(cat_sys, [[0.1, 0.2]], params={"K": np.int64(25), "d": 1e-4})
+    path = tmp_path / "xi.csv"
+    sl.save_pseudotrajectory(xi, path)
+    assert path.read_text().splitlines()[1] == f"1,{xi.defect!r},custom,K=25;d=0.0001"

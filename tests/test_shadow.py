@@ -703,6 +703,21 @@ def test_lower_bound_inapplicable_nonlinear(nonlinear_jordan2):
         sl.direct_shadow_lower_bound(nonlinear_jordan2, xi)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        sl.jordan_model(block="rotation", size=2, theta=0.5, c=0.0),
+        sl.jordan_model(block="real", size=1, c=0.0),
+        sl.jordan_model(block="real", size=2, eigenvalue=-1, c=0.0),
+    ],
+    ids=["rotation", "size-1", "eigenvalue-minus-1"],
+)
+def test_lower_bound_inapplicable_off_the_unit_block(linear_jordan2, model):
+    xi, _ = sl.witness_jordan(linear_jordan2, 1e-5, 10)
+    with pytest.raises(sl.InapplicableError, match="real unit Jordan block of size >= 2"):
+        sl.direct_shadow_lower_bound(model, xi)
+
+
 # ---------------------------------------------------------------------------
 # expansivity-style periodicity check
 
@@ -744,6 +759,11 @@ def test_expansivity_rejects_periods_below_one(cat_sys, mu):
     # mu = 0 would compare p with itself and call any point periodic
     with pytest.raises(ValueError, match="period must be >= 1"):
         sl.verify_periodicity_by_expansivity(cat_sys, [0.3, 0.1], mu, 0.3, 5)
+
+
+def test_expansivity_rejects_a_window_below_the_period(cat_sys):
+    with pytest.raises(ValueError, match="window must be >= the candidate period"):
+        sl.verify_periodicity_by_expansivity(cat_sys, [0.2, 0.4], 2, 0.5, 1)
 
 
 def test_expansivity_false_when_the_orbit_leaves_the_box():

@@ -525,14 +525,44 @@ def test_torus_map_image_just_below_zero_reads_zero():
         (lambda: sl.linear_system([[float("nan"), 0], [0, 1]]), "matrix entries must be finite"),
         (lambda: sl.linear_system([[2, float("inf")], [0, 1]]), "matrix entries must be finite"),
         (lambda: sl.linear_system(np.eye(2), float("inf")), "finite positive halfwidth"),
+        (lambda: PhaseSpace.torus(0), "dimension must be >= 1"),
+        (lambda: sl.linear_system([1.0, 2.0]), "matrix must be square"),
+        (lambda: sl.toral_automorphism([[1, 0, 0]]), "matrix must be square"),
+        (lambda: sl.jordan_model(size=0), "block size must be >= 1"),
+        (lambda: sl.jordan_model("rotation", 0), "number of planes must be >= 1"),
+        (lambda: sl.jordan_model(None), "needs a nonempty tail"),
+        (lambda: sl.jordan_model("skew"), "unknown block kind 'skew'"),
     ],
     ids=["cube-nan", "cube-0", "linear-0", "jordan-c", "jordan-a-ball", "jordan-tail",
          "jordan-theta-nan", "jordan-theta-inf", "jordan-a-ball-inf", "jordan-halfwidth",
-         "linear-nan", "linear-inf", "linear-halfwidth"],
+         "linear-nan", "linear-inf", "linear-halfwidth", "torus-0", "linear-not-square",
+         "toral-not-square", "jordan-size-0", "rotation-0", "jordan-no-block", "jordan-skew"],
 )
 def test_constructors_reject_nan_and_empty_inputs(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: sl.orbit_segment(sl.cat_map().system, [0.1, 0.2], 2, 1), "start must be <= stop"),
+        (lambda: low_discrepancy_sample(PhaseSpace.torus(2), 0), "count must be >= 1"),
+        (lambda: sl.estimate_norm_bound(sl.cat_map().system, samples=0), "samples must be >= 1"),
+    ],
+    ids=["segment", "sample", "norm-bound"],
+)
+def test_walks_and_samples_reject_empty_ranges(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_start_point_outside_the_box_escapes_at_step_zero():
+    lin = sl.linear_system(np.diag([2.0, 0.5]), halfwidth=1.0)
+    for k in (0, 1, -1):
+        with pytest.raises(OrbitEscapeError, match="at step 0") as info:
+            sl.evaluate(lin, [1.5, 0.0], k)
+        assert info.value.point.tolist() == [1.5, 0.0]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
