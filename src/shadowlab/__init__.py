@@ -11,6 +11,7 @@ from .errors import (
     ConstraintViolatedError,
     DegenerateMatrixError,
     InapplicableError,
+    InverseNotFoundError,
     LostPrecisionError,
     NonhyperbolicMonodromyError,
     NonhyperbolicOrbitError,

@@ -77,9 +77,16 @@ class VectorNotUnstableError(ShadowlabError):
 
 
 class SingularJacobianError(ShadowlabError):
-    """The cyclic linearization of the shadow equations is numerically singular."""
+    """A Newton linearization is numerically singular: the cyclic one of the
+    shadow equations, or the Jacobian of a step of a map's Newton inverse."""
 
     code = "singular-jacobian"
+
+
+class InverseNotFoundError(ShadowlabError):
+    """The Newton iteration for a map's inverse did not converge."""
+
+    code = "inverse-not-found"
 
 
 class NonhyperbolicMonodromyError(ShadowlabError):

@@ -13,8 +13,10 @@ splitting is a LostPrecisionError.  No LAPACK call outside numpy's is made,
 so analysis never loads scipy.
 That splitting depends on the Jacobian stack alone, so it is memoised for the
 last stack seen by _LastStack, keyed on the stack's dtype, its shape and a
-copy of its bytes, so a hit means an equal stack; the cyclic factor of the
-shadow module uses the same memo.  Callers analyse one stack in
+copy of its bytes, so a hit means an equal stack.  Two more memos are
+_LastStacks: the pullback template of the pseudo module, keyed on the stack,
+the unstable vector and the depth, and the cyclic factor of the shadow
+module.  Callers analyse one stack in
 runs: on a toral automorphism Df = M everywhere, so all orbits of one period
 share an entry.  Errors are raised again on every call, never stored, and the
 memoised multipliers and bases are read-only arrays that records may share.
@@ -234,12 +236,13 @@ def _stack_key(jacs: Array) -> tuple:
 
 
 class _LastStack:
-    """``compute(jacs)`` memoised for the last Jacobian stack seen.
+    """``compute(*args)`` memoised for the last arguments seen.
 
-    ``last`` is one (_stack_key, value) tuple, read once and replaced in one
-    assignment, so threads need no lock and never pair one stack's key with
-    another stack's value.  An exception from ``compute`` propagates and is
-    never stored.
+    The key holds each argument: an array as its _stack_key, any other value
+    as it is.  ``last`` is one (key, value) tuple, read once and replaced in
+    one assignment, so threads need no lock and never pair one call's key
+    with another call's value.  An exception from ``compute`` propagates and
+    is never stored.
     """
 
     __slots__ = ("compute", "last")
@@ -247,10 +250,11 @@ class _LastStack:
     def __init__(self, compute):
         self.compute, self.last = compute, None
 
-    def __call__(self, jacs: Array):
-        key, last = _stack_key(jacs), self.last
+    def __call__(self, *args):
+        key = tuple(_stack_key(a) if isinstance(a, np.ndarray) else a for a in args)
+        last = self.last
         if last is None or last[0] != key:
-            last = self.last = (key, self.compute(jacs))
+            last = self.last = (key, self.compute(*args))
         return last[1]
 
 
@@ -316,17 +320,7 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
         raise NotPeriodicError(f"f^{m}(p) is {gap:.3e} away from p (tolerance {PERIODICITY_TOL})")
     pts = pts[:m]
     jacs = sys.jacobian(pts)
-    multipliers, index, hyperbolic, stable, unstable = _splitting(jacs)
-    return PeriodicOrbitRecord(
-        period=m,
-        points=pts,
-        jacobians=jacs,
-        multipliers=multipliers,
-        index=index,
-        hyperbolic=hyperbolic,
-        stable_basis=stable,
-        unstable_basis=unstable,
-    )
+    return PeriodicOrbitRecord(m, pts, jacs, *_splitting(jacs))
 
 
 def expansion_certificate(

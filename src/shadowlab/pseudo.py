@@ -43,6 +43,9 @@ from .errors import (
 from .hyperbolicity import (
     PERIODICITY_TOL,
     ExpansionCertificate,
+    PeriodicOrbitRecord,
+    _LastStack,
+    _splitting,
     analyze_periodic_orbit,
     expansion_certificate,
 )
@@ -83,12 +86,21 @@ def cyclic_gaps(sys: DiscreteSystem, pts: Array) -> Array:
     return sys.space.diff(np.concatenate((pts[1:], pts[:1])), sys.forward(pts))
 
 
+def _sequence(sys: DiscreteSystem, points: Array) -> Array:
+    """The points as a float (Q, sys.dim) array, Q >= 1; any other shape is a
+    ValueError naming both shapes."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != sys.dim:
+        raise ValueError(
+            f"need at least one point of dimension {sys.dim}: got shape {pts.shape}, "
+            f"not (Q >= 1, {sys.dim})"
+        )
+    return pts
+
+
 def defect(sys: DiscreteSystem, points: Array) -> float:
     """Largest cyclic gap max_i dist(f(x_i), x_{(i+1) mod Q}); 0 iff an exact orbit."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("need at least one point")
-    return float(np.max(_row_norms(cyclic_gaps(sys, pts))))
+    return float(np.max(_row_norms(cyclic_gaps(sys, _sequence(sys, points)))))
 
 
 def make_pseudotrajectory(
@@ -96,7 +108,7 @@ def make_pseudotrajectory(
 ) -> PeriodicPseudotrajectory:
     """The points, wrapped into the chart, with their measured defect; a
     non-finite point raises NotAnOrbitError."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _sequence(sys, points)
     if not np.isfinite(pts).all():
         raise NotAnOrbitError("a pseudotrajectory point holds a non-finite value")
     pts = sys.space.wrap(pts)
@@ -329,6 +341,54 @@ def _require_pullback_period(m: int, depth: int) -> None:
         )
 
 
+def _pullback_tangent(
+    jacs: Array, v_u: Array, n_pullback: int
+) -> tuple[ExpansionCertificate, int]:
+    """The pullback witness's tangent part on one Jacobian stack: the
+    certificate of v_u, its ``displacement`` w set, and the depth n.
+
+    Every array of the certificate is read-only, so pullbacks on equal
+    stacks share them through the memo _pullback_template.
+    """
+    m = len(jacs)
+    # a record of the stack alone: the certificate reads its Jacobians and splitting
+    record = PeriodicOrbitRecord(m, None, jacs, *_splitting(jacs))
+    cert = expansion_certificate(None, record, v_u)
+    u = record.unstable_basis
+    # partials[j] = A_{j-1} ... A_0 U, so partials[m] = B U
+    partials = np.empty((m + 1,) + u.shape)
+    partials[0] = u
+    for j, a in enumerate(jacs):
+        np.matmul(a, partials[j], out=partials[j + 1])
+    restriction = u.T @ partials[m]
+    _require_pullback_period(m, n_pullback)
+    # coords[i] = (U^T B U)^-i U^T tau e_0, left 0 past an underflow
+    coords = np.zeros((n_pullback + MAX_PULLBACK_TRIES + 1, u.shape[1]))
+    coords[0] = u.T @ (cert.tau * cert.directions[0])
+    n = 0
+    while (n < n_pullback and coords[n].any()) or math.sqrt(coords[n] @ coords[n]) >= 1.0:
+        if n >= n_pullback + MAX_PULLBACK_TRIES:
+            raise PullbackFailedError(
+                f"|B^-n tau e_0| stayed >= 1 after {MAX_PULLBACK_TRIES} extra pullbacks"
+            )
+        _require_pullback_period(m, n + 1)
+        coords[n + 1] = np.linalg.solve(restriction, coords[n])
+        n += 1
+    n = max(n, n_pullback)
+
+    dim = jacs.shape[-1]
+    w_seq = np.empty((m * (n + 1), dim))
+    w_seq[:m] = cert.coefficients[:m, None] * cert.directions
+    np.matmul(partials[:m], coords[n:0:-1, None, :, None], out=w_seq[m:].reshape(n, m, dim, 1))
+    cert = replace(cert, displacement=w_seq)
+    for shared in (cert.rates, cert.coefficients, cert.products, cert.directions, w_seq):
+        shared.setflags(write=False)
+    return cert, n
+
+
+_pullback_template = _LastStack(_pullback_tangent)
+
+
 def witness_orbit_pullback(
     sys: DiscreteSystem,
     p: Array,
@@ -352,6 +412,14 @@ def witness_orbit_pullback(
     exactly 0.  Step j of tail period r is A_{j-1} ... A_0 U c_{n-r}, from the
     partial products U^T B U is built from, in one batched product.
 
+    All of that depends on the Jacobian stack, v_u and n_pullback alone, so
+    it is memoised on them for the last call seen, through
+    hyperbolicity._LastStack as the orbit splitting is: on a toral
+    automorphism every orbit of one period shares one entry, and a call then
+    only adds d w to the orbit.  Errors are raised again on every call, never stored.  The
+    returned certificate, w included, is read-only and may be the same
+    object as another call's.
+
     Every step satisfies |w_{i+1} - A_i w_i| < 2, so the measured defect is
     below 2 d in the linear regime and at most 4 d for small d in general.
     """
@@ -360,37 +428,10 @@ def witness_orbit_pullback(
     if n_pullback < 1:
         raise ValueError("n_pullback must be >= 1")
     record = analyze_periodic_orbit(sys, p, m)
-    cert = expansion_certificate(sys, record, v_u)
-    u = record.unstable_basis
-    # partials[j] = A_{j-1} ... A_0 U, so partials[m] = B U
-    partials = np.empty((m + 1,) + u.shape)
-    partials[0] = u
-    for j, a in enumerate(record.jacobians):
-        np.matmul(a, partials[j], out=partials[j + 1])
-    restriction = u.T @ partials[m]
-    _require_pullback_period(m, n_pullback)
-    # coords[i] = (U^T B U)^-i U^T tau e_0, left 0 past an underflow
-    coords = np.zeros((n_pullback + MAX_PULLBACK_TRIES + 1, u.shape[1]))
-    coords[0] = u.T @ (cert.tau * cert.directions[0])
-    n = 0
-    while (n < n_pullback and coords[n].any()) or math.sqrt(coords[n] @ coords[n]) >= 1.0:
-        if n >= n_pullback + MAX_PULLBACK_TRIES:
-            raise PullbackFailedError(
-                f"|B^-n tau e_0| stayed >= 1 after {MAX_PULLBACK_TRIES} extra pullbacks"
-            )
-        _require_pullback_period(m, n + 1)
-        coords[n + 1] = np.linalg.solve(restriction, coords[n])
-        n += 1
-    n = max(n, n_pullback)
-
-    q = m * (n + 1)
-    w_seq = np.empty((q, sys.dim))
-    w_seq[:m] = cert.coefficients[:m, None] * cert.directions
-    np.matmul(partials[:m], coords[n:0:-1, None, :, None], out=w_seq[m:].reshape(n, m, sys.dim, 1))
-
-    pts = np.tile(record.points, (n + 1, 1)) + d * w_seq
-    params = {"d": d, "m": m, "n_pullback": n, "Q": q, "tau": cert.tau}
-    return (*_witness(sys, pts, "pullback", params), replace(cert, displacement=_frozen(w_seq)))
+    cert, n = _pullback_template(record.jacobians, np.asarray(v_u, dtype=float), n_pullback)
+    pts = np.tile(record.points, (n + 1, 1)) + d * cert.displacement
+    params = {"d": d, "m": m, "n_pullback": n, "Q": m * (n + 1), "tau": cert.tau}
+    return (*_witness(sys, pts, "pullback", params), cert)
 
 
 # ---------------------------------------------------------------------------

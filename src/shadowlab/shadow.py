@@ -15,12 +15,12 @@ nonhyperbolicity along the pseudotrajectory and raises SingularJacobianError.
 
 The part of a solve that depends on the Jacobian stack alone (the band
 matrix, its LU factor and the rcond estimate) is memoised for the last stack
-seen by hyperbolicity._LastStack, the memo of the orbit splitting, so
-consecutive solves on an equal stack (Newton steps on a linear map, the rows
-of a scan, the pullback witnesses of one period) reuse one factor and one
-estimate.  An exactly singular verdict (a zero pivot) is stored as a message
-and raised as a fresh error on every call; the rcond floor and the checks on
-the Newton step run on every call.
+seen by hyperbolicity._LastStack, the memo of the orbit splitting and of the
+pullback witness's tangent template, so consecutive solves on an equal stack
+(Newton steps on a linear map, the rows of a scan, the pullback witnesses of
+one period) reuse one factor and one estimate.  An exactly singular verdict
+(a zero pivot) is stored as a message and raised as a fresh error on every
+call; the rcond floor and the checks on the Newton step run on every call.
 
 For globally linear maps the unique periodic solution of z_{i+1} = A z_i + e_i
 is also computed in closed form by diagonalizing the cyclic shift with the

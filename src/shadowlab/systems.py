@@ -41,7 +41,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _intmat
-from .errors import NotAnOrbitError, OrbitEscapeError, StepLimitError
+from .errors import (
+    InverseNotFoundError,
+    NotAnOrbitError,
+    OrbitEscapeError,
+    SingularJacobianError,
+    StepLimitError,
+)
 
 Array = np.ndarray
 
@@ -221,15 +227,20 @@ def _constant_jacobian(a: Array) -> Callable[[Array], Array]:
 
 def _newton_inverse(space: PhaseSpace, forward, jacobian, y: Array, x: Array, tol) -> Array:
     """Solve forward(x) = y by Newton from x, row by row: a row stops moving
-    once its residual is within tol, and the iteration ends when all have."""
+    once its residual is within tol, and the iteration ends when all have.
+    A singular Newton Jacobian raises SingularJacobianError, a row still
+    moving after 100 steps InverseNotFoundError."""
     for _ in range(100):
         r = space.diff(forward(x), y)
         todo = _row_norms(r) > tol
         if not todo.any():
             return x
-        step = np.linalg.solve(jacobian(x), r[..., None])[..., 0]
+        try:
+            step = np.linalg.solve(jacobian(x), r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise SingularJacobianError("inverse Newton step met a singular Jacobian") from None
         x = np.where(todo[..., None], space.wrap(x - step), x)
-    raise RuntimeError("inverse Newton iteration failed to converge")
+    raise InverseNotFoundError("inverse Newton iteration failed to converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadowlab as sl
+from conftest import field_bytes, reset_memos
 from shadowlab import pseudo
 from shadowlab.errors import ConstraintViolatedError, NotAnOrbitError, StepLimitError
 from shadowlab.pseudo import PeriodicPseudotrajectory, _float_cells, _fmt, _real_block_coefficients
@@ -548,6 +550,104 @@ def test_pullback_period_is_bounded(cat_sys, monkeypatch):
         sl.witness_orbit_pullback(weak, np.zeros(2), 10, np.array([1.0, 0.0]), 1e-5)
 
 
+# the pullback template memo
+
+
+def _count_templates(monkeypatch):
+    """The depth n_pullback of each template the pullback memo computes."""
+    calls = []
+    build = pseudo._pullback_template.compute
+
+    def counted(jacs, v_u, n_pullback):
+        calls.append(n_pullback)
+        return build(jacs, v_u, n_pullback)
+
+    monkeypatch.setattr(pseudo._pullback_template, "compute", counted)
+    return calls
+
+
+def test_reset_memos_empties_the_pullback_template(cat_sys, monkeypatch):
+    v_u = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1).unstable_basis[:, 0]
+    sl.witness_orbit_pullback(cat_sys, [0.0, 0.0], 1, v_u, 1e-5)
+    assert pseudo._pullback_template.last is not None
+    reset_memos(monkeypatch)
+    assert pseudo._pullback_template.last is None
+
+
+def test_one_template_per_jacobian_stack(cat_sys, monkeypatch):
+    calls = _count_templates(monkeypatch)
+    points = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 6)
+    v_u = sl.analyze_periodic_orbit(cat_sys, points[0], 6).unstable_basis[:, 0]
+    certs = [sl.witness_orbit_pullback(cat_sys, p, 6, v_u, 1e-5)[2] for p in points]
+    assert len(certs) == 320 and calls == [1]
+    assert all(c is certs[0] for c in certs)
+    # the vector and the depth are keys as well; a repeat of the last call is a hit
+    for vector, depth in ((v_u, 3), (2.0 * v_u, 3), (2.0 * v_u, 3)):
+        sl.witness_orbit_pullback(cat_sys, points[1], 6, vector, 1e-5, depth)
+    assert calls == [1, 3, 3]
+
+
+def _template_cases():
+    """(system, point, period, unstable vector, depth) over toral orbits, a
+    2-D unstable subspace and a perturbed map whose orbits have their own stacks."""
+    cat = sl.cat_map()
+    cases = [(cat.system, p, m) for m in range(1, 7)
+             for p in sl.enumerate_periodic_points_toral(cat.matrix, m)[:3]]
+    cases += [(toral.system, p, m) for toral, p, m in _pullback_orbits()]
+    pert = sl.perturbed_toral(cat.matrix, 0.05)
+    for m in (2, 4):
+        base = sl.make_pseudotrajectory(pert, sl.toral_orbit_with_period(cat, m))
+        cases.append((pert, sl.find_periodic_shadow(pert, base).orbit[0], m))
+    for sys_, p, m in cases:
+        v_u = sl.analyze_periodic_orbit(sys_, p, m).unstable_basis[:, 0]
+        for depth in (1, 4):
+            yield sys_, p, m, v_u, depth
+
+
+def test_warm_pullbacks_equal_cold_ones_bit_for_bit(monkeypatch):
+    cases = list(_template_cases())
+
+    def pullback_bytes(sys_, p, m, v_u, depth):
+        xi, meta, cert = sl.witness_orbit_pullback(sys_, p, m, v_u, 1e-5, depth)
+        return field_bytes(xi), field_bytes(meta), field_bytes(cert)
+
+    cold = []
+    for case in cases:
+        reset_memos(monkeypatch)
+        cold.append(pullback_bytes(*case))
+    reset_memos(monkeypatch)
+    # each case twice in a row: the first may reuse the previous case's template
+    warm = [[pullback_bytes(*case) for _ in range(2)] for case in cases]
+    assert all(w == [c, c] for w, c in zip(warm, cold))
+
+
+def test_pullback_errors_are_raised_on_every_call(cat_sys, monkeypatch):
+    weak = sl.linear_system(np.diag([1.00001, 0.5]))
+    record = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1)
+    stable, unstable = record.stable_basis[:, 0], record.unstable_basis[:, 0]
+    failures = [
+        (sl.PullbackFailedError, (weak, np.zeros(2), 10, np.array([1.0, 0.0]), 1e-5)),
+        (sl.VectorNotUnstableError, (cat_sys, [0.0, 0.0], 1, stable, 1e-5)),
+        (StepLimitError, (cat_sys, [0.0, 0.0], 1, unstable, 1e-5, 10**9)),
+    ]
+    for error, args in failures:
+        calls = _count_templates(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(error):
+                sl.witness_orbit_pullback(*args)
+        assert len(calls) == 2 and pseudo._pullback_template.last is None
+
+
+def test_shared_pullback_arrays_are_read_only(cat_sys):
+    v_u = sl.analyze_periodic_orbit(cat_sys, [0.0, 0.0], 1).unstable_basis[:, 0]
+    _, _, cert = sl.witness_orbit_pullback(cat_sys, [0.0, 0.0], 1, v_u, 1e-5)
+    for shared in (cert.rates, cert.coefficients, cert.products, cert.directions,
+                   cert.displacement):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # splices
 
@@ -692,6 +792,20 @@ def test_witnesses_reject_a_nan_step(kind):
 def test_constructions_reject_empty_and_degenerate_inputs(cat_sys, call, message):
     with pytest.raises(ValueError, match=message):
         call(cat_sys)
+
+
+@pytest.mark.parametrize("op", [pseudo.defect, sl.make_pseudotrajectory])
+@pytest.mark.parametrize(
+    "points,shape",
+    [([], r"\(1, 0\)"), ([[0.1, 0.2, 0.3]], r"\(1, 3\)"), (np.zeros((2, 2, 2)), r"\(2, 2, 2\)")],
+    ids=["empty-list", "three-columns", "three-axes"],
+)
+def test_points_of_the_wrong_shape_are_rejected_before_the_map_runs(cat_sys, op, points, shape):
+    calls = []
+    traced = replace(cat_sys, forward=lambda x: calls.append(x) or cat_sys.forward(x))
+    with pytest.raises(ValueError, match=rf"got shape {shape}, not \(Q >= 1, 2\)"):
+        op(traced, points)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", sorted(WITNESSES))

@@ -547,7 +547,7 @@ def test_memo_keeps_the_last_stack_only(monkeypatch):
         shadow._solve_cyclic(stack, rhs)
     assert len(calls) == 3
     key, (_, fold, _) = shadow._cyclic_factor.last
-    assert key == hyperbolicity._stack_key(a) and fold.tolist() == [0, 4, 1, 3, 2]
+    assert key == (hyperbolicity._stack_key(a),) and fold.tolist() == [0, 4, 1, 3, 2]
 
 
 def test_distinct_newton_stacks_are_factored_once_each(monkeypatch):

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import shadowlab as sl
-from shadowlab.errors import NotAnOrbitError, OrbitEscapeError, StepLimitError
-from shadowlab.systems import PhaseSpace, _row_norms, low_discrepancy_sample
+from shadowlab.errors import (
+    InverseNotFoundError,
+    NotAnOrbitError,
+    OrbitEscapeError,
+    SingularJacobianError,
+    StepLimitError,
+)
+from shadowlab.systems import PhaseSpace, _newton_inverse, _row_norms, low_discrepancy_sample
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # largest cat-map multiplier
 
@@ -295,6 +301,22 @@ def test_perturbed_toral_jacobian_fd():
 def test_perturbed_toral_amplitude_guard():
     with pytest.raises(ValueError):
         sl.perturbed_toral([[2, 1], [1, 1]], amplitude=1.0)
+
+
+def test_a_cycling_newton_inverse_is_a_typed_error():
+    # from x0 = 0, Newton on x^3 - 2x = -2 steps to 1 and back to 0 forever
+    space = PhaseSpace.cube(1, 100.0)
+    with pytest.raises(InverseNotFoundError, match="failed to converge"):
+        _newton_inverse(space, lambda x: x**3 - 2.0 * x, lambda x: (3.0 * x**2 - 2.0)[..., None],
+                        np.array([[-2.0]]), np.array([[0.0]]), 1e-14)
+
+
+def test_a_singular_newton_inverse_step_is_a_typed_error():
+    # from x0 = 2, Newton on arctan x = 0 diverges until 1 / (1 + x^2) is 0
+    space = PhaseSpace.cube(1, 100.0)
+    with np.errstate(over="ignore"), pytest.raises(SingularJacobianError, match="singular"):
+        _newton_inverse(space, np.arctan, lambda x: (1.0 / (1.0 + x**2))[..., None],
+                        np.array([[0.0]]), np.array([[2.0]]), 1e-14)
 
 
 # ---------------------------------------------------------------------------
