@@ -1,8 +1,9 @@
 """Exact integer matrix utilities (Python ints, no overflow).
 
-Used by the periodic-point enumerator and the toral automorphism check:
+Used by the periodic-point enumerator and the toral automorphism constructor:
 Smith normal form with unimodular transforms, echelon lattice bases,
-integer determinants and integer matrix powers.
+integer determinants and integer matrix powers.  The Smith form of a
+unimodular matrix also gives its exact inverse.
 """
 
 from __future__ import annotations

@@ -13,13 +13,15 @@ splitting is a LostPrecisionError.  No LAPACK call outside numpy's is made,
 so analysis never loads scipy.
 That splitting depends on the Jacobian stack alone, so it is memoised for the
 last stack seen by _LastStack, keyed on the stack's dtype, its shape and a
-copy of its bytes, so a hit means an equal stack.  Two more memos are
-_LastStacks: the pullback template of the pseudo module, keyed on the stack,
-the unstable vector and the depth, and the cyclic factor of the shadow
-module.  Callers analyse one stack in
+copy of its bytes, so a hit means an equal stack.  The expansion certificate
+depends on the stack and the unstable vector alone and is memoised on both by
+a second _LastStack.  Two more memos are _LastStacks: the pullback template
+of the pseudo module, keyed on the stack, the unstable vector and the depth,
+and the cyclic factor of the shadow module.  Callers analyse one stack in
 runs: on a toral automorphism Df = M everywhere, so all orbits of one period
-share an entry.  Errors are raised again on every call, never stored, and the
-memoised multipliers and bases are read-only arrays that records may share.
+share an entry.  Errors are raised again on every call, never stored.  The
+memoised Jacobian stack, multipliers, bases and certificate arrays are
+read-only arrays that records and certificates with equal keys share.
 
 subspace_angle carries these bases along the orbit, E(p_{i+1}) = Df(p_i) E(p_i),
 re-orthonormalised at each step by two-pass classical Gram-Schmidt, which is
@@ -84,9 +86,10 @@ class PeriodicOrbitRecord:
     orthonormal and invariant under the monodromy B = jacobians[m-1] ...
     jacobians[0] to rounding: the invariance residual is at most
     2 SPLIT_RESIDUAL_TOL max|B_ij|, which _invariant_basis checks.
-    ``multipliers`` and both bases come from the splitting memo, keyed on the
-    bytes of ``jacobians`` (see the module docstring): they are read-only and
-    may be the same arrays as in another record with an equal Jacobian stack.
+    ``jacobians``, ``multipliers`` and both bases come from the splitting
+    memo, keyed on the bytes of the Jacobian stack (see the module
+    docstring): they are read-only and may be the same arrays as in another
+    record with an equal stack.  ``points`` is the record's own compact array.
     """
 
     period: int
@@ -108,7 +111,9 @@ class ExpansionCertificate:
     ``directions[i]`` is that stretched vector normalised to unit length, the
     vector lambda_i is measured on.  ``displacement`` is only set by the
     pullback witness constructor and holds the periodic tangent displacement
-    sequence w_i.
+    sequence w_i.  A certificate from expansion_certificate comes from its
+    memo (see the module docstring): its arrays are read-only, and calls
+    with an equal Jacobian stack and vector return the same object.
     """
 
     rates: Array  # lambda_0 .. lambda_{m-1}
@@ -132,12 +137,13 @@ class ExpansionCertificate:
 
 def expansion_coefficients(rates) -> Array:
     """a_0 .. a_m from a_m = 0 backward, a_i = (a_{i+1} + 1) / lambda_i; a step
-    off a_{i+1} = lambda_i a_i - 1 by 1e-12 relative (a NaN or inf rate) raises."""
+    off a_{i+1} = lambda_i a_i - 1 by 1e-12 relative (a NaN or inf rate) raises
+    LostPrecisionError."""
     a = [0.0]  # a_m, a_{m-1}, ..., a_0
     for lam in reversed(np.asarray(rates, dtype=float).tolist()):
         a.append((a[-1] + 1.0) / lam)
         if not (abs(lam * a[-1] - 1.0 - a[-2]) <= 1e-12 * (a[-2] + 1.0)):
-            raise RuntimeError(f"telescoping failure at rate {lam!r}: a_i = {a[-1]!r}")
+            raise LostPrecisionError(f"telescoping failure at rate {lam!r}: a_i = {a[-1]!r}")
     return np.array(a[::-1])
 
 
@@ -258,9 +264,11 @@ class _LastStack:
         return last[1]
 
 
-def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
-    """Sorted multipliers, index, hyperbolic flag and the stable and unstable
-    bases of the monodromy jacs[m-1] ... jacs[0]; the arrays are read-only."""
+def _split_monodromy(jacs: Array) -> tuple[Array, Array, int, bool, Array, Array]:
+    """A copy of ``jacs``, then the sorted multipliers, index, hyperbolic flag
+    and the stable and unstable bases of the monodromy jacs[m-1] ... jacs[0];
+    the arrays are read-only, so records with equal stacks share them all."""
+    jacs = np.array(jacs)  # the caller's array keeps its flags
     m = len(jacs)
     monodromy = np.eye(jacs.shape[-1])
     # an overflowing product or a multiplier rounded to 0 is a typed error below
@@ -290,9 +298,9 @@ def _split_monodromy(jacs: Array) -> tuple[Array, int, bool, Array, Array]:
     count = sum(x < 1.0 - band for x in moduli)
     stable = _invariant_basis(scaled, multipliers, shift, count, True)
     unstable = _invariant_basis(scaled, multipliers, shift, index, False)
-    for shared in (multipliers, stable, unstable):
+    for shared in (jacs, multipliers, stable, unstable):
         shared.setflags(write=False)
-    return multipliers, index, hyperbolic, stable, unstable
+    return jacs, multipliers, index, hyperbolic, stable, unstable
 
 
 _splitting = _LastStack(_split_monodromy)
@@ -310,7 +318,7 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     ill-conditioned to refine to rounding level raise LostPrecisionError.  The
     splitting depends on the Jacobian stack alone and is memoised on it (see
     the module docstring), so orbits with equal stacks share its read-only
-    arrays.
+    arrays, the Jacobian stack included.
     """
     if m < 1:
         raise ValueError("period must be >= 1")
@@ -318,9 +326,8 @@ def analyze_periodic_orbit(sys: DiscreteSystem, p: Array, m: int) -> PeriodicOrb
     gap = sys.space.dist(pts[m], pts[0])
     if not gap <= PERIODICITY_TOL:
         raise NotPeriodicError(f"f^{m}(p) is {gap:.3e} away from p (tolerance {PERIODICITY_TOL})")
-    pts = pts[:m]
-    jacs = sys.jacobian(pts)
-    return PeriodicOrbitRecord(m, pts, jacs, *_splitting(jacs))
+    pts = pts[:m].copy()  # a compact array, not a view that holds f^m(p) too
+    return PeriodicOrbitRecord(m, pts, *_splitting(sys.jacobian(pts)))
 
 
 def expansion_certificate(
@@ -329,7 +336,11 @@ def expansion_certificate(
     """Growth rates along the orbit for an unstable vector, with the
     coefficient sequence of expansion_coefficients (a_m = 0 by construction).
     A nonhyperbolic record raises NonhyperbolicOrbitError, a zero or
-    non-finite vector or one off the unstable subspace VectorNotUnstableError.
+    non-finite vector or one off the record's unstable subspace
+    VectorNotUnstableError; these checks run on every call.  The rest
+    depends on the Jacobian stack and the vector alone and is memoised on
+    them (see the module docstring), so the returned certificate is
+    read-only and may be the same object as another call's.
 
     ``sys`` is accepted for interface symmetry with the other orbit
     operations; all data comes from the record's stored Jacobians.
@@ -343,17 +354,29 @@ def expansion_certificate(
     off = v_u - u @ (u.T @ v_u)
     if u.shape[1] == 0 or not math.sqrt(off @ off) / norm <= 1e-8:
         raise VectorNotUnstableError("vector does not lie in the unstable subspace")
-    m = record.period
+    return _certificate(record.jacobians, v_u)
+
+
+def _certify(jacs: Array, v_u: Array) -> ExpansionCertificate:
+    """The certificate of a nonzero ``v_u`` on the Jacobian stack ``jacs``;
+    its arrays are read-only, so calls with equal arguments share them."""
+    m = len(jacs)
     rates = np.empty(m)
     directions = np.empty((m, len(v_u)))
-    v = v_u / norm
-    for i, a in enumerate(record.jacobians):
+    v = v_u / math.sqrt(v_u @ v_u)
+    for i, a in enumerate(jacs):
         directions[i] = v
         w = a @ v
         rates[i] = math.sqrt(w @ w)
         v = w / rates[i]
     products = np.concatenate(([1.0], np.cumprod(rates[: m - 1])))
-    return ExpansionCertificate(rates, expansion_coefficients(rates), products, directions)
+    cert = ExpansionCertificate(rates, expansion_coefficients(rates), products, directions)
+    for shared in (rates, cert.coefficients, products, directions):
+        shared.setflags(write=False)
+    return cert
+
+
+_certificate = _LastStack(_certify)
 
 
 def verify_growth_bound(data: ExpansionCertificate, constant: float) -> bool:

@@ -352,7 +352,7 @@ def _pullback_tangent(
     """
     m = len(jacs)
     # a record of the stack alone: the certificate reads its Jacobians and splitting
-    record = PeriodicOrbitRecord(m, None, jacs, *_splitting(jacs))
+    record = PeriodicOrbitRecord(m, None, *_splitting(jacs))
     cert = expansion_certificate(None, record, v_u)
     u = record.unstable_basis
     # partials[j] = A_{j-1} ... A_0 U, so partials[m] = B U
@@ -380,10 +380,8 @@ def _pullback_tangent(
     w_seq = np.empty((m * (n + 1), dim))
     w_seq[:m] = cert.coefficients[:m, None] * cert.directions
     np.matmul(partials[:m], coords[n:0:-1, None, :, None], out=w_seq[m:].reshape(n, m, dim, 1))
-    cert = replace(cert, displacement=w_seq)
-    for shared in (cert.rates, cert.coefficients, cert.products, cert.directions, w_seq):
-        shared.setflags(write=False)
-    return cert, n
+    w_seq.setflags(write=False)  # the certificate's own arrays come read-only from its memo
+    return replace(cert, displacement=w_seq), n
 
 
 _pullback_template = _LastStack(_pullback_tangent)

@@ -52,6 +52,8 @@ from .errors import (
 Array = np.ndarray
 
 MAX_ITERATE_STEPS = 10**7
+# the largest a_ball whose cube, the scale of the Jordan model's nonlinearity, is finite
+MAX_A_BALL = float(np.finfo(float).max) ** (1 / 3)
 
 
 def _frozen(a, dtype=float) -> Array:
@@ -297,12 +299,15 @@ class ToralAutomorphism:
 
 def toral_automorphism(matrix) -> ToralAutomorphism:
     m_int = _integer_matrix(matrix)
-    det = _intmat.det(_intmat.int_matrix(m_int))
+    exact = _intmat.int_matrix(m_int)
+    det = _intmat.det(exact)
     if abs(det) != 1:
         raise ValueError(f"|det| must be 1, got {det}")
-    inv = np.rint(np.linalg.inv(m_int.astype(float))).astype(np.int64)
-    if not np.array_equal(m_int @ inv, np.eye(m_int.shape[0], dtype=np.int64)):
-        raise ValueError("failed to compute the exact integer inverse")
+    # |det| = 1 makes the Smith form U M V the identity, so M^-1 = V U exactly
+    u, _, v = _intmat.smith_normal_form(exact)
+    inv = _intmat.mat_mul(v, u)
+    if max(abs(x) for row in inv for x in row) >= 2**63:
+        raise ValueError("the inverse matrix has entries beyond int64")
     moduli = np.abs(np.linalg.eigvals(m_int.astype(float)))
     hyperbolic = bool(np.all(np.abs(moduli - 1.0) > 1e-9))
     return ToralAutomorphism(_frozen(m_int, np.int64), _frozen(inv, np.int64), hyperbolic)
@@ -482,6 +487,8 @@ def jordan_model(
         raise ValueError(f"theta must be finite, got {theta!r}")
     if not 0 < a_ball < math.inf:
         raise ValueError(f"a_ball must be positive and finite, got {a_ball!r}")
+    if not a_ball <= MAX_A_BALL:
+        raise ValueError(f"a_ball must be at most {MAX_A_BALL:.6g}, got {a_ball!r}")
     if halfwidth is None:
         halfwidth = 4.0 * a_ball
     if not 0 < halfwidth < math.inf:

@@ -6,18 +6,19 @@ from shadowlab import hyperbolicity, pseudo, shadow
 
 
 def reset_memos(monkeypatch):
-    """Empty the orbit splitting, pullback template and cyclic factor memos;
-    setattr raises on a missing attribute, so a renamed memo fails here
-    rather than passing."""
-    for memo in (hyperbolicity._splitting, pseudo._pullback_template, shadow._cyclic_factor):
+    """Empty the orbit splitting, certificate, pullback template and cyclic
+    factor memos; setattr raises on a missing attribute, so a renamed memo
+    fails here rather than passing."""
+    for memo in (hyperbolicity._splitting, hyperbolicity._certificate,
+                 pseudo._pullback_template, shadow._cyclic_factor):
         monkeypatch.setattr(memo, "last", None, raising=True)
 
 
 @pytest.fixture(autouse=True)
 def cold_memos(monkeypatch):
-    """Each test starts with no memoised orbit splitting, pullback template or
-    cyclic factor, so a test that patches the linear algebra reaches it and
-    no test sees another's stacks."""
+    """Each test starts with no memoised orbit splitting, certificate,
+    pullback template or cyclic factor, so a test that patches the linear
+    algebra reaches it and no test sees another's stacks."""
     reset_memos(monkeypatch)
 
 

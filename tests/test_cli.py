@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -433,6 +435,21 @@ def test_orbit_command_lost_multipliers_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error (lost-precision)") and "Traceback" not in err
         assert not (tmp_path / "orbit.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["name = orbit\npoint = 0 0\nperiod = 1", "name = lemma6\npoint = 0 0\nperiod = 1"]
+)
+def test_telescoping_failure_exits_1(tmp_path, capsys, monkeypatch, command):
+    # NaN rates make the coefficient recursion fail its telescoping check
+    coefficients = sl.hyperbolicity.expansion_coefficients
+    monkeypatch.setattr(sl.hyperbolicity, "expansion_coefficients",
+                        lambda rates: coefficients(rates * np.nan))
+    cfg = write(tmp_path / "t.cfg",
+                CAT_SYSTEM + f"[command]\n{command}\n[output]\ndirectory = {tmp_path}\n")
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (lost-precision): telescoping failure") and "Traceback" not in err
 
 
 def test_orbit_command_step_limit_exit_1(tmp_path, capsys):
@@ -988,6 +1005,13 @@ def _run_bad_config(tmp_path, capsys, body: str) -> str:
             "[system]",
             "section '[system]': nonlinearity scale",
         ),
+        # the nonlinearity's scale a_ball^3 / 4 must be a finite float
+        (
+            JORDAN_SYSTEM.replace("c = 0", "c = 1e-300") + "a-ball = 1e300\n",
+            "name = witness\ntype = jordan\nd = 1e-4\nK = 3",
+            "[system]",
+            "section '[system]': a_ball must be at most 5.6438e+102, got 1e+300",
+        ),
         # a point or vector of the wrong length names its key
         (
             CAT_SYSTEM,
@@ -1184,6 +1208,16 @@ def test_describe_through_main(capsys):
     assert cli.main(["describe", "banana"]) == 1
     expected = ", ".join(sorted(cli.DESCRIPTIONS))
     assert capsys.readouterr().err == f"unknown system kind 'banana'; expected one of {expected}\n"
+
+
+def test_module_runs_as_a_script():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
+    for kind, code in (("toral", 0), ("banana", 1)):
+        out = subprocess.run([sys.executable, "-m", "shadowlab.cli", "describe", kind],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == code
+    assert out.stderr.endswith("unknown system kind 'banana'; expected one of "
+                               f"{', '.join(sorted(cli.DESCRIPTIONS))}\n")
 
 
 def test_missing_config_file(capsys):

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -294,6 +295,129 @@ def test_threads_share_the_memo():
     assert all(got == expected[m] for m, got in results)
 
 
+def test_records_of_one_period_share_one_read_only_stack(cat_sys):
+    points = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 5)
+    records = [sl.analyze_periodic_orbit(cat_sys, p, 5) for p in points]
+    stack = records[0].jacobians
+    assert len(records) == 121 and all(r.jacobians is stack for r in records)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.0
+
+
+def test_record_points_are_a_compact_array_of_their_own(cat_sys):
+    for m in (1, 5):
+        point = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, m)[-1]
+        record = sl.analyze_periodic_orbit(cat_sys, point, m)
+        assert record.points.shape == (m, 2) and record.points.flags.owndata
+        assert record.points.flags.c_contiguous and record.points.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the certificate memo
+
+
+def _count_certificates(monkeypatch):
+    """The shape of each Jacobian stack the certificate memo computes for."""
+    calls = []
+    certify = hyperbolicity._certificate.compute
+
+    def counted(jacs, v_u):
+        calls.append(jacs.shape)
+        return certify(jacs, v_u)
+
+    monkeypatch.setattr(hyperbolicity._certificate, "compute", counted)
+    return calls
+
+
+def _cat_orbits():
+    """(point, period) of all 3554 cat periodic points of periods 1 to 8, in
+    period order."""
+    matrix = sl.cat_map().matrix
+    return [(p, m) for m in range(1, 9) for p in sl.enumerate_periodic_points_toral(matrix, m)]
+
+
+def _certified(sys_, point, m):
+    record = sl.analyze_periodic_orbit(sys_, point, m)
+    return record, sl.expansion_certificate(sys_, record, record.unstable_basis[:, 0])
+
+
+def test_reset_memos_empties_the_certificate_memo(cat_sys, monkeypatch):
+    _certified(cat_sys, np.zeros(2), 1)
+    assert hyperbolicity._certificate.last is not None
+    reset_memos(monkeypatch)
+    assert hyperbolicity._certificate.last is None
+
+
+def test_pullback_takes_its_certificate_from_the_memo(cat_sys, monkeypatch):
+    record, cert = _certified(cat_sys, np.zeros(2), 1)
+    calls = _count_certificates(monkeypatch)
+    v_u = record.unstable_basis[:, 0]
+    pulled = sl.witness_orbit_pullback(cat_sys, np.zeros(2), 1, v_u, 1e-5)[2]
+    assert calls == [] and pulled.rates is cert.rates and pulled.directions is cert.directions
+
+
+def test_one_certificate_per_period_on_cat(cat_sys, monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    certs = [_certified(cat_sys, p, m)[1] for p, m in _cat_orbits()]
+    assert len(certs) == 3554 and calls == [(m, 2, 2) for m in range(1, 9)]
+
+
+def test_warm_certificates_equal_cold_ones_bit_for_bit(cat_sys, monkeypatch):
+    cases = [(cat_sys, p, m) for p, m in _cat_orbits()]
+    # the period-3 cat orbit through (1/2, 0) is an orbit of the perturbed map too,
+    # with a Jacobian stack of its own
+    cases.append((sl.perturbed_toral(sl.cat_map().matrix, 0.1), np.array([0.5, 0.0]), 3))
+    cold = []
+    for case in cases:
+        reset_memos(monkeypatch)
+        cold.append([field_bytes(x) for x in _certified(*case)])
+    reset_memos(monkeypatch)
+    # each case twice in a row: the first may reuse the previous case's
+    # entries, the second reads its own
+    warm = [[[field_bytes(x) for x in _certified(*case)] for _ in range(2)] for case in cases]
+    assert warm == [[c, c] for c in cold]
+
+
+def test_certificates_of_one_stack_are_one_read_only_object(cat_sys):
+    points = sl.enumerate_periodic_points_toral(sl.cat_map().matrix, 3)
+    certs = [_certified(cat_sys, p, 3)[1] for p in points]
+    assert len(certs) == 16 and all(c is certs[0] for c in certs)
+    for shared in (certs[0].rates, certs[0].coefficients, certs[0].products,
+                   certs[0].directions):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
+def test_certificate_checks_run_on_a_warm_memo(cat_sys, monkeypatch):
+    record, cert = _certified(cat_sys, np.zeros(2), 1)
+    v_u = record.unstable_basis[:, 0]
+    calls = _count_certificates(monkeypatch)
+    # hand-built records on the memoised stack and vector: each is checked
+    # against its own flag and basis
+    with pytest.raises(sl.NonhyperbolicOrbitError):
+        sl.expansion_certificate(cat_sys, replace(record, hyperbolic=False), v_u)
+    with pytest.raises(sl.VectorNotUnstableError, match="does not lie in the unstable"):
+        sl.expansion_certificate(cat_sys, replace(record, unstable_basis=record.stable_basis), v_u)
+    assert sl.expansion_certificate(cat_sys, record, v_u) is cert and calls == []
+
+
+def test_telescoping_failure_is_raised_on_every_call(monkeypatch):
+    # rates 1e-150 three times, then 1e150 four times along e_1: a_0 overflows
+    rates = [1e-150] * 3 + [1e150] * 4
+    jacs = np.array([np.diag([r, 1.0]) for r in rates])
+    e = np.eye(2)
+    record = hyperbolicity.PeriodicOrbitRecord(
+        7, None, jacs, np.array([1e150, 1.0]), 1, True, e[:, 1:], e[:, :1]
+    )
+    calls = _count_certificates(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(LostPrecisionError, match="telescoping failure"):
+            sl.expansion_certificate(None, record, e[0])
+    assert len(calls) == 2 and hyperbolicity._certificate.last is None
+
+
 # ---------------------------------------------------------------------------
 # expansion certificates
 
@@ -352,7 +476,7 @@ def test_backward_recursion_matches_exact_arithmetic():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_backward_recursion_rejects_nonfinite_rates(bad):
-    with pytest.raises(RuntimeError, match="telescoping failure"):
+    with pytest.raises(LostPrecisionError, match="telescoping failure"):
         expansion_coefficients([2.0, bad, 3.0])
 
 
@@ -950,6 +1074,16 @@ def test_newton_steps_refine_what_deflation_leaves(monkeypatch):
     refined = lost_sides()
     monkeypatch.setattr(hyperbolicity, "NEWTON_STEPS", 0)
     assert lost_sides() >= refined + 10
+
+
+def test_deflation_rejects_a_count_that_splits_a_conjugate_pair():
+    # eigenvalues 3 and 2 +- 2i: after 3 the pair is deflated whole, one past
+    # the count of 2.  The splitting counts a pair's equal moduli together, so
+    # only a count at odds with the spectrum reaches this guard
+    a = block_diag([[3.0]], [[2.0, -2.0], [2.0, 2.0]])
+    with pytest.raises(LostPrecisionError, match="conjugate pair straddles the splitting"):
+        hyperbolicity._deflation(a, 3 + 0j, 2, True)
+    assert hyperbolicity._deflation(a, 3 + 0j, 3, True).shape == (3, 3)
 
 
 def test_multipliers_are_numpys_eigvals_bit_for_bit(linear_jordan2):

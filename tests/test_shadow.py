@@ -668,6 +668,14 @@ def test_rcond_floor_is_checked_on_every_call(monkeypatch):
     assert calls == [14] and messages[0] == messages[1]
 
 
+def test_newton_step_blow_up_is_singular():
+    # M = 1 - a = -5e-13 passes the floor at rcond 2.5e-13, but its step is 2e12 |rhs|
+    jacobians = np.array([[[1.0 + 5e-13]]])
+    assert shadow._cyclic_factor(jacobians)[2] >= shadow.RCOND_FLOOR
+    with pytest.raises(SingularJacobianError, match=r"\(Newton step blow-up\)"):
+        shadow._solve_cyclic(jacobians, np.array([[1.0]]))
+
+
 def test_step_checks_run_on_a_reused_factor(monkeypatch):
     calls = _count_band_factors(monkeypatch)
     stack = _jacobian_stacks(5)[0]

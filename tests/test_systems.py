@@ -18,7 +18,13 @@ from shadowlab.errors import (
     SingularJacobianError,
     StepLimitError,
 )
-from shadowlab.systems import PhaseSpace, _newton_inverse, _row_norms, low_discrepancy_sample
+from shadowlab.systems import (
+    MAX_A_BALL,
+    PhaseSpace,
+    _newton_inverse,
+    _row_norms,
+    low_discrepancy_sample,
+)
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # largest cat-map multiplier
 
@@ -181,6 +187,19 @@ def test_toral_rejects_bad_matrices():
         sl.toral_automorphism([[2, 0], [0, 2]])  # det 4
     with pytest.raises(ValueError):
         sl.toral_automorphism([[1.5, 0], [0, 1]])
+
+
+def test_toral_inverse_is_exact_past_float_precision():
+    # F_46 F_44 - F_45^2 = -1; the float inverse rounds to entries off by about 1e9
+    f46, f45, f44 = 1836311903, 1134903170, 701408733
+    toral = sl.toral_automorphism([[f46, f45], [f45, f44]])
+    assert toral.inverse_matrix.tolist() == [[-f44, f45], [f45, -f46]]
+
+
+def test_toral_inverse_beyond_int64_is_rejected():
+    a = 2**32  # the inverse holds a^2 = 2^64
+    with pytest.raises(ValueError, match="inverse matrix has entries beyond int64"):
+        sl.toral_automorphism([[1, a, 0], [0, 1, a], [0, 0, 1]])
 
 
 def test_toral_hyperbolicity_flag():
@@ -543,6 +562,7 @@ def test_torus_map_image_just_below_zero_reads_zero():
         (lambda: sl.jordan_model("rotation", 1, theta=float("nan"), c=0), "theta must be finite"),
         (lambda: sl.jordan_model("rotation", 1, theta=float("inf")), "theta must be finite"),
         (lambda: sl.jordan_model(a_ball=float("inf")), "a_ball must be positive and finite"),
+        (lambda: sl.jordan_model(a_ball=1e300), "a_ball must be at most 5.6438e\\+102"),
         (lambda: sl.jordan_model(halfwidth=float("nan")), "halfwidth must be positive and finite"),
         (lambda: sl.linear_system([[float("nan"), 0], [0, 1]]), "matrix entries must be finite"),
         (lambda: sl.linear_system([[2, float("inf")], [0, 1]]), "matrix entries must be finite"),
@@ -556,13 +576,23 @@ def test_torus_map_image_just_below_zero_reads_zero():
         (lambda: sl.jordan_model("skew"), "unknown block kind 'skew'"),
     ],
     ids=["cube-nan", "cube-0", "linear-0", "jordan-c", "jordan-a-ball", "jordan-tail",
-         "jordan-theta-nan", "jordan-theta-inf", "jordan-a-ball-inf", "jordan-halfwidth",
+         "jordan-theta-nan", "jordan-theta-inf", "jordan-a-ball-inf", "jordan-a-ball-cube",
+         "jordan-halfwidth",
          "linear-nan", "linear-inf", "linear-halfwidth", "torus-0", "linear-not-square",
          "toral-not-square", "jordan-size-0", "rotation-0", "jordan-no-block", "jordan-skew"],
 )
 def test_constructors_reject_nan_and_empty_inputs(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_jordan_nonlinearity_is_finite_up_to_the_largest_a_ball():
+    # the nonlinearity's scale a_ball^3 / 4 is a finite float up to MAX_A_BALL
+    model = sl.jordan_model(a_ball=MAX_A_BALL, c=1e-300)
+    assert math.isfinite(model._phi_lipschitz())
+    assert np.isfinite(model.system.forward(np.array([2.0 * MAX_A_BALL, 0.0]))).all()
+    with pytest.raises(ValueError, match="a_ball must be at most"):
+        sl.jordan_model(a_ball=math.nextafter(MAX_A_BALL, math.inf), c=1e-300)
 
 
 @pytest.mark.parametrize(
